@@ -19,11 +19,8 @@ from .errors import InputError, LemmaViolation
 from .multipartition import (
     Multicharge,
     Multipartition,
-    addable_nodes,
     multipartitions_of,
-    removable_nodes,
-    residue,
-    residue_multiset,
+    residue_counts,
     size,
 )
 
@@ -51,41 +48,60 @@ __all__ = [
     "scopes_condition",
 ]
 
+# Bound on the caches below (and on is_kleshchev's).  A verification sweep
+# revisits recent inputs, so most of its lookups still hit; a long run of
+# distinct queries keeps a fixed footprint instead of one entry per input.
+CACHE_SIZE = 1024
+
 
 # ---------------------------------------------------------------------------
 # residue counts, weight, hub
 
 
-@lru_cache(maxsize=None)
-def _counts(mp: Multipartition, e: int, kappa: tuple) -> tuple:
-    charge = Multicharge(e, kappa)
-    out = [0] * e
-    for res in residue_multiset(mp, charge):
-        out[res] += 1
-    return tuple(out)
-
-
-def residue_counts(mp: Multipartition, charge: Multicharge) -> tuple:
-    """Number of nodes of each residue, as a tuple indexed by Z/eZ."""
-    if len(mp) != charge.r:
-        raise InputError(f"multipartition has {len(mp)} components but charge has {charge.r}")
-    return _counts(mp, charge.e, charge.kappa)
-
-
 def weight(mp: Multipartition, charge: Multicharge) -> int:
     """Block weight: sum_j c_{kappa_j} - (1/2) sum_i (c_i - c_{i+1})^2.
 
-    Computed in integer arithmetic; the difference is provably even and
-    the result nonnegative, both asserted.
+    Computed in integer arithmetic.  The quadratic term is always even
+    (the cyclic differences c_i - c_{i+1} sum to zero, and x^2 has the
+    parity of x), so the halving is exact; a negative result means the
+    counts are not those of a multipartition and raises LemmaViolation.
     """
     c = residue_counts(mp, charge)
     e = charge.e
     lin = sum(c[k] for k in charge.kappa)
     quad = sum((c[i] - c[(i + 1) % e]) ** 2 for i in range(e))
-    assert (2 * lin - quad) % 2 == 0, "weight parity"
     w = (2 * lin - quad) // 2
-    assert w >= 0, f"negative weight {w} for {mp}"
+    if w < 0:
+        raise LemmaViolation("weight_nonnegative", f"negative weight {w} for {mp}")
     return w
+
+
+def _hub_matrix(mp: Multipartition, charge: Multicharge) -> list:
+    """Per-component hub: row j-1 holds delta_i^j for i in Z/eZ.
+
+    Read off the row ends in O(rows + r*e): row b of width w ends in a
+    removable node of residue a + w - b when the next row is shorter, and
+    has an addable node of residue a + w + 1 - b when it is the first row
+    or the row above is longer.  The empty row one past the end is always
+    addable, with residue a - (number of rows).
+    """
+    if len(mp) != charge.r:
+        raise InputError(f"multipartition has {len(mp)} components but charge has {charge.r}")
+    e = charge.e
+    out = []
+    for a, comp in zip(charge.entries, mp):
+        row = [0] * e
+        above = None
+        for b, w in enumerate(comp, start=1):
+            below = comp[b] if b < len(comp) else 0
+            if w > below:
+                row[(a + w - b) % e] += 1
+            if above is None or above > w:
+                row[(a + w + 1 - b) % e] -= 1
+            above = w
+        row[(a - len(comp)) % e] -= 1
+        out.append(row)
+    return out
 
 
 def delta_ij(mp: Multipartition, charge: Multicharge, i: int, j: int) -> int:
@@ -94,24 +110,7 @@ def delta_ij(mp: Multipartition, charge: Multicharge, i: int, j: int) -> int:
         raise InputError(f"component index {j} out of range 1..{len(mp)}")
     if not 0 <= i < charge.e:
         raise InputError(f"residue {i} out of range 0..{charge.e - 1}")
-    rem = sum(
-        1 for nd in removable_nodes(mp) if nd.comp == j and residue(nd, charge) == i
-    )
-    add = sum(
-        1 for nd in addable_nodes(mp) if nd.comp == j and residue(nd, charge) == i
-    )
-    return rem - add
-
-
-@lru_cache(maxsize=None)
-def _hub(mp: Multipartition, e: int, kappa: tuple) -> tuple:
-    charge = Multicharge(e, kappa)
-    out = [0] * e
-    for nd in removable_nodes(mp):
-        out[residue(nd, charge)] += 1
-    for nd in addable_nodes(mp):
-        out[residue(nd, charge)] -= 1
-    return tuple(out)
+    return _hub_matrix(mp, charge)[j - 1][i]
 
 
 def hub(mp: Multipartition, charge: Multicharge) -> tuple:
@@ -119,9 +118,7 @@ def hub(mp: Multipartition, charge: Multicharge) -> tuple:
 
     Entries sum to -r; together with the size it determines the block.
     """
-    if len(mp) != charge.r:
-        raise InputError(f"multipartition has {len(mp)} components but charge has {charge.r}")
-    return _hub(mp, charge.e, charge.kappa)
+    return tuple(map(sum, zip(*_hub_matrix(mp, charge))))
 
 
 def level_hub(m: Multicore) -> tuple:
@@ -217,7 +214,7 @@ def same_block(lam: Multipartition, mu: Multipartition, charge: Multicharge) -> 
     """Same-block test via residue multisets; sizes must agree."""
     if size(lam) != size(mu):
         raise InputError("same_block compares multipartitions of equal size")
-    return residue_multiset(lam, charge) == residue_multiset(mu, charge)
+    return residue_counts(lam, charge) == residue_counts(mu, charge)
 
 
 @lru_cache(maxsize=None)
@@ -269,7 +266,7 @@ def block_containing(mp: Multipartition, charge: Multicharge, caps: Caps | None 
 # core blocks: witnesses, base tuples, K
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def witness_offsets(m: Multicore) -> tuple:
     """All offset vectors t (t_1 = 0) adjusting component charges by t_j * e
     so that every runner's levels pairwise differ by at most 1.
@@ -389,7 +386,9 @@ def k_value(m: Multicore, i: int) -> int:
 
 def d_min(mp: Multipartition, charge: Multicharge, i: int) -> int:
     """Smallest per-component hub entry: min_j delta_i^j."""
-    return min(delta_ij(mp, charge, i, j) for j in range(1, len(mp) + 1))
+    if not 0 <= i < charge.e:
+        raise InputError(f"residue {i} out of range 0..{charge.e - 1}")
+    return min(row[i] for row in _hub_matrix(mp, charge))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +441,7 @@ def _moves(m: Multicore, minimum: int):
                         yield (i, l, j, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _core_search(m: Multicore) -> tuple:
     """A hub-preserving, weight-non-increasing move sequence into a core block.
 
@@ -486,13 +485,14 @@ def _core_search(m: Multicore) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
     """Strip rim hooks, then walk bead exchanges down to the core block.
 
     The recorded chain keeps the hub constant and never increases the
-    weight; both facts are asserted step by step, along with the exchange
-    weight law w(next) = w(cur) - r*(gamma_difference - 2).
+    weight; both facts are checked step by step, along with the exchange
+    weight law w(next) = w(cur) - r*(gamma_difference - 2).  A failed
+    check raises LemmaViolation under the anchor of the law it broke.
     """
     m0, hooks = to_multicore(mp, charge)
     h0 = hub(mp, charge)
@@ -501,15 +501,20 @@ def core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
     cur = m0
     cur_mp = cur.to_multipartition()
     cur_w = weight(cur_mp, charge)
-    assert cur_w == weight(mp, charge) - r * hooks, "each rim hook carries weight r"
+    if cur_w != weight(mp, charge) - r * hooks:
+        raise LemmaViolation(
+            "weight_core_law", f"the {hooks} rim hooks of {mp} do not carry weight {r} each"
+        )
     chain = []
     for mv in path:
         g = gamma_diff(cur, *mv)
         nxt = s_move(cur, *mv)
         nxt_mp = nxt.to_multipartition()
         nxt_w = weight(nxt_mp, charge)
-        assert hub(nxt_mp, charge) == h0, "bead exchanges preserve the hub"
-        assert nxt_w == cur_w - r * (g - 2), "exchange weight law"
+        if hub(nxt_mp, charge) != h0:
+            raise LemmaViolation("hub_invariance", f"exchange {mv} changed the hub of {cur_mp}")
+        if nxt_w != cur_w - r * (g - 2):
+            raise LemmaViolation("weight_move_formula", f"exchange {mv} (gamma {g}) on {cur_mp}")
         chain.append(
             SMoveStep(
                 i=mv[0], l=mv[1], j=mv[2], k=mv[3],
@@ -517,7 +522,10 @@ def core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
             )
         )
         cur, cur_mp, cur_w = nxt, nxt_mp, nxt_w
-    assert witness_offsets(cur), "search post-condition: a core block was reached"
+    if not witness_offsets(cur):
+        raise LemmaViolation(
+            "core_block_reachability", f"the exchange chain from {mp} ends outside a core block"
+        )
     descriptor = BlockDescriptor(
         n=size(cur_mp),
         r=r,
@@ -556,7 +564,7 @@ class ScopesReport:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def scopes_condition(mp: Multipartition, charge: Multicharge, i: int) -> ScopesReport:
     """Evaluate w(B) <= w(C) + K_i * r for the block of mp.
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 a verification failed (the message names the
-violated lemma anchor); 2 malformed input or a cap was exceeded.
+violated lemma anchor); 2 malformed input or a cap was exceeded, reported
+as one ``akblocks: error:`` line on stderr.
 All JSON output is deterministic: sorted keys, two-space indent,
 trailing newline.
 """
@@ -26,7 +27,7 @@ from .blocks import (
 )
 from .branching import branching_polynomial
 from .caps import Caps, default_caps
-from .errors import CapExceeded, InputError, LemmaViolation
+from .errors import InputError, LemmaViolation
 from .multipartition import (
     Multicharge,
     multipartition_from_json,
@@ -47,8 +48,11 @@ def _emit(args, payload) -> None:
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out!r}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -61,14 +65,19 @@ def _charge(args) -> Multicharge:
     return Multicharge(args.e, entries)
 
 
+def _text(raw: str) -> str:
+    """An argument's text: inline, or read from a file when given as @path."""
+    if not raw.startswith("@"):
+        return raw
+    try:
+        with open(raw[1:]) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {raw[1:]!r}: {exc}")
+
+
 def _lam(args, attr: str = "lam"):
-    raw = getattr(args, attr)
-    if raw.startswith("@"):
-        try:
-            with open(raw[1:]) as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {raw[1:]!r}: {exc}")
+    raw = _text(getattr(args, attr))
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -205,7 +214,7 @@ def _cmd_k_values(args) -> int:
     res = core_block_of(mp, mc)
     wanted = range(mc.e)
     if args.i is not None:
-        wanted = [int(x) % mc.e for x in args.i.split(",")]
+        wanted = [x % mc.e for x in _int_list(args.i)]
     payload = {f"K_{i}": k_value(res.core_multicore, i) for i in wanted}
     _emit(args, payload)
     return 0
@@ -268,12 +277,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_parse_abacus(args) -> int:
-    if args.lam.startswith("@"):
-        with open(args.lam[1:]) as fh:
-            text = fh.read()
-    else:
-        text = args.lam
-    disp = parse_abacus(text)
+    disp = parse_abacus(_text(args.lam))
     mp = disp.to_multipartition()
     _emit(
         args,
@@ -458,11 +462,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except CapExceeded as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        print(f"akblocks: error: input error: {exc}", file=sys.stderr)
         return 2
     except LemmaViolation as exc:
         print(f"verification failed [{exc.lemma}]: {exc.detail}", file=sys.stderr)

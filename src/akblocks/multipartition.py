@@ -6,8 +6,8 @@ Nodes are (row, col, comp) triples, all 1-based, with comp indexing the
 component.  Residues live in Z/eZ and depend on a multicharge.
 """
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple
 
 from .errors import InputError
@@ -28,6 +28,7 @@ __all__ = [
     "remove_node",
     "add_node",
     "residue",
+    "residue_counts",
     "residue_multiset",
     "dominates",
     "lex_cmp",
@@ -60,10 +61,10 @@ class Multicharge:
     entries: tuple
 
     def __post_init__(self):
-        if not isinstance(self.e, int) or self.e < 2:
+        if not _is_int(self.e) or self.e < 2:
             raise InputError(f"e must be an integer >= 2, got {self.e!r}")
         ent = tuple(self.entries)
-        if not ent or not all(isinstance(a, int) for a in ent):
+        if not ent or not all(_is_int(a) for a in ent):
             raise InputError(f"charge must be a nonempty tuple of integers, got {self.entries!r}")
         object.__setattr__(self, "entries", ent)
 
@@ -89,6 +90,11 @@ class Multicharge:
         return cls(obj["e"], tuple(charge))
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: JSON ``true`` must not pass as 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def as_partition(parts: Iterable) -> Partition:
     """Validate and canonicalise a partition (strip trailing zeros).
 
@@ -97,7 +103,7 @@ def as_partition(parts: Iterable) -> Partition:
     """
     seq = tuple(parts)
     for x in seq:
-        if not isinstance(x, int) or x < 0:
+        if not _is_int(x) or x < 0:
             raise InputError(f"partition parts must be nonnegative integers, got {x!r}")
     if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
         raise InputError(f"partition parts must be weakly decreasing, got {seq!r}")
@@ -198,14 +204,35 @@ def residue(nd: Node, charge: Multicharge) -> int:
     return (charge.entries[nd.comp - 1] + nd.col - nd.row) % charge.e
 
 
+def residue_counts(mp: Multipartition, charge: Multicharge) -> tuple:
+    """Number of nodes of each residue, as a tuple indexed by Z/eZ.
+
+    Row b of width w in a component of charge a holds the w consecutive
+    residues a - b + 1, ..., a - b + w: w // e full cycles plus w % e
+    residues from (a - b + 1) mod e on.  O(rows * e), not O(nodes).
+    """
+    _check_level(mp, charge)
+    e = charge.e
+    out = [0] * e
+    cycles = 0
+    for a, comp in zip(charge.entries, mp):
+        for b, w in enumerate(comp, start=1):
+            full, rest = divmod(w, e)
+            cycles += full
+            start = a - b + 1
+            for k in range(start, start + rest):
+                out[k % e] += 1
+    return tuple(c + cycles for c in out)
+
+
 def residue_multiset(mp: Multipartition, charge: Multicharge) -> tuple:
     """Sorted tuple of the residues of all nodes.
 
     Two multipartitions of the same size lie in the same block exactly when
     these multisets agree.
     """
-    _check_level(mp, charge)
-    return tuple(sorted(residue(nd, charge) for nd in nodes(mp)))
+    counts = residue_counts(mp, charge)
+    return tuple(chain.from_iterable(repeat(k, c) for k, c in enumerate(counts)))
 
 
 def _check_level(mp: Multipartition, charge: Multicharge) -> None:
@@ -286,7 +313,3 @@ def multipartitions_of(n: int, r: int):
         for p in partitions_of(head):
             for rest in multipartitions_of(n - head, r - 1):
                 yield (p,) + rest
-
-
-def _residue_counter(mp: Multipartition, charge: Multicharge) -> Counter:
-    return Counter(residue(nd, charge) for nd in nodes(mp))

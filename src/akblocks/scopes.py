@@ -12,6 +12,7 @@ from functools import lru_cache
 
 from .abacus import has_forbidden_config, phi
 from .blocks import (
+    CACHE_SIZE,
     Block,
     BlockDescriptor,
     ScopesReport,
@@ -97,10 +98,11 @@ def good_nodes(mp: Multipartition, charge: Multicharge) -> tuple:
     cancel each removable immediately followed (in the surviving word) by
     an addable, and take the highest surviving removable.
     """
+    removable, addable = removable_nodes(mp), addable_nodes(mp)
     out = []
     for i in range(charge.e):
-        tagged = [(nd, "R") for nd in removable_nodes(mp) if residue(nd, charge) == i]
-        tagged += [(nd, "A") for nd in addable_nodes(mp) if residue(nd, charge) == i]
+        tagged = [(nd, "R") for nd in removable if residue(nd, charge) == i]
+        tagged += [(nd, "A") for nd in addable if residue(nd, charge) == i]
         tagged.sort(key=lambda item: (item[0].comp, item[0].row))
         stack = []
         for nd, kind in tagged:
@@ -115,24 +117,23 @@ def good_nodes(mp: Multipartition, charge: Multicharge) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _kleshchev(mp: Multipartition, e: int, kappa: tuple) -> bool:
-    if size(mp) == 0:
-        return True
-    charge = Multicharge(e, kappa)
-    good = good_nodes(mp, charge)
-    if not good:
-        return False
-    # any good node works; removing the one of smallest residue is a
-    # deterministic choice
-    return _kleshchev(remove_node(mp, good[0]), e, kappa)
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def is_kleshchev(mp: Multipartition, charge: Multicharge) -> bool:
-    """Whether mp is reachable from the empty multipartition by good nodes."""
+    """Whether mp is reachable from the empty multipartition by good nodes.
+
+    Strips one good node per step, so the work is one loop iteration per
+    node and the depth stays constant however large mp is.
+    """
     if len(mp) != charge.r:
         raise InputError(f"multipartition has {len(mp)} components but charge has {charge.r}")
-    return _kleshchev(mp, charge.e, charge.kappa)
+    while size(mp):
+        good = good_nodes(mp, charge)
+        if not good:
+            return False
+        # any good node works; removing the one of smallest residue is a
+        # deterministic choice
+        mp = remove_node(mp, good[0])
+    return True
 
 
 @dataclass(frozen=True)

@@ -233,6 +233,24 @@ def check_orders(grid: SweepGrid):
 # residues, hubs, block criterion
 
 
+def _node_residue_counts(mp, charge: Multicharge) -> tuple:
+    """Reference residue counts: the residue of every node, one by one."""
+    out = [0] * charge.e
+    for nd in nodes(mp):
+        out[residue(nd, charge)] += 1
+    return tuple(out)
+
+
+def _node_hub_matrix(mp, charge: Multicharge) -> tuple:
+    """Reference per-component hub from the removable and addable node lists."""
+    out = [[0] * charge.e for _ in mp]
+    for nd in removable_nodes(mp):
+        out[nd.comp - 1][residue(nd, charge)] += 1
+    for nd in addable_nodes(mp):
+        out[nd.comp - 1][residue(nd, charge)] -= 1
+    return tuple(map(tuple, out))
+
+
 def check_residues(grid: SweepGrid):
     shift = _Recorder("residue_count_shift")
     hub_sum = _Recorder("hub_sum_law")

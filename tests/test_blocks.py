@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import akblocks
 from akblocks import (
     Block,
     BlockDescriptor,
@@ -170,3 +176,37 @@ def test_d_min_is_component_minimum():
     assert d_min(EXK, EXK_MC, 1) == min(
         delta_ij(EXK, EXK_MC, 1, j) for j in range(1, 4)
     )
+
+
+_OPTIMISED_CHECKS = """
+import akblocks.blocks as blocks
+from akblocks import LemmaViolation, Multicharge, core_block_of, weight
+
+assert False, "this script must run under python -O"
+mc = Multicharge(2, (0,))
+anchors = []
+blocks.residue_counts = lambda mp, charge: (5, 0)
+try:
+    weight(((1,),), mc)
+except LemmaViolation as exc:
+    anchors.append(exc.lemma)
+blocks.weight = lambda mp, charge: 0
+try:
+    core_block_of(((3, 1),), mc)
+except LemmaViolation as exc:
+    anchors.append(exc.lemma)
+print(",".join(anchors))
+"""
+
+
+def test_load_bearing_checks_survive_optimised_mode():
+    src = Path(akblocks.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMISED_CHECKS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["weight_nonnegative,weight_core_law"]

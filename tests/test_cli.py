@@ -173,6 +173,27 @@ def test_exit_two_on_malformed_lambda(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("command, lam", [("hub", "[[true,true]]"), ("weight", "[[true]]")])
+def test_exit_two_on_json_booleans(capsys, command, lam):
+    code, out, err = run(capsys, command, "--e", "4", "--charge", "1", "--lambda", lam)
+    assert code == 2 and out == ""
+    assert "True" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse-abacus", "--lambda", "@/nonexistent/display.txt"],
+        ["k-values", *EXK_ARGS, "--i", "x"],
+        ["hub", *EXK_ARGS, "--out", "/nonexistent/hub.json"],
+    ],
+)
+def test_exit_two_with_one_line_message(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("akblocks: error:") and err.count("\n") == 1
+
+
 def test_exit_two_on_level_mismatch(capsys):
     code, _, err = run(
         capsys, "weight", "--e", "4", "--charge", "1,0", "--lambda", "[[1]]",

@@ -45,6 +45,8 @@ def test_as_partition_rejects_bad_input():
         as_partition([2, -1])
     with pytest.raises(InputError):
         as_partition([2.5])
+    with pytest.raises(InputError):
+        as_partition([True, True])
 
 
 def test_multicharge_validation():
@@ -52,6 +54,8 @@ def test_multicharge_validation():
         Multicharge(1, (0,))
     with pytest.raises(InputError):
         Multicharge(3, ())
+    with pytest.raises(InputError):
+        Multicharge(3, (True, 0))
     mc = Multicharge(3, (4, -1))
     assert mc.r == 2
     assert mc.kappa == (1, 2)

@@ -163,3 +163,9 @@ def test_certificate_from_json_rejects_other_schema():
     obj["schema"] = 2
     with pytest.raises(InputError):
         ScopesCertificate.from_json(obj)
+
+
+def test_kleshchev_on_a_thousand_nodes_and_more():
+    mc = Multicharge(3, (0,))
+    assert is_kleshchev(((2,) * 500,), mc)
+    assert not is_kleshchev(((3,) * 400,), mc)
