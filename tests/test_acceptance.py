@@ -6,6 +6,7 @@ scope.  Criteria with stated wall-clock bounds assert them.
 
 import time
 from functools import lru_cache
+from pathlib import Path
 
 from akblocks import (
     AbacusDisplay,
@@ -224,3 +225,5 @@ def test_c12_verify_all_default_grid(capsys):
     assert code == 0
     assert "0 failed" in out
     assert time.monotonic() - t0 < 600.0
+    # the same 49 lemmas with the same instance counts as the golden run
+    assert out == (Path(__file__).with_name("golden") / "verify_all.txt").read_text()
