@@ -15,11 +15,12 @@ occupied levels per runner and component.
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, LemmaViolation
 from .multipartition import (
     Multicharge,
     Multipartition,
     Partition,
+    _check_level,
     as_partition,
 )
 
@@ -29,7 +30,6 @@ __all__ = [
     "Multicore",
     "beta_set",
     "partition_of",
-    "lowest_level",
     "to_multicore",
     "as_multicore",
     "s_move",
@@ -114,7 +114,8 @@ def partition_of(bs: BetaSet):
     """Decode a beta-set back to (partition, charge)."""
     low = bs.min_gap()
     betas = bs.beads_down_to(low)
-    assert len(betas) == bs.charge - low, "balance invariant guarantees the bead count"
+    if len(betas) != bs.charge - low:
+        raise LemmaViolation("beta_bead_balance", f"{bs} has {len(betas)} beads from {low} up")
     parts = [betas[k] - bs.charge + (k + 1) for k in range(len(betas))]
     return as_partition(parts), bs.charge
 
@@ -140,8 +141,7 @@ class AbacusDisplay:
 
     @classmethod
     def from_multipartition(cls, mp: Multipartition, charge: Multicharge) -> "AbacusDisplay":
-        if len(mp) != charge.r:
-            raise InputError(f"multipartition has {len(mp)} components but charge has {charge.r}")
+        _check_level(mp, charge)
         return cls(charge.e, tuple(beta_set(c, a) for c, a in zip(mp, charge.entries)))
 
     @property
@@ -153,15 +153,16 @@ class AbacusDisplay:
 
     def lowest_level(self, i: int, j: int) -> int:
         """Level of the lowest bead on runner i of component j (1-based j)."""
-        self._check_runner(i)
-        bs = self._component(j)
-        lo = bs.min_gap() - self.e
-        best = None
-        for p in range(lo, bs.max_bead() + 1):
-            if p % self.e == i and p in bs:
-                best = p
-        assert best is not None, "every runner holds a bead within e of the lowest gap"
-        return best // self.e
+        if not isinstance(i, int) or not 0 <= i < self.e:
+            raise InputError(f"runner index {i} out of range 0..{self.e - 1}")
+        if not 1 <= j <= self.r:
+            raise InputError(f"component index {j} out of range 1..{self.r}")
+        bs = self.components[j - 1]
+        span = range(bs.min_gap() - self.e, bs.max_bead() + 1)
+        beads = [p for p in span if p % self.e == i and p in bs]
+        if not beads:
+            raise LemmaViolation("runner_has_bead", f"runner {i} of component {j} is empty")
+        return beads[-1] // self.e
 
     def level_matrix(self) -> tuple:
         """Lowest levels as a component-major tuple of rows over runners."""
@@ -176,15 +177,6 @@ class AbacusDisplay:
                 if p in bs and (p - self.e) not in bs:
                     return False
         return True
-
-    def _component(self, j: int) -> BetaSet:
-        if not 1 <= j <= self.r:
-            raise InputError(f"component index {j} out of range 1..{self.r}")
-        return self.components[j - 1]
-
-    def _check_runner(self, i: int) -> None:
-        if not isinstance(i, int) or not 0 <= i < self.e:
-            raise InputError(f"runner index {i} out of range 0..{self.e - 1}")
 
     def to_json(self) -> dict:
         comps = []
@@ -213,14 +205,15 @@ class AbacusDisplay:
                 raise InputError(f"bad abacus component entry: {entry!r}") from exc
             if not all(isinstance(p, int) and p >= cutoff for p in beads):
                 raise InputError("beads_above_cutoff must be integers >= cutoff")
-            hi = max(beads | {a - 1, cutoff})
-            delta = set()
-            for p in range(min(cutoff, a), hi + 1):
-                member = p in beads if p >= cutoff else True
-                if member != (p < a):
-                    delta.add(p)
-            comps.append(BetaSet(a, frozenset(delta)))
+            comps.append(_beta_from_beads(a, cutoff, beads))
         return cls(obj["e"], tuple(comps))
+
+
+def _beta_from_beads(charge: int, cutoff: int, beads) -> BetaSet:
+    """The beta-set of this charge holding exactly these beads at or above
+    cutoff and every position below it."""
+    span = range(min(cutoff, charge), max(max(beads, default=cutoff), charge - 1) + 1)
+    return BetaSet(charge, frozenset(p for p in span if (p < cutoff or p in beads) != (p < charge)))
 
 
 @dataclass(frozen=True)
@@ -261,26 +254,12 @@ class Multicore:
         if not 1 <= j <= self.r:
             raise InputError(f"component index {j} out of range 1..{self.r}")
         row = self.levels[j - 1]
-        a = self.e + sum(row)
-        floor_pos = (min(row) - 1) * self.e
-        beads = {
-            x * self.e + i for i, top in enumerate(row) for x in range(min(row) - 1, top + 1)
-        }
-        ub = max((max(row) + 1) * self.e, a)
-        delta = frozenset(
-            p for p in range(floor_pos, ub + 1) if (p in beads) != (p < a)
-        )
-        return BetaSet(a, delta)
-
-    def display(self) -> AbacusDisplay:
-        return AbacusDisplay(self.e, tuple(self.beta_set(j) for j in range(1, self.r + 1)))
+        floor = min(row) - 1
+        beads = {x * self.e + i for i, top in enumerate(row) for x in range(floor, top + 1)}
+        return _beta_from_beads(self.e + sum(row), floor * self.e, beads)
 
     def to_multipartition(self) -> Multipartition:
         return tuple(partition_of(self.beta_set(j))[0] for j in range(1, self.r + 1))
-
-
-def lowest_level(display: AbacusDisplay, i: int, j: int) -> int:
-    return display.lowest_level(i, j)
 
 
 def to_multicore(mp: Multipartition, charge: Multicharge):
@@ -301,12 +280,14 @@ def to_multicore(mp: Multipartition, charge: Multicharge):
         for i in range(e):
             lvls = [p // e for p in range(base * e + i, hi + 1, e) if p in bs]
             cnt = len(lvls)
-            assert cnt >= 1, "level `base` is fully occupied"
+            if cnt < 1:
+                raise LemmaViolation("multicore_base_level", f"runner {i} empty at {base} for {mp}")
             hooks += sum(lvls) - sum(range(base, base + cnt))
             row.append(base + cnt - 1)
         rows.append(tuple(row))
     core = Multicore(e, tuple(rows))
-    assert core.charges == charge.entries, "sliding beads preserves component charges"
+    if core.charges != charge.entries:
+        raise LemmaViolation("multicore_charges", f"sliding {mp} gave charges {core.charges}")
     return core, hooks
 
 
@@ -316,7 +297,8 @@ def as_multicore(mp: Multipartition, charge: Multicharge) -> Multicore:
     if not disp.is_multicore():
         raise InputError(f"{mp} is not a multicore for {charge.entries} (mod {charge.e})")
     core, hooks = to_multicore(mp, charge)
-    assert hooks == 0
+    if hooks:
+        raise LemmaViolation("multicore_fixpoint", f"multicore {mp} has {hooks} rim hooks")
     return core
 
 
@@ -421,13 +403,6 @@ def has_forbidden_config(mp: Multipartition, charge: Multicharge, i: int) -> boo
     return False
 
 
-def _default_window(display: AbacusDisplay):
-    e = display.e
-    lo = min(bs.min_gap() // e for bs in display.components) - 1
-    hi = max(bs.max_bead() // e for bs in display.components) + 1
-    return lo, hi
-
-
 def render(display: AbacusDisplay, window: tuple | None = None) -> str:
     """Draw the runners as text: 'o' beads, '.' gaps, one row per level.
 
@@ -437,7 +412,8 @@ def render(display: AbacusDisplay, window: tuple | None = None) -> str:
     drawing always determines the display.
     """
     e = display.e
-    lo0, hi0 = _default_window(display)
+    lo0 = min(bs.min_gap() // e for bs in display.components) - 1
+    hi0 = max(bs.max_bead() // e for bs in display.components) + 1
     if window is None:
         lo, hi = lo0, hi0
     else:
@@ -498,22 +474,14 @@ def parse_abacus(text: str) -> AbacusDisplay:
     levels = [lv for lv, _ in rows]
     if sorted(levels) != list(range(min(levels), max(levels) + 1)):
         raise InputError("abacus rows must cover a contiguous level range")
-    lo, hi = min(levels), max(levels)
+    lo = min(levels)
     comps = []
     for jx, a in enumerate(charges):
-        beads = set()
-        for lv, groups in rows:
-            for i, ch in enumerate(groups[jx]):
-                if ch == "o":
-                    beads.add(lv * e + i)
-        top = max(beads | {a - 1, hi * e + e - 1})
-        delta = set()
-        for p in range(min(lo * e, a), top + 1):
-            member = (p in beads) if p >= lo * e else True
-            if member != (p < a):
-                delta.add(p)
+        beads = {
+            lv * e + i for lv, groups in rows for i, ch in enumerate(groups[jx]) if ch == "o"
+        }
         try:
-            comps.append(BetaSet(a, frozenset(delta)))
+            comps.append(_beta_from_beads(a, lo * e, beads))
         except InputError as exc:
             raise InputError(
                 f"drawing inconsistent with charge {a} for component {jx + 1}: {exc}"

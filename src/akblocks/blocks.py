@@ -19,6 +19,7 @@ from .errors import InputError, LemmaViolation
 from .multipartition import (
     Multicharge,
     Multipartition,
+    _check_level,
     multipartitions_of,
     residue_counts,
     size,
@@ -85,8 +86,7 @@ def _hub_matrix(mp: Multipartition, charge: Multicharge) -> list:
     or the row above is longer.  The empty row one past the end is always
     addable, with residue a - (number of rows).
     """
-    if len(mp) != charge.r:
-        raise InputError(f"multipartition has {len(mp)} components but charge has {charge.r}")
+    _check_level(mp, charge)
     e = charge.e
     out = []
     for a, comp in zip(charge.entries, mp):
@@ -240,13 +240,10 @@ def enumerate_blocks(n: int, charge: Multicharge, caps: Caps | None = None) -> t
     caps.check_n(n)
     caps.check_r(charge.r)
     caps.check_e(charge.e)
-    blocks = []
-    for _key, members in _blocks_grouped(n, charge.e, charge.kappa):
-        rep = members[-1]
-        blocks.append(
-            Block(descriptor=block_of(rep, charge), charge=charge, members=members)
-        )
-    return tuple(blocks)
+    return tuple(
+        Block(descriptor=block_of(members[-1], charge), charge=charge, members=members)
+        for _key, members in _blocks_grouped(n, charge.e, charge.kappa)
+    )
 
 
 def block_containing(mp: Multipartition, charge: Multicharge, caps: Caps | None = None) -> Block:
@@ -299,28 +296,18 @@ def witness_offsets(m: Multicore) -> tuple:
     return tuple(out)
 
 
-def _coerce_multicore(obj, charge: Multicharge | None) -> Multicore | None:
-    """Accept a Multicore directly, or a multipartition plus charge.
-
-    Returns None when the multipartition is not a multicore (and therefore
-    cannot belong to a core block).
-    """
-    if isinstance(obj, Multicore):
-        return obj
-    if charge is None:
-        raise InputError("a multipartition needs an accompanying multicharge")
-    core, hooks = to_multicore(obj, charge)
-    return core if hooks == 0 else None
-
-
 def is_core_block(obj, charge: Multicharge | None = None) -> bool:
     """Whether the block of the given multicore/multipartition is a core block.
 
-    A non-multicore multipartition never lies in a core block, so it
-    answers False rather than erroring.
+    A multipartition needs its multicharge.  A non-multicore multipartition
+    never lies in a core block, so it answers False rather than erroring.
     """
-    m = _coerce_multicore(obj, charge)
-    return m is not None and bool(witness_offsets(m))
+    if isinstance(obj, Multicore):
+        return bool(witness_offsets(obj))
+    if charge is None:
+        raise InputError("a multipartition needs an accompanying multicharge")
+    core, hooks = to_multicore(obj, charge)
+    return hooks == 0 and bool(witness_offsets(core))
 
 
 def _canonical_witness(m: Multicore) -> tuple:
@@ -351,12 +338,9 @@ def base_tuples(m: Multicore) -> tuple:
     choices = []
     for i in range(m.e):
         vals = sorted({lv[j][i] + t[j] for j in range(m.r)})
-        if len(vals) == 2:
-            assert vals[1] == vals[0] + 1, "witness bounds level spread by one"
-            choices.append((vals[0],))
-        else:
-            assert len(vals) == 1
-            choices.append((vals[0] - 1, vals[0]))
+        if vals[-1] - vals[0] > 1:
+            raise LemmaViolation("witness_level_spread", f"witness {t} puts runner {i} at {vals}")
+        choices.append((vals[0],) if len(vals) == 2 else (vals[0] - 1, vals[0]))
     return tuple(sorted(product(*choices)))
 
 
@@ -429,15 +413,14 @@ class CoreBlockResult:
     hooks_removed: int
 
 
-def _moves(m: Multicore, minimum: int):
-    """All genuine exchanges with gamma difference >= minimum, in fixed order."""
+def _moves(m: Multicore, minimum: int | None = None):
+    """All genuine exchanges, with gamma difference >= minimum when one is
+    given, in fixed order."""
     for j in range(1, m.r + 1):
         for k in range(j + 1, m.r + 1):
             for i in range(m.e):
                 for l in range(m.e):
-                    if l == i:
-                        continue
-                    if gamma_diff(m, i, l, j, k) >= minimum:
+                    if l != i and (minimum is None or gamma_diff(m, i, l, j, k) >= minimum):
                         yield (i, l, j, k)
 
 

@@ -14,7 +14,7 @@ where ell = delta*(delta-1)/2.  Summing v^degree over all orders gives the
 branching polynomial, whose coefficients form the Mahonian distribution.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .abacus import phi
 from .caps import Caps, default_caps
@@ -23,8 +23,9 @@ from .multipartition import (
     Multicharge,
     Multipartition,
     Node,
+    _check_level,
+    _signatures,
     addable_nodes,
-    node_above,
     remove_node,
     add_node,
     removable_nodes,
@@ -143,13 +144,7 @@ class LaurentPolynomial:
 
 def inversions(seq) -> int:
     """Number of out-of-order pairs."""
-    seq = tuple(seq)
-    return sum(
-        1
-        for a in range(len(seq))
-        for b in range(a + 1, len(seq))
-        if seq[a] > seq[b]
-    )
+    return sum(1 for a, b in combinations(seq, 2) if a > b)
 
 
 def mahonian(delta: int, cap: int = MAHONIAN_CAP) -> tuple:
@@ -179,11 +174,19 @@ def degree_spectrum(delta: int) -> LaurentPolynomial:
     return LaurentPolynomial({ell - 2 * k: counts[k] for k in range(len(counts))})
 
 
-def _node_of_residue(mp: Multipartition, charge: Multicharge, nd: Node, kind: str) -> int:
-    pool = removable_nodes(mp) if kind == "removable" else addable_nodes(mp)
-    if nd not in pool:
-        raise InputError(f"{nd} is not a {kind} node of {mp}")
-    return residue(nd, charge)
+_KIND = {-1: "removable", 1: "addable"}
+
+
+def _degree(mp: Multipartition, charge: Multicharge, nd: Node, sign: int) -> int:
+    """n_below of a removable node (sign -1) or n_above of an addable one
+    (sign +1): a partial sum of the node's i-signature.  InputError when nd
+    is not a node of that kind.
+    """
+    word = _signatures(mp, charge)[residue(nd, charge)]
+    if (nd, sign) not in word:
+        raise InputError(f"{nd} is not a {_KIND[sign]} node of {mp}")
+    k = word.index((nd, sign))
+    return sum(s for _, s in (word[k + 1 :] if sign < 0 else word[:k]))
 
 
 def n_below(mp: Multipartition, charge: Multicharge, nd: Node) -> int:
@@ -192,18 +195,7 @@ def n_below(mp: Multipartition, charge: Multicharge, nd: Node) -> int:
     Counts addable minus removable nodes of the same residue strictly
     below the node.
     """
-    i = _node_of_residue(mp, charge, nd, "removable")
-    add = sum(
-        1
-        for x in addable_nodes(mp)
-        if residue(x, charge) == i and node_above(nd, x)
-    )
-    rem = sum(
-        1
-        for x in removable_nodes(mp)
-        if residue(x, charge) == i and node_above(nd, x)
-    )
-    return add - rem
+    return _degree(mp, charge, nd, -1)
 
 
 def n_above(mp: Multipartition, charge: Multicharge, nd: Node) -> int:
@@ -212,34 +204,19 @@ def n_above(mp: Multipartition, charge: Multicharge, nd: Node) -> int:
     Counts addable minus removable nodes of the same residue strictly
     above the node.
     """
-    i = _node_of_residue(mp, charge, nd, "addable")
-    add = sum(
-        1
-        for x in addable_nodes(mp)
-        if residue(x, charge) == i and node_above(x, nd)
-    )
-    rem = sum(
-        1
-        for x in removable_nodes(mp)
-        if residue(x, charge) == i and node_above(x, nd)
-    )
-    return add - rem
+    return _degree(mp, charge, nd, 1)
 
 
 def restriction_factors(mp: Multipartition, charge: Multicharge) -> tuple:
     """(smaller multipartition, degree) per removable node, lowest node first."""
-    if len(mp) != charge.r:
-        raise InputError(f"multipartition has {len(mp)} components but charge has {charge.r}")
-    nds = sorted(removable_nodes(mp), key=lambda nd: (nd.comp, nd.row), reverse=True)
-    return tuple((remove_node(mp, nd), n_below(mp, charge, nd)) for nd in nds)
+    _check_level(mp, charge)
+    return tuple((remove_node(mp, nd), n_below(mp, charge, nd)) for nd in removable_nodes(mp)[::-1])
 
 
 def induction_factors(mp: Multipartition, charge: Multicharge) -> tuple:
     """(larger multipartition, degree) per addable node, highest node first."""
-    if len(mp) != charge.r:
-        raise InputError(f"multipartition has {len(mp)} components but charge has {charge.r}")
-    nds = sorted(addable_nodes(mp), key=lambda nd: (nd.comp, nd.row))
-    return tuple((add_node(mp, nd), n_above(mp, charge, nd)) for nd in nds)
+    _check_level(mp, charge)
+    return tuple((add_node(mp, nd), n_above(mp, charge, nd)) for nd in addable_nodes(mp))
 
 
 def _removal_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps):
@@ -260,21 +237,48 @@ def _removal_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps
             f"the weight condition fails at residue {i}: "
             f"w(B)={report.w_b} > w(C)+K*r={report.w_c}+{report.k}*{charge.r}"
         )
-    stray = [nd for nd in addable_nodes(mp) if residue(nd, charge) == i]
+    word = _signatures(mp, charge)[i]
+    stray = [nd for nd, s in word if s > 0]
     if stray:
         raise LemmaViolation(
             "no_addable_under_condition",
             f"{mp} with charge {charge.entries} has addable {i}-nodes {stray} "
             "despite the weight condition",
         )
-    rems = sorted(
-        (nd for nd in removable_nodes(mp) if residue(nd, charge) == i),
-        key=lambda nd: (nd.comp, nd.row),
-        reverse=True,
-    )
-    assert len(rems) == report.delta, "with no addable i-nodes, delta_i counts the removable ones"
+    rems = [nd for nd, _ in reversed(word)]
+    if len(rems) != report.delta:
+        detail = f"{mp} has {len(rems)} removable {i}-nodes and no addable one"
+        raise LemmaViolation("delta_counts_removable", f"{detail}, but delta_{i} = {report.delta}")
     caps.check_delta(len(rems))
     return rems
+
+
+def _walk(charge: Multicharge, start, nds, sign: int, sigma, end, what: str) -> int:
+    """Move nds[t-1] for t in sigma, starting at start: removing them
+    (sign -1, each step adds n_below) or adding them (sign +1, each step
+    adds n_above).  Every node must still be movable when its turn comes
+    and the walk must end at end; either failure raises LemmaViolation.
+    """
+    if sorted(sigma) != list(range(1, len(nds) + 1)):
+        raise InputError(f"sigma must be a permutation of 1..{len(nds)}, got {sigma!r}")
+    cur = start
+    total = 0
+    for t in sigma:
+        nd = nds[t - 1]
+        try:
+            total += _degree(cur, charge, nd, sign)
+        except InputError:  # the node can no longer move: a law failed, not the input
+            raise LemmaViolation(
+                "branching_well_defined",
+                f"node {nd} stopped being {_KIND[sign]} while {what} in order {sigma}",
+            ) from None
+        cur = remove_node(cur, nd) if sign < 0 else add_node(cur, nd)
+    if cur != end:
+        raise LemmaViolation(
+            "branching_well_defined",
+            f"{what} in order {sigma} ended at {cur}, not at {end}",
+        )
+    return total
 
 
 def order_degree(
@@ -292,29 +296,8 @@ def order_degree(
     Every order stays removable and ends at the runner-swap image; both
     facts are checked and a failure raises LemmaViolation.
     """
-    caps = caps or default_caps()
-    ascending = _removal_context(mp, charge, i, caps)
-    delta = len(ascending)
-    if sorted(sigma) != list(range(1, delta + 1)):
-        raise InputError(f"sigma must be a permutation of 1..{delta}, got {sigma!r}")
-    cur = mp
-    total = 0
-    for t in sigma:
-        nd = ascending[t - 1]
-        if nd not in removable_nodes(cur):
-            raise LemmaViolation(
-                "branching_well_defined",
-                f"node {nd} stopped being removable while stripping {mp} in order {sigma}",
-            )
-        total += n_below(cur, charge, nd)
-        cur = remove_node(cur, nd)
-    target = phi(mp, charge, i)
-    if cur != target:
-        raise LemmaViolation(
-            "branching_well_defined",
-            f"stripping {mp} in order {sigma} ended at {cur}, not at the runner-swap image {target}",
-        )
-    return total
+    ascending = _removal_context(mp, charge, i, caps or default_caps())
+    return _walk(charge, mp, ascending, -1, sigma, phi(mp, charge, i), f"stripping {mp}")
 
 
 def induction_order_degree(
@@ -330,33 +313,10 @@ def induction_order_degree(
     permutes their descending list (highest first) and each step
     contributes the current n_above.  Ends back at mp.
     """
-    caps = caps or default_caps()
-    _removal_context(mp, charge, i, caps)
+    _removal_context(mp, charge, i, caps or default_caps())
     image = phi(mp, charge, i)
-    adds = sorted(
-        (nd for nd in addable_nodes(image) if residue(nd, charge) == i),
-        key=lambda nd: (nd.comp, nd.row),
-    )
-    delta = len(adds)
-    if sorted(sigma) != list(range(1, delta + 1)):
-        raise InputError(f"sigma must be a permutation of 1..{delta}, got {sigma!r}")
-    cur = image
-    total = 0
-    for t in sigma:
-        nd = adds[t - 1]
-        if nd not in addable_nodes(cur):
-            raise LemmaViolation(
-                "branching_well_defined",
-                f"node {nd} stopped being addable while rebuilding {mp} in order {sigma}",
-            )
-        total += n_above(cur, charge, nd)
-        cur = add_node(cur, nd)
-    if cur != mp:
-        raise LemmaViolation(
-            "branching_well_defined",
-            f"adding back in order {sigma} ended at {cur}, not at {mp}",
-        )
-    return total
+    adds = [nd for nd, s in _signatures(image, charge)[i] if s > 0]
+    return _walk(charge, image, adds, 1, sigma, mp, f"rebuilding {mp}")
 
 
 def branching_polynomial(
@@ -372,10 +332,10 @@ def branching_polynomial(
     verification sweeps certify, so this function computes the sum by
     direct enumeration and never takes the shortcut.
     """
-    caps = caps or default_caps()
-    ascending = _removal_context(mp, charge, i, caps)
-    delta = len(ascending)
+    ascending = _removal_context(mp, charge, i, caps or default_caps())
+    target = phi(mp, charge, i)
     poly = LaurentPolynomial.zero()
-    for sigma in permutations(range(1, delta + 1)):
-        poly = poly + LaurentPolynomial.monomial(order_degree(mp, charge, i, sigma, caps))
+    for sigma in permutations(range(1, len(ascending) + 1)):
+        d = _walk(charge, mp, ascending, -1, sigma, target, f"stripping {mp}")
+        poly = poly + LaurentPolynomial.monomial(d)
     return poly

@@ -12,9 +12,11 @@ import json
 import re
 import sys
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 from .abacus import AbacusDisplay, parse_abacus, phi, render
 from .blocks import (
+    block_containing,
     block_of,
     core_block_of,
     enumerate_blocks,
@@ -36,33 +38,37 @@ from .multipartition import (
     size,
 )
 from .scopes import certificate
-from .blocks import block_containing
 from .verify import DEFAULT_GRID, SweepGrid, format_results, results_to_json, run_all
 
 __all__ = ["main"]
 
 
 def _emit(args, payload) -> None:
-    if isinstance(payload, str):
-        text = payload if payload.endswith("\n") else payload + "\n"
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if getattr(args, "out", None):
+    # text payloads (drawings, lemma tables) already end in a newline
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                fh.write(payload)
         except OSError as exc:
             raise InputError(f"cannot write {args.out!r}: {exc}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(payload)
 
 
-def _charge(args) -> Multicharge:
+def _ints(text: str, expects: str, count: int | None = None) -> tuple:
+    """A comma-separated integer list; InputError "<expects> '<text>'" if not."""
     try:
-        entries = tuple(int(x) for x in args.charge.split(","))
+        out = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise InputError(f"--charge expects integers like 1,0,2; got {args.charge!r}")
-    return Multicharge(args.e, entries)
+        out = None
+    if out is None or count not in (None, len(out)):
+        raise InputError(f"{expects} {text!r}")
+    return out
+
+
+_INT_LIST = "expected a comma-separated integer list, got"
 
 
 def _text(raw: str) -> str:
@@ -76,22 +82,17 @@ def _text(raw: str) -> str:
         raise InputError(f"cannot read {raw[1:]!r}: {exc}")
 
 
-def _lam(args, attr: str = "lam"):
-    raw = _text(getattr(args, attr))
+def _lam(raw: str):
     try:
-        obj = json.loads(raw)
+        obj = json.loads(_text(raw))
     except json.JSONDecodeError as exc:
         raise InputError(f"--lambda is not valid JSON: {exc}")
     return multipartition_from_json(obj)
 
 
-def _caps(args) -> Caps:
-    caps = default_caps()
-    spec = getattr(args, "caps", None)
-    if not spec:
-        return caps
+def _caps(spec) -> Caps:
     updates = {}
-    for piece in spec.split(","):
+    for piece in spec.split(",") if spec else ():
         key, _, value = piece.partition("=")
         key = key.strip()
         if key not in ("max_n", "max_r", "max_e", "max_delta"):
@@ -100,77 +101,51 @@ def _caps(args) -> Caps:
             updates[key] = int(value)
         except ValueError:
             raise InputError(f"cap {key} needs an integer, got {value!r}")
-    return replace(caps, **updates)
-
-
-def _guard(caps: Caps, mc: Multicharge) -> None:
-    """Level and characteristic caps apply to every command; the size cap
-    only guards enumeration (blocks, certify, verify-all), so computing
-    invariants of one large multipartition stays allowed."""
-    caps.check_r(mc.r)
-    caps.check_e(mc.e)
+    return replace(default_caps(), **updates)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each handler takes (args, charge, multipartition, caps) and
+# returns the payload to print
 
 
-def _cmd_residues(args) -> int:
-    mc = _charge(args)
-    mp = _lam(args)
-    _guard(_caps(args), mc)
+def _residues(args, mc, mp, caps):
     payload = {
         "residues": list(residue_multiset(mp, mc)),
         "counts": {str(i): c for i, c in enumerate(residue_counts(mp, mc))},
     }
     if args.other is not None:
-        other = _lam(args, "other")
-        payload["same_block"] = same_block(mp, other, mc)
-    _emit(args, payload)
-    return 0
+        payload["same_block"] = same_block(mp, _lam(args.other), mc)
+    return payload
 
 
-def _cmd_abacus(args) -> int:
-    mc = _charge(args)
-    mp = _lam(args)
-    _guard(_caps(args), mc)
+def _abacus(args, mc, mp, caps):
     disp = AbacusDisplay.from_multipartition(mp, mc)
     window = None
     if args.window:
-        try:
-            lo, hi = (int(x) for x in args.window.split(","))
-        except ValueError:
-            raise InputError(f"--window expects two integers like -3,1; got {args.window!r}")
-        window = (lo, hi)
-    if args.format == "json":
-        _emit(args, disp.to_json())
-    else:
-        _emit(args, render(disp, window))
-    return 0
+        window = _ints(args.window, "--window expects two integers like -3,1; got", 2)
+    return disp.to_json() if args.format == "json" else render(disp, window)
 
 
-def _cmd_weight(args) -> int:
-    mc = _charge(args)
-    mp = _lam(args)
-    _guard(_caps(args), mc)
-    _emit(args, {"weight": weight(mp, mc)})
-    return 0
+def _parse_abacus(args, mc, mp, caps):
+    disp = parse_abacus(_text(args.lam))
+    return {
+        "multipartition": multipartition_to_json(disp.to_multipartition()),
+        "charge": disp.charge.to_json(),
+        "multicore": disp.is_multicore(),
+    }
 
 
-def _cmd_hub(args) -> int:
-    mc = _charge(args)
-    mp = _lam(args)
-    _guard(_caps(args), mc)
-    _emit(args, {"hub": list(hub(mp, mc)), "size": size(mp)})
-    return 0
+def _weight(args, mc, mp, caps):
+    return {"weight": weight(mp, mc)}
 
 
-def _cmd_blocks(args) -> int:
-    mc = _charge(args)
-    caps = _caps(args)
-    _guard(caps, mc)
-    blocks = enumerate_blocks(args.n, mc, caps)
-    payload = {
+def _hub(args, mc, mp, caps):
+    return {"hub": list(hub(mp, mc)), "size": size(mp)}
+
+
+def _blocks(args, mc, mp, caps):
+    return {
         "n": args.n,
         "charge": mc.to_json(),
         "blocks": [
@@ -178,173 +153,152 @@ def _cmd_blocks(args) -> int:
                 "hub": list(b.descriptor.hub),
                 "weight": b.descriptor.weight,
                 "core": b.descriptor.is_core,
-                "members": [multipartition_to_json(mp) for mp in b.members],
+                "members": [multipartition_to_json(m) for m in b.members],
             }
-            for b in blocks
+            for b in enumerate_blocks(args.n, mc, caps)
         ],
     }
-    _emit(args, payload)
-    return 0
 
 
-def _cmd_core_block(args) -> int:
-    mc = _charge(args)
-    mp = _lam(args)
-    _guard(_caps(args), mc)
+def _core_block(args, mc, mp, caps):
     res = core_block_of(mp, mc)
-    _emit(
-        args,
-        {
-            "block": block_of(mp, mc).to_json(),
-            "core": res.core.to_json(),
-            "core_representative": multipartition_to_json(
-                res.core_multicore.to_multipartition()
-            ),
-            "hooks_removed": res.hooks_removed,
-            "chain": [st.to_json() for st in res.chain],
-        },
-    )
-    return 0
+    return {
+        "block": block_of(mp, mc).to_json(),
+        "core": res.core.to_json(),
+        "core_representative": multipartition_to_json(res.core_multicore.to_multipartition()),
+        "hooks_removed": res.hooks_removed,
+        "chain": [st.to_json() for st in res.chain],
+    }
 
 
-def _cmd_k_values(args) -> int:
-    mc = _charge(args)
-    mp = _lam(args)
-    _guard(_caps(args), mc)
+def _k_values(args, mc, mp, caps):
     res = core_block_of(mp, mc)
-    wanted = range(mc.e)
-    if args.i is not None:
-        wanted = [x % mc.e for x in _int_list(args.i)]
-    payload = {f"K_{i}": k_value(res.core_multicore, i) for i in wanted}
-    _emit(args, payload)
-    return 0
+    wanted = range(mc.e) if args.i is None else [x % mc.e for x in _ints(args.i, _INT_LIST)]
+    return {f"K_{i}": k_value(res.core_multicore, i) for i in wanted}
 
 
-def _cmd_scopes_check(args) -> int:
-    mc = _charge(args)
-    mp = _lam(args)
-    _guard(_caps(args), mc)
-    report = scopes_condition(mp, mc, args.i)
-    res = core_block_of(mp, mc)
-    payload = report.to_json()
-    payload["chain"] = [st.to_json() for st in res.chain]
-    _emit(args, payload)
-    return 0
+def _scopes_check(args, mc, mp, caps):
+    payload = scopes_condition(mp, mc, args.i).to_json()
+    payload["chain"] = [st.to_json() for st in core_block_of(mp, mc).chain]
+    return payload
 
 
-def _cmd_scopes_map(args) -> int:
-    mc = _charge(args)
-    mp = _lam(args)
-    _guard(_caps(args), mc)
+def _scopes_map(args, mc, mp, caps):
     img = phi(mp, mc, args.i)
-    _emit(
-        args,
-        {
-            "image": multipartition_to_json(img),
-            "size": size(img),
-            "hub": list(hub(img, mc)),
-        },
-    )
-    return 0
+    return {"image": multipartition_to_json(img), "size": size(img), "hub": list(hub(img, mc))}
 
 
-def _cmd_branch(args) -> int:
-    mc = _charge(args)
-    mp = _lam(args)
-    caps = _caps(args)
-    _guard(caps, mc)
+def _branch(args, mc, mp, caps):
     poly = branching_polynomial(mp, mc, args.i, caps)
-    _emit(
-        args,
-        {
-            "target": multipartition_to_json(phi(mp, mc, args.i)),
-            "polynomial": poly.to_json(),
-        },
-    )
-    return 0
+    return {
+        "target": multipartition_to_json(phi(mp, mc, args.i)),
+        "polynomial": poly.to_json(),
+    }
 
 
-def _cmd_certify(args) -> int:
-    mc = _charge(args)
-    mp = _lam(args)
-    caps = _caps(args)
-    _guard(caps, mc)
+def _certify(args, mc, mp, caps):
     caps.check_n(size(mp))
-    block = block_containing(mp, mc, caps)
-    cert = certificate(block, args.i, caps)
-    _emit(args, cert.to_json())
-    return 0
+    return certificate(block_containing(mp, mc, caps), args.i, caps).to_json()
 
 
-def _cmd_parse_abacus(args) -> int:
-    disp = parse_abacus(_text(args.lam))
-    mp = disp.to_multipartition()
-    _emit(
-        args,
-        {
-            "multipartition": multipartition_to_json(mp),
-            "charge": disp.charge.to_json(),
-            "multicore": disp.is_multicore(),
-        },
-    )
-    return 0
-
-
-def _cmd_verify_all(args) -> int:
+def _verify_all(args, mc, mp, caps):
+    """Payload plus the lemmas that failed: the one command that can exit 1
+    after printing its output."""
+    if args.max_n is not None and args.max_n < 0:
+        raise InputError(f"--max-n must be >= 0, got {args.max_n}")
+    levels = _ints(args.r, _INT_LIST) if args.r else DEFAULT_GRID.levels
+    es = _ints(args.e_list, _INT_LIST) if args.e_list else DEFAULT_GRID.es
+    grid = SweepGrid(levels=levels, es=es)
     if args.max_n is not None:
-        grid = SweepGrid(
-            max_n=args.max_n,
-            levels=_int_list(args.r) if args.r else DEFAULT_GRID.levels,
-            es=_int_list(args.e_list) if args.e_list else DEFAULT_GRID.es,
-            branch_n=args.max_n,
-            oracle_n=args.max_n,
-            max_delta=DEFAULT_GRID.max_delta,
-        )
-    else:
-        grid = SweepGrid(
-            levels=_int_list(args.r) if args.r else DEFAULT_GRID.levels,
-            es=_int_list(args.e_list) if args.e_list else DEFAULT_GRID.es,
-        )
+        grid = replace(grid, max_n=args.max_n, branch_n=args.max_n, oracle_n=args.max_n)
     results = run_all(grid)
-    if args.format == "json":
-        _emit(args, results_to_json(results, grid))
-    else:
-        _emit(args, format_results(results))
-    bad = [r.lemma for r in results if not r.ok]
-    if bad:
-        print(f"verification failed [{', '.join(bad)}]", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _int_list(text: str) -> tuple:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise InputError(f"expected a comma-separated integer list, got {text!r}")
+    payload = results_to_json(results, grid) if args.format == "json" else format_results(results)
+    return payload, [r.lemma for r in results if not r.ok]
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table and its runner
 
 
-def _add_charge_flags(sub) -> None:
-    sub.add_argument("--e", type=int, required=True, help="quantum characteristic (>= 2)")
-    sub.add_argument("--charge", required=True, help="multicharge entries, e.g. 1,0,2")
+def _flag(*names, **options) -> tuple:
+    return names, options
 
 
-def _add_lambda_flag(sub) -> None:
-    sub.add_argument(
-        "--lambda",
-        dest="lam",
-        required=True,
-        help='multipartition as JSON (e.g. "[[1,1],[2],[2,1]]") or @file',
-    )
+class _Command(NamedTuple):
+    name: str
+    help: str
+    handler: Callable
+    flags: tuple = ()  # further (names, argparse options) pairs, in help order
+    charged: bool = True  # takes --e/--charge; --caps is then read and checked
+    lam: bool = True  # takes --lambda as a JSON multipartition (needs charged)
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--out", help="write output to this file instead of stdout")
-    sub.add_argument("--caps", help="override caps, e.g. max_n=12,max_delta=7")
+_RESIDUE = _flag("--i", type=int, required=True, help="residue")
+_FORMAT = _flag("--format", choices=("text", "json"), default="text")
+
+_COMMANDS = (
+    _Command(
+        "residues", "residue multiset and counts of a multipartition", _residues,
+        flags=(_flag("--other", help="second multipartition: adds a same_block flag"),),
+    ),
+    _Command(
+        "abacus", "render the bead display", _abacus,
+        flags=(_flag("--window", help="level window lo,hi"), _FORMAT),
+    ),
+    _Command(
+        "parse-abacus", "decode a rendered bead display", _parse_abacus, charged=False, lam=False,
+        flags=(_flag("--lambda", dest="lam", required=True, help="display text or @file"),),
+    ),
+    _Command("weight", "block weight of a multipartition", _weight),
+    _Command("hub", "hub (residue defect vector) of a multipartition", _hub),
+    _Command(
+        "blocks", "enumerate the blocks of a given size", _blocks, lam=False,
+        flags=(_flag("--n", type=int, required=True, help="total size"),),
+    ),
+    _Command("core-block", "reduce to the core block, with the move chain", _core_block),
+    _Command(
+        "k-values", "K invariants of the core block", _k_values,
+        flags=(_flag("--i", help="residues to report, e.g. 0,1,3 (default: all)"),),
+    ),
+    _Command("scopes-check", "weight condition for the runner swap", _scopes_check, (_RESIDUE,)),
+    _Command("scopes-map", "apply the runner swap to a multipartition", _scopes_map, (_RESIDUE,)),
+    _Command("branch", "graded branching polynomial at one residue", _branch, (_RESIDUE,)),
+    _Command("certify", "full certificate for one block and residue", _certify, (_RESIDUE,)),
+    _Command(
+        "verify-all", "run every lemma sweep over a grid", _verify_all, charged=False, lam=False,
+        flags=(
+            _flag("--max-n", type=int, help="bound every sweep by this size"),
+            _flag("--r", help="levels to sweep, e.g. 1,2"),
+            _flag("--e", dest="e_list", help="characteristics to sweep, e.g. 2,3"),
+            _FORMAT,
+        ),
+    ),
+)
+
+
+def _run(cmd: _Command, args) -> int:
+    """Parse charge, lambda and caps, check the level and characteristic
+    caps, run the handler and print its payload -- in this order, which
+    fixes the error reported when several inputs are bad.
+
+    The size cap only guards enumeration (blocks, certify, verify-all), so
+    computing invariants of one large multipartition stays allowed.
+    """
+    mc = mp = caps = None
+    if cmd.charged:
+        mc = Multicharge(args.e, _ints(args.charge, "--charge expects integers like 1,0,2; got"))
+        if cmd.lam:
+            mp = _lam(args.lam)
+        caps = _caps(args.caps)
+        caps.check_r(mc.r)
+        caps.check_e(mc.e)
+    out = cmd.handler(args, mc, mp, caps)
+    payload, failed = out if isinstance(out, tuple) else (out, ())
+    _emit(args, payload)
+    if failed:
+        print(f"verification failed [{', '.join(failed)}]", file=sys.stderr)
+        return 1
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,93 +309,23 @@ def build_parser() -> argparse.ArgumentParser:
         "branching degrees, and exhaustive small-rank verification.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("residues", help="residue multiset and counts of a multipartition")
-    _add_charge_flags(s)
-    _add_lambda_flag(s)
-    s.add_argument("--other", help="second multipartition: adds a same_block flag")
-    _add_common(s)
-    s.set_defaults(func=_cmd_residues)
-
-    s = subs.add_parser("abacus", help="render the bead display")
-    _add_charge_flags(s)
-    _add_lambda_flag(s)
-    s.add_argument("--window", help="level window lo,hi")
-    s.add_argument("--format", choices=("text", "json"), default="text")
-    _add_common(s)
-    s.set_defaults(func=_cmd_abacus)
-
-    s = subs.add_parser("parse-abacus", help="decode a rendered bead display")
-    s.add_argument("--lambda", dest="lam", required=True, help="display text or @file")
-    _add_common(s)
-    s.set_defaults(func=_cmd_parse_abacus)
-
-    s = subs.add_parser("weight", help="block weight of a multipartition")
-    _add_charge_flags(s)
-    _add_lambda_flag(s)
-    _add_common(s)
-    s.set_defaults(func=_cmd_weight)
-
-    s = subs.add_parser("hub", help="hub (residue defect vector) of a multipartition")
-    _add_charge_flags(s)
-    _add_lambda_flag(s)
-    _add_common(s)
-    s.set_defaults(func=_cmd_hub)
-
-    s = subs.add_parser("blocks", help="enumerate the blocks of a given size")
-    _add_charge_flags(s)
-    s.add_argument("--n", type=int, required=True, help="total size")
-    _add_common(s)
-    s.set_defaults(func=_cmd_blocks)
-
-    s = subs.add_parser("core-block", help="reduce to the core block, with the move chain")
-    _add_charge_flags(s)
-    _add_lambda_flag(s)
-    _add_common(s)
-    s.set_defaults(func=_cmd_core_block)
-
-    s = subs.add_parser("k-values", help="K invariants of the core block")
-    _add_charge_flags(s)
-    _add_lambda_flag(s)
-    s.add_argument("--i", help="residues to report, e.g. 0,1,3 (default: all)")
-    _add_common(s)
-    s.set_defaults(func=_cmd_k_values)
-
-    s = subs.add_parser("scopes-check", help="weight condition for the runner swap")
-    _add_charge_flags(s)
-    _add_lambda_flag(s)
-    s.add_argument("--i", type=int, required=True, help="residue")
-    _add_common(s)
-    s.set_defaults(func=_cmd_scopes_check)
-
-    s = subs.add_parser("scopes-map", help="apply the runner swap to a multipartition")
-    _add_charge_flags(s)
-    _add_lambda_flag(s)
-    s.add_argument("--i", type=int, required=True, help="residue")
-    _add_common(s)
-    s.set_defaults(func=_cmd_scopes_map)
-
-    s = subs.add_parser("branch", help="graded branching polynomial at one residue")
-    _add_charge_flags(s)
-    _add_lambda_flag(s)
-    s.add_argument("--i", type=int, required=True, help="residue")
-    _add_common(s)
-    s.set_defaults(func=_cmd_branch)
-
-    s = subs.add_parser("certify", help="full certificate for one block and residue")
-    _add_charge_flags(s)
-    _add_lambda_flag(s)
-    s.add_argument("--i", type=int, required=True, help="residue")
-    _add_common(s)
-    s.set_defaults(func=_cmd_certify)
-
-    s = subs.add_parser("verify-all", help="run every lemma sweep over a grid")
-    s.add_argument("--max-n", type=int, help="bound every sweep by this size")
-    s.add_argument("--r", help="levels to sweep, e.g. 1,2")
-    s.add_argument("--e", dest="e_list", help="characteristics to sweep, e.g. 2,3")
-    s.add_argument("--format", choices=("text", "json"), default="text")
-    _add_common(s)
-    s.set_defaults(func=_cmd_verify_all)
+    for cmd in _COMMANDS:
+        s = subs.add_parser(cmd.name, help=cmd.help)
+        if cmd.charged:
+            s.add_argument("--e", type=int, required=True, help="quantum characteristic (>= 2)")
+            s.add_argument("--charge", required=True, help="multicharge entries, e.g. 1,0,2")
+        if cmd.lam:
+            s.add_argument(
+                "--lambda",
+                dest="lam",
+                required=True,
+                help='multipartition as JSON (e.g. "[[1,1],[2],[2,1]]") or @file',
+            )
+        for names, options in cmd.flags:
+            s.add_argument(*names, **options)
+        s.add_argument("--out", help="write output to this file instead of stdout")
+        s.add_argument("--caps", help="override caps, e.g. max_n=12,max_delta=7")
+        s.set_defaults(cmd=cmd)
 
     # let "--charge -1,0,1" and "--window -3,1" pass as values: no option
     # here starts with a digit, so anything shaped like a negative number
@@ -461,7 +345,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        return _run(args.cmd, args)
     except InputError as exc:
         print(f"akblocks: error: input error: {exc}", file=sys.stderr)
         return 2

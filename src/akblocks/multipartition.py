@@ -117,6 +117,9 @@ def as_multipartition(components: Iterable) -> Multipartition:
     comps = tuple(components)
     if not comps:
         raise InputError("a multipartition needs at least one component")
+    for c in comps:
+        if not isinstance(c, (list, tuple)):
+            raise InputError(f"a multipartition component must be a list of parts, got {c!r}")
     return tuple(as_partition(c) for c in comps)
 
 
@@ -149,30 +152,44 @@ def nodes(mp: Multipartition):
     return out
 
 
-def removable_nodes(mp: Multipartition):
-    """Nodes whose removal leaves a multipartition: row ends that stick out."""
-    out = []
-    for j, comp in enumerate(mp, start=1):
-        for b, width in enumerate(comp, start=1):
-            below = comp[b] if b < len(comp) else 0
-            if width > below:
-                out.append(Node(b, width, j))
-    return out
+def _row_ends(mp: Multipartition) -> list:
+    """The addable (+1) and removable (-1) nodes as (node, sign) pairs,
+    highest first.
 
-
-def addable_nodes(mp: Multipartition):
-    """Positions where a node can be added leaving a multipartition.
-
-    A component whose partition takes k distinct part values has k removable
-    and k+1 addable nodes.
+    Row b of width w ends in a removable node when the next row is
+    shorter, has an addable node past it when it is the first row or the
+    row above is longer, and the empty row past the last one is always
+    addable.  So a component whose partition takes k distinct part values
+    has k removable and k+1 addable nodes.
     """
     out = []
     for j, comp in enumerate(mp, start=1):
-        for b in range(1, len(comp) + 2):
-            width = comp[b - 1] if b <= len(comp) else 0
-            above = comp[b - 2] if b >= 2 else None
-            if above is None or above > width:
-                out.append(Node(b, width + 1, j))
+        for b, w in enumerate(comp, start=1):
+            if b == 1 or comp[b - 2] > w:
+                out.append((Node(b, w + 1, j), 1))
+            if w > (comp[b] if b < len(comp) else 0):
+                out.append((Node(b, w, j), -1))
+        out.append((Node(len(comp) + 1, 1, j), 1))
+    return out
+
+
+def removable_nodes(mp: Multipartition):
+    """Nodes whose removal leaves a multipartition: row ends that stick out."""
+    return [nd for nd, sign in _row_ends(mp) if sign < 0]
+
+
+def addable_nodes(mp: Multipartition):
+    """Positions where a node can be added leaving a multipartition."""
+    return [nd for nd, sign in _row_ends(mp) if sign > 0]
+
+
+def _signatures(mp: Multipartition, charge: Multicharge) -> list:
+    """Per residue i, the i-signature: the addable (+1) and removable (-1)
+    i-nodes as (node, sign) pairs, highest first."""
+    _check_level(mp, charge)
+    out = [[] for _ in range(charge.e)]
+    for nd, sign in _row_ends(mp):
+        out[(charge.entries[nd.comp - 1] + nd.col - nd.row) % charge.e].append((nd, sign))
     return out
 
 

@@ -27,12 +27,11 @@ from .errors import InputError, LemmaViolation
 from .multipartition import (
     Multicharge,
     Multipartition,
-    addable_nodes,
+    _check_level,
+    _signatures,
     multipartition_from_json,
     multipartition_to_json,
     remove_node,
-    removable_nodes,
-    residue,
     size,
 )
 
@@ -94,24 +93,20 @@ def verify_lex_preserved(block: Block, i: int) -> LexReport:
 def good_nodes(mp: Multipartition, charge: Multicharge) -> tuple:
     """The good node of each residue, where one exists, ordered by residue.
 
-    Per residue: list addable and removable nodes from highest to lowest,
-    cancel each removable immediately followed (in the surviving word) by
-    an addable, and take the highest surviving removable.
+    Per residue: read the i-signature from highest to lowest node, cancel
+    each removable immediately followed (in the surviving word) by an
+    addable, and take the highest surviving removable.
     """
-    removable, addable = removable_nodes(mp), addable_nodes(mp)
     out = []
-    for i in range(charge.e):
-        tagged = [(nd, "R") for nd in removable if residue(nd, charge) == i]
-        tagged += [(nd, "A") for nd in addable if residue(nd, charge) == i]
-        tagged.sort(key=lambda item: (item[0].comp, item[0].row))
+    for word in _signatures(mp, charge):
         stack = []
-        for nd, kind in tagged:
-            if kind == "A" and stack and stack[-1][1] == "R":
+        for nd, sign in word:
+            if sign > 0 and stack and stack[-1][1] < 0:
                 stack.pop()
             else:
-                stack.append((nd, kind))
-        for nd, kind in stack:
-            if kind == "R":
+                stack.append((nd, sign))
+        for nd, sign in stack:
+            if sign < 0:
                 out.append(nd)
                 break
     return tuple(out)
@@ -124,8 +119,7 @@ def is_kleshchev(mp: Multipartition, charge: Multicharge) -> bool:
     Strips one good node per step, so the work is one loop iteration per
     node and the depth stays constant however large mp is.
     """
-    if len(mp) != charge.r:
-        raise InputError(f"multipartition has {len(mp)} components but charge has {charge.r}")
+    _check_level(mp, charge)
     while size(mp):
         good = good_nodes(mp, charge)
         if not good:
@@ -257,7 +251,7 @@ def certificate(block: Block, i: int, caps: Caps | None = None) -> ScopesCertifi
         )
         stamp(
             "no_addable_under_condition",
-            not any(residue(nd, charge) == i for nd in addable_nodes(mp)),
+            all(sign < 0 for _, sign in _signatures(mp, charge)[i]),
             f"{mp} has an addable {i}-node despite the weight condition",
         )
 

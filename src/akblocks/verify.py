@@ -25,6 +25,7 @@ from .abacus import (
     to_multicore,
 )
 from .blocks import (
+    _moves,
     block_containing,
     core_block_of,
     d_min,
@@ -424,15 +425,6 @@ def check_weights(grid: SweepGrid, classical_n: int | None = None):
 # bead exchanges
 
 
-def _genuine_moves(m: Multicore):
-    for j in range(1, m.r + 1):
-        for k in range(j + 1, m.r + 1):
-            for i in range(m.e):
-                for l in range(m.e):
-                    if l != i:
-                        yield i, l, j, k
-
-
 def _grid_multicores(grid: SweepGrid, mc: Multicharge, top_n: int | None = None) -> tuple:
     found = {}
     for n in range((top_n if top_n is not None else grid.max_n) + 1):
@@ -459,7 +451,7 @@ def check_smoves(grid: SweepGrid):
             shifted = Multicore(
                 m.e, (tuple(x + 1 for x in m.levels[0]),) + m.levels[1:]
             )
-            for mv in _genuine_moves(m):
+            for mv in _moves(m):
                 g = gamma_diff(m, *mv)
                 nxt = s_move(m, *mv)
                 nxt_mp = nxt.to_multipartition()
@@ -597,7 +589,8 @@ def check_d_bounds(grid: SweepGrid):
             kv = tuple(k_value(res.core_multicore, i) for i in range(e))
             w = weight(mp, mc)
             h, rem = divmod(w - res.core.weight, r)
-            assert rem == 0, "same-hub weights differ by multiples of r"
+            if rem:
+                raise LemmaViolation("core_weight_drop", f"{mp} is {w - res.core.weight} over its core")
             ds = tuple(d_min(mp, mc, i) for i in range(e))
             for i in range(e):
                 if 0 <= h <= kv[i]:
@@ -609,7 +602,7 @@ def check_d_bounds(grid: SweepGrid):
                     )
             if r >= 2:
                 tame = True
-                for mv in _genuine_moves(m):
+                for mv in _moves(m):
                     g = gamma_diff(m, *mv)
                     if abs(g) > 2:
                         tame = False
@@ -652,7 +645,8 @@ def check_d_bounds(grid: SweepGrid):
                     cur = s_move(cur, st.i, st.l, st.j, st.k)
                 end_mp = cur.to_multipartition()
                 h2, rem2 = divmod(w - weight(end_mp, mc), r)
-                assert rem2 == 0
+                if rem2:
+                    raise LemmaViolation("core_weight_drop", f"strict exchanges from {mp}, r={r}")
                 for i in range(e):
                     chain_bound.count(
                         ds[i] >= d_min(end_mp, mc, i) - h2,

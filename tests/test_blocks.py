@@ -195,6 +195,12 @@ try:
     core_block_of(((3, 1),), mc)
 except LemmaViolation as exc:
     anchors.append(exc.lemma)
+import akblocks.abacus as abacus
+abacus.AbacusDisplay.is_multicore = lambda self: True
+try:
+    abacus.as_multicore(((2,),), mc)
+except LemmaViolation as exc:
+    anchors.append(exc.lemma)
 print(",".join(anchors))
 """
 
@@ -209,4 +215,4 @@ def test_load_bearing_checks_survive_optimised_mode():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["weight_nonnegative,weight_core_law"]
+    assert proc.stdout.split() == ["weight_nonnegative,weight_core_law,multicore_fixpoint"]

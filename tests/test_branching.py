@@ -6,6 +6,7 @@ import pytest
 
 import akblocks.branching as br_mod
 from akblocks import (
+    Caps,
     InputError,
     LaurentPolynomial,
     LemmaViolation,
@@ -13,6 +14,7 @@ from akblocks import (
     Node,
     branching_polynomial,
     degree_spectrum,
+    enumerate_blocks,
     induction_factors,
     induction_order_degree,
     inversions,
@@ -22,6 +24,7 @@ from akblocks import (
     order_degree,
     phi,
     restriction_factors,
+    scopes_condition,
 )
 
 
@@ -131,12 +134,30 @@ def test_three_node_fixture():
 
 
 def test_induction_orders_land_back():
-    mc = Multicharge(3, (0, 0, 0))
-    mp = ((1,), (1,), (1,))
+    # adding the stripped nodes back in order sigma has degree
+    # 2*inv(sigma) - ell: the degree of stripping them in the reverse order
+    caps = Caps(max_n=6, max_r=3, max_e=4, max_delta=6)
+    orders = 0
+    for charge in ((0,), (0, 0), (0, 1), (0, 0, 0), (1, 0, 2)):
+        for e in (2, 3, 4):
+            mc = Multicharge(e, charge)
+            for n in range(7):
+                for blk in enumerate_blocks(n, mc, caps):
+                    for i in range(e):
+                        rep = scopes_condition(blk.lex_least, mc, i)
+                        if not (rep.holds and 0 <= rep.delta <= 4):
+                            continue
+                        ell = rep.delta * (rep.delta - 1) // 2
+                        for mp in blk.members:
+                            for sigma in permutations(range(1, rep.delta + 1)):
+                                d = induction_order_degree(mp, mc, i, sigma, caps)
+                                assert d == 2 * inversions(sigma) - ell, (mp, i, sigma)
+                                orders += 1
+    assert orders > 1000
+    mc, mp = Multicharge(3, (0, 0, 0)), ((1,), (1,), (1,))
     for sigma in permutations((1, 2, 3)):
-        assert induction_order_degree(mp, mc, 0, sigma) == order_degree(
-            mp, mc, 0, tuple(reversed(sigma))
-        ) or induction_order_degree(mp, mc, 0, sigma) in range(-3, 4)
+        reverse = order_degree(mp, mc, 0, tuple(reversed(sigma)))
+        assert induction_order_degree(mp, mc, 0, sigma) == reverse
 
 
 def test_every_order_reaches_the_swap_image():

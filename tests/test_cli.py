@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from akblocks.cli import main
 
@@ -186,6 +190,10 @@ def test_exit_two_on_json_booleans(capsys, command, lam):
         ["parse-abacus", "--lambda", "@/nonexistent/display.txt"],
         ["k-values", *EXK_ARGS, "--i", "x"],
         ["hub", *EXK_ARGS, "--out", "/nonexistent/hub.json"],
+        ["weight", "--e", "3", "--charge", "0", "--lambda", "[5]"],
+        ["weight", "--e", "3", "--charge", "0", "--lambda", "[null]"],
+        ["weight", "--e", "3", "--charge", "0", "--lambda", '[{"a":1}]'],
+        ["verify-all", "--max-n", "-1"],
     ],
 )
 def test_exit_two_with_one_line_message(capsys, argv):
@@ -237,3 +245,110 @@ def test_exit_two_on_bad_caps_spec(capsys):
         "--caps", "max_q=9",
     )
     assert code == 2 and "max_q" in err
+
+
+# --- the exit-code contract over generated argv --------------------------------
+
+
+def _mostly(valid, junk):
+    """Draw junk one time in eight, so most argv reach a handler."""
+    return st.integers(0, 7).flatmap(lambda k: junk if k == 0 else valid)
+
+
+def _joined(xs) -> str:
+    return ",".join(map(str, xs))
+
+
+_junk = st.one_of(
+    st.integers(-2, 5),
+    st.none(),
+    st.booleans(),
+    st.text(max_size=2),
+    st.floats(allow_nan=False, width=16),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+)
+_partition = st.lists(st.integers(1, 3), max_size=3).map(lambda xs: sorted(xs, reverse=True))
+_component = st.one_of(
+    _partition,
+    _junk,
+    st.lists(_junk, min_size=1, max_size=2),
+    st.lists(st.integers(0, 3), max_size=3),
+)
+_int_text = st.one_of(
+    st.lists(st.integers(-4, 6), min_size=1, max_size=4).map(_joined),
+    st.text(alphabet="0123456789,-x ", max_size=5),
+)
+_DRAWING = "e=3 charges=2\nlevel  012\n   -1  ooo\n    0  o.o\n    1  ...\n"
+_RESIDUE_COMMANDS = ("scopes-check", "scopes-map", "branch", "certify")
+_CAPS = ("max_n=4", "max_delta=2", "max_r=2", "max_q=1", "max_n=x")
+
+
+def _lam(r: int):
+    rows = st.lists(_partition, min_size=r, max_size=r)
+    return _mostly(
+        rows.map(json.dumps),
+        st.one_of(
+            st.lists(_junk, min_size=1, max_size=3).map(json.dumps),
+            st.lists(_component, min_size=1, max_size=4).map(json.dumps),
+            rows.map(lambda c: json.dumps({"components": c})),
+            _junk.map(json.dumps),
+            st.text(max_size=6),
+            st.just("@/nonexistent/lambda.json"),
+        ),
+    )
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["residues", "abacus", "parse-abacus", "weight", "hub", "blocks", "core-block",
+         "k-values", "verify-all", *_RESIDUE_COMMANDS]
+    ))
+    argv = [command]
+    if command == "verify-all":
+        argv += ["--max-n", draw(st.sampled_from(["-1", "0", "1", "2", "3"]))]
+        for flag, values in (("--r", "1 2 1,2 0 x"), ("--e", "2 3 2,3 1 x")):
+            if draw(st.booleans()):
+                argv += [flag, draw(st.sampled_from(values.split()))]
+        return argv + draw(st.sampled_from([[], ["--format", "json"]]))
+    if command == "parse-abacus":
+        text = st.text(alphabet="e=3 chargs,0-1o.lv\n", max_size=40)
+        return argv + ["--lambda", draw(_mostly(st.just(_DRAWING), text))]
+    r = draw(st.integers(1, 3))
+    charge = st.lists(st.integers(-3, 3), min_size=r, max_size=r).map(_joined)
+    argv += ["--e", draw(_mostly(st.sampled_from("2345"), st.sampled_from(["0", "1", "6", "x"])))]
+    argv += ["--charge", draw(_mostly(charge, _int_text))]
+    if command == "blocks":
+        argv += ["--n", draw(_mostly(st.sampled_from("012345"), st.sampled_from(["-1", "9", "x"])))]
+    else:
+        argv += ["--lambda", draw(_lam(r))]
+    if command in _RESIDUE_COMMANDS:
+        argv += ["--i", draw(_mostly(st.sampled_from("01234"), st.sampled_from(["-1", "7", "x"])))]
+    elif command == "k-values" and draw(st.booleans()):
+        argv += ["--i", draw(_int_text)]
+    elif command == "residues" and draw(st.booleans()):
+        argv += ["--other", draw(_lam(r))]
+    elif command == "abacus":
+        if draw(st.booleans()):
+            argv += ["--window", draw(_int_text)]
+        argv += draw(st.sampled_from([[], ["--format", "json"]]))
+    if draw(st.booleans()):
+        argv += ["--caps", draw(st.sampled_from(_CAPS))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_argv())
+def test_every_argv_keeps_the_exit_code_contract(argv):
+    # 0 success, 1 only for a failed verification, 2 for bad input or a cap;
+    # an exception escaping main would fail the test with its traceback
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert "verification failed [" in err.getvalue(), argv
+    elif code == 2:
+        assert err.getvalue().startswith(("akblocks: error:", "usage:")), argv
+    else:
+        assert err.getvalue() == "" and out.getvalue().endswith("\n"), argv
