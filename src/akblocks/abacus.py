@@ -21,8 +21,11 @@ from .multipartition import (
     Multipartition,
     Partition,
     _check_level,
+    _signatures,
     as_partition,
 )
+
+_WINDOW_SLACK = 100  # levels a drawing may reach past its default window; it is built in memory
 
 __all__ = [
     "BetaSet",
@@ -104,10 +107,18 @@ class BetaSet:
 def beta_set(partition: Partition, charge: int) -> BetaSet:
     """Beta-set of a partition: {part_k + charge - k} padded by the vacuum."""
     parts = as_partition(partition)
-    m = len(parts)
-    top = {parts[k] + charge - (k + 1) for k in range(m)}
-    vac = set(range(charge - m, charge))
+    top = {w + charge - k for k, w in enumerate(parts, 1)}
+    vac = set(range(charge - len(parts), charge))
     return BetaSet(charge, frozenset(top ^ vac))
+
+
+def _decode(betas: list, charge: int) -> Partition:
+    """The partition with beads ``betas`` (descending) at or above some t and
+    every bead below t, where len(betas) == charge - t: valid by construction."""
+    parts = [b - charge + k for k, b in enumerate(betas, 1)]
+    while parts and not parts[-1]:
+        parts.pop()
+    return tuple(parts)
 
 
 def partition_of(bs: BetaSet):
@@ -116,8 +127,7 @@ def partition_of(bs: BetaSet):
     betas = bs.beads_down_to(low)
     if len(betas) != bs.charge - low:
         raise LemmaViolation("beta_bead_balance", f"{bs} has {len(betas)} beads from {low} up")
-    parts = [betas[k] - bs.charge + (k + 1) for k in range(len(betas))]
-    return as_partition(parts), bs.charge
+    return _decode(betas, bs.charge), bs.charge
 
 
 @dataclass(frozen=True)
@@ -158,17 +168,10 @@ class AbacusDisplay:
         if not 1 <= j <= self.r:
             raise InputError(f"component index {j} out of range 1..{self.r}")
         bs = self.components[j - 1]
-        span = range(bs.min_gap() - self.e, bs.max_bead() + 1)
-        beads = [p for p in span if p % self.e == i and p in bs]
+        beads = [p for p in bs.beads_down_to(bs.min_gap() - self.e) if p % self.e == i]
         if not beads:
             raise LemmaViolation("runner_has_bead", f"runner {i} of component {j} is empty")
-        return beads[-1] // self.e
-
-    def level_matrix(self) -> tuple:
-        """Lowest levels as a component-major tuple of rows over runners."""
-        return tuple(
-            tuple(self.lowest_level(i, j) for i in range(self.e)) for j in range(1, self.r + 1)
-        )
+        return beads[0] // self.e
 
     def is_multicore(self) -> bool:
         """Every bead has a bead immediately above it on its runner."""
@@ -246,20 +249,13 @@ class Multicore:
     def charges(self) -> tuple:
         return tuple(self.e + sum(row) for row in self.levels)
 
-    @property
-    def charge(self) -> Multicharge:
-        return Multicharge(self.e, self.charges)
-
-    def beta_set(self, j: int) -> BetaSet:
-        if not 1 <= j <= self.r:
-            raise InputError(f"component index {j} out of range 1..{self.r}")
-        row = self.levels[j - 1]
-        floor = min(row) - 1
-        beads = {x * self.e + i for i, top in enumerate(row) for x in range(floor, top + 1)}
-        return _beta_from_beads(self.e + sum(row), floor * self.e, beads)
-
     def to_multipartition(self) -> Multipartition:
-        return tuple(partition_of(self.beta_set(j))[0] for j in range(1, self.r + 1))
+        out = []
+        for row in self.levels:
+            base = min(row) + 1  # every position below base * e is a bead
+            betas = [x * self.e + i for i, top in enumerate(row) for x in range(base, top + 1)]
+            out.append(_decode(sorted(betas, reverse=True), self.e + sum(row)))
+        return tuple(out)
 
 
 def to_multicore(mp: Multipartition, charge: Multicharge):
@@ -268,23 +264,24 @@ def to_multicore(mp: Multipartition, charge: Multicharge):
     Returns (multicore, hooks) where hooks is the number of single-level
     slides performed, i.e. the number of rim e-hooks removed.  The hub is
     unchanged and the weight drops by r per hook.
+
+    Level base = (a - len(parts)) // e - 1 lies in the vacuum, so each runner
+    keeps c >= 1 beads from it on, which slide up to levels base..base+c-1.
     """
-    disp = AbacusDisplay.from_multipartition(mp, charge)
+    _check_level(mp, charge)
     e = charge.e
     rows = []
     hooks = 0
-    for bs in disp.components:
-        base = bs.min_gap() // e - 1
-        hi = max(bs.max_bead(), (base + 1) * e - 1)
-        row = []
-        for i in range(e):
-            lvls = [p // e for p in range(base * e + i, hi + 1, e) if p in bs]
-            cnt = len(lvls)
-            if cnt < 1:
-                raise LemmaViolation("multicore_base_level", f"runner {i} empty at {base} for {mp}")
-            hooks += sum(lvls) - sum(range(base, base + cnt))
-            row.append(base + cnt - 1)
-        rows.append(tuple(row))
+    for comp, a in zip(mp, charge.entries):
+        parts = as_partition(comp)
+        base = (a - len(parts)) // e - 1
+        counts = [0] * e
+        for p in [*range(base * e, a - len(parts)), *[w + a - k for k, w in enumerate(parts, 1)]]:
+            level, i = divmod(p, e)
+            counts[i] += 1
+            hooks += level
+        hooks -= sum(c * base + c * (c - 1) // 2 for c in counts)
+        rows.append(tuple([base + c - 1 for c in counts]))
     core = Multicore(e, tuple(rows))
     if core.charges != charge.entries:
         raise LemmaViolation("multicore_charges", f"sliding {mp} gave charges {core.charges}")
@@ -367,17 +364,17 @@ def phi_beta_set(bs: BetaSet, i: int, e: int) -> BetaSet:
 def phi(mp: Multipartition, charge: Multicharge, i: int) -> Multipartition:
     """Simultaneously remove all removable i-nodes and add all addable i-nodes.
 
-    Realised on each component's beta-set by swapping runners (i-1) mod e
-    and i; for i == 0 the swap wraps around with a level shift.
+    Read off the i-signature; on beta-sets this is ``phi_beta_set``, the swap
+    of runners (i-1) mod e and i.
     """
     if not isinstance(i, int) or not 0 <= i < charge.e:
         raise InputError(f"residue {i} out of range 0..{charge.e - 1}")
-    disp = AbacusDisplay.from_multipartition(mp, charge)
-    out = []
-    for bs in disp.components:
-        img = phi_beta_set(bs, i, charge.e)
-        out.append(partition_of(img)[0])
-    return tuple(out)
+    _check_level(mp, charge)
+    mp = tuple(as_partition(c) for c in mp)
+    rows = [[*c, 0] for c in mp]
+    for nd, sign in _signatures(mp, charge)[i]:
+        rows[nd.comp - 1][nd.row - 1] += sign
+    return tuple(tuple(filter(None, row)) for row in rows)
 
 
 def has_forbidden_config(mp: Multipartition, charge: Multicharge, i: int) -> bool:
@@ -409,7 +406,8 @@ def render(display: AbacusDisplay, window: tuple | None = None) -> str:
     The window is a (lo, hi) pair of levels; by default one full row above
     the highest irregularity and one empty row below the lowest bead are
     included.  A window that hides an irregular row is an error, so the
-    drawing always determines the display.
+    drawing always determines the display, and so is one reaching past the
+    default by more than _WINDOW_SLACK levels.
     """
     e = display.e
     lo0 = min(bs.min_gap() // e for bs in display.components) - 1
@@ -424,6 +422,8 @@ def render(display: AbacusDisplay, window: tuple | None = None) -> str:
             raise InputError(
                 f"window {window!r} hides irregular rows; need lo <= {lo0 + 1} and hi >= {hi0 - 1}"
             )
+        if lo < lo0 - _WINDOW_SLACK or hi > hi0 + _WINDOW_SLACK:
+            raise InputError(f"window {window!r} reaches over {_WINDOW_SLACK} levels past {lo0},{hi0}")
     width = max(len("level"), len(str(lo)), len(str(hi)))
     runners = "".join(str(i % 10) for i in range(e))
     lines = [

@@ -367,13 +367,12 @@ def _classical_e_weight(p, e: int) -> int:
     return count
 
 
-def check_weights(grid: SweepGrid, classical_n: int | None = None):
+def check_weights(grid: SweepGrid):
     core_law = _Recorder("weight_core_law")
     fixpoint = _Recorder("multicore_fixpoint")
     bridge = _Recorder("level_hub_bridge")
     same_hub = _Recorder("same_hub_weight_law")
     classical = _Recorder("classical_e_weight")
-    classical_n = classical_n if classical_n is not None else grid.max_n
     for mc in grid.cells():
         e, r = mc.e, mc.r
         hub_index: dict = {}
@@ -412,7 +411,7 @@ def check_weights(grid: SweepGrid, classical_n: int | None = None):
                     ),
                 )
         if r == 1:
-            for n in range(classical_n + 1):
+            for n in range(grid.max_n + 1):
                 for p in partitions_of(n):
                     classical.count(
                         weight((p,), mc) == _classical_e_weight(p, e),

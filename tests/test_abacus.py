@@ -70,6 +70,32 @@ def test_section_fixture_beta_sets():
     assert tuple(disp.lowest_level(i, 3) for i in range(4)) == (0, 0, -1, -2)
 
 
+_BAD_COMPONENTS = [((1, 2),), ((-1,),)]
+_ON_MULTIPARTITIONS = {
+    "phi": lambda mp, mc: phi(mp, mc, 0),
+    "to_multicore": to_multicore,
+    "as_multicore": as_multicore,
+    "has_forbidden_config": lambda mp, mc: has_forbidden_config(mp, mc, 0),
+}
+
+
+@pytest.mark.parametrize(
+    "fn, mp",
+    [
+        pytest.param(fn, mp, id=f"{name}{mp}")
+        for name, fn in _ON_MULTIPARTITIONS.items()
+        for mp in (*_BAD_COMPONENTS, ((1,), ()))
+    ]
+    + [
+        pytest.param(lambda mp, mc: beta_set(mp[0], 0), mp, id=f"beta_set{mp}")
+        for mp in _BAD_COMPONENTS
+    ],
+)
+def test_outside_input_is_rejected(fn, mp):
+    with pytest.raises(InputError):
+        fn(mp, Multicharge(3, (0,)))
+
+
 # --- displays ---------------------------------------------------------------
 
 
@@ -78,8 +104,9 @@ def test_display_roundtrip_and_level_matrix():
     mp = ((4, 2), (1, 1))
     disp = AbacusDisplay.from_multipartition(mp, mc)
     assert disp.to_multipartition() == mp
-    mat = disp.level_matrix()
-    assert len(mat) == 2 and all(len(row) == 3 for row in mat)
+    # lowest bead per runner: beads ..., -1, 2, 5 and ..., -5, -3, -1, 0
+    levels = [[disp.lowest_level(i, j) for i in range(3)] for j in (1, 2)]
+    assert levels == [[-1, -1, 1], [0, -2, -1]]
 
 
 def test_display_json_roundtrip():
@@ -102,6 +129,14 @@ def test_render_window_must_cover_content():
     disp = AbacusDisplay.from_multipartition(((6, 3, 1),), mc)
     with pytest.raises(InputError):
         render(disp, window=(0, 1))
+
+
+def test_render_window_may_not_reach_far_past_content():
+    disp = AbacusDisplay.from_multipartition(((1,),), Multicharge(2, (0,)))
+    assert render(disp, window=(-102, 101)).count("\n") == 2 + 204
+    for window in ((-103, 1), (-1, 102), (-200000, 200000)):
+        with pytest.raises(InputError, match="levels past"):
+            render(disp, window=window)
 
 
 def test_parse_rejects_imbalanced_drawing():

@@ -126,7 +126,7 @@ def test_c04_weight_laws():
     t0 = time.monotonic()
     grid = SweepGrid(max_n=7, levels=(1, 2, 3), es=(2, 3, 4), branch_n=7, oracle_n=7)
     _assert_all_ok(
-        check_weights(grid, classical_n=7),
+        check_weights(grid),
         ["weight_core_law", "same_hub_weight_law", "classical_e_weight"],
     )
     slides = 0

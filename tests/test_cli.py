@@ -194,6 +194,7 @@ def test_exit_two_on_json_booleans(capsys, command, lam):
         ["weight", "--e", "3", "--charge", "0", "--lambda", "[null]"],
         ["weight", "--e", "3", "--charge", "0", "--lambda", '[{"a":1}]'],
         ["verify-all", "--max-n", "-1"],
+        ["abacus", "--e", "2", "--charge", "0", "--lambda", "[[1]]", "--window", "-200000,200000"],
     ],
 )
 def test_exit_two_with_one_line_message(capsys, argv):

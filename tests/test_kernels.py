@@ -1,7 +1,11 @@
-"""The row-wise residue and hub kernels against node-walking references.
+"""The row-wise kernels against independent references.
 
-The references in ``akblocks.verify`` visit every node (or every removable
-and addable node) one by one; the kernels read the same data off the rows.
+The residue and hub references in ``akblocks.verify`` visit every node (or
+every removable and addable node) one by one; the kernels read the same
+data off the rows.  The beta-number codec (``phi``, ``to_multicore``,
+``Multicore.to_multipartition``) is checked against the beta-set route
+(``beta_set``, ``phi_beta_set``, ``partition_of``, ``AbacusDisplay``), the
+weight, and rim-hook stripping straight off the diagram.
 """
 
 import random
@@ -9,16 +13,23 @@ import random
 import pytest
 
 from akblocks import (
+    AbacusDisplay,
     InputError,
     Multicharge,
+    beta_set,
     d_min,
     delta_ij,
     hub,
     multipartitions_of,
+    partition_of,
+    phi,
+    phi_beta_set,
     residue_counts,
     residue_multiset,
+    to_multicore,
+    weight,
 )
-from akblocks.verify import _node_hub_matrix, _node_residue_counts
+from akblocks.verify import _classical_e_weight, _node_hub_matrix, _node_residue_counts
 
 
 def _charges(r: int):
@@ -57,15 +68,54 @@ def _random_partition(rng: random.Random, m: int) -> tuple:
     return tuple(sorted((b - a for a, b in zip([0, *cuts], [*cuts, m])), reverse=True))
 
 
-def test_kernels_match_node_walks_on_large_random_inputs():
-    rng = random.Random(2301)
+def _random_inputs(seed: int):
+    """40 seeded multipartitions of up to 10^4 nodes with r 1..3, e 2..5."""
+    rng = random.Random(seed)
     for _ in range(40):
         r = rng.randint(1, 3)
         n = rng.randint(0, 10_000)
         cuts = sorted(rng.randint(0, n) for _ in range(r - 1))
         mp = tuple(_random_partition(rng, b - a) for a, b in zip([0, *cuts], [*cuts, n]))
-        mc = Multicharge(rng.randint(2, 5), tuple(rng.randint(-3, 3) for _ in range(r)))
+        yield mp, Multicharge(rng.randint(2, 5), tuple(rng.randint(-3, 3) for _ in range(r)))
+
+
+def test_kernels_match_node_walks_on_large_random_inputs():
+    for mp, mc in _random_inputs(2301):
         _assert_kernels_match(mp, mc)
+
+
+def _assert_codec_matches(mp, mc: Multicharge) -> None:
+    e, r = mc.e, mc.r
+    for i in range(e):
+        assert phi(mp, mc, i) == tuple(
+            partition_of(phi_beta_set(beta_set(c, a), i, e))[0] for c, a in zip(mp, mc.entries)
+        )
+    core, hooks = to_multicore(mp, mc)
+    core_mp = core.to_multipartition()
+    disp = AbacusDisplay.from_multipartition(core_mp, mc)
+    assert disp.is_multicore()
+    for j in range(1, r + 1):
+        for i in range(e):
+            assert disp.lowest_level(i, j) == core.levels[j - 1][i]
+    assert to_multicore(core_mp, mc) == (core, 0)
+    assert r * hooks == weight(mp, mc) - weight(core_mp, mc)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_codec_matches_beta_set_route_exhaustively(r):
+    multis = [mp for n in range(7) for mp in multipartitions_of(n, r)]
+    for e in range(2, 6):
+        for charge in _charges(r):
+            mc = Multicharge(e, charge)
+            for mp in multis:
+                _assert_codec_matches(mp, mc)
+                if r == 1:
+                    assert to_multicore(mp, mc)[1] == _classical_e_weight(mp[0], e)
+
+
+def test_codec_matches_beta_set_route_on_large_random_inputs():
+    for mp, mc in _random_inputs(2302):
+        _assert_codec_matches(mp, mc)
 
 
 def test_kernels_reject_level_mismatch_and_bad_residues():
