@@ -430,11 +430,19 @@ def render(display: AbacusDisplay, window: tuple | None = None) -> str:
         "e=%d charges=%s" % (e, ",".join(str(bs.charge) for bs in display.components)),
         "%*s  %s" % (width, "level", "  ".join([runners] * display.r)),
     ]
-    for lv in range(lo, hi + 1):
-        groups = []
-        for bs in display.components:
-            groups.append("".join("o" if lv * e + i in bs else "." for i in range(e)))
-        lines.append("%*d  %s" % (width, lv, "  ".join(groups)))
+    base, span = lo * e, (hi + 1 - lo) * e
+    cells = []
+    for bs in display.components:
+        # the vacuum's beads below the charge, then each perturbation flipped
+        filled = min(max(bs.charge - base, 0), span)
+        row = ["o"] * filled + ["."] * (span - filled)
+        for p in bs.delta:
+            if base <= p < base + span:
+                row[p - base] = "." if row[p - base] == "o" else "o"
+        cells.append("".join(row))
+    for k in range(hi + 1 - lo):
+        groups = "  ".join(c[k * e : (k + 1) * e] for c in cells)
+        lines.append("%*d  %s" % (width, lo + k, groups))
     return "\n".join(lines) + "\n"
 
 

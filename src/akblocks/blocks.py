@@ -6,12 +6,21 @@ information.  Every block has a nonnegative integer weight; blocks of
 minimal weight among all blocks with their hub are the *core blocks*, and
 every block reaches one along hub-preserving bead exchanges.  Core blocks
 carry the K invariant that feeds the runner-swap condition.
+
+Block enumeration never lists all multipartitions of n.  A block's
+residue counts are the sum of its components' counts, and each of those
+depends on one partition and one charge mod e.  So per charge residue and
+size the partitions are tabled once by residue counts, and a block is a
+join of these tables: ``block_containing`` splits the target counts over
+the components, ``enumerate_blocks`` groups every composition of n by
+summed counts.
 """
 
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
+from operator import sub
 
 from .abacus import Multicore, gamma_diff, s_move, to_multicore
 from .caps import Caps, default_caps
@@ -20,7 +29,7 @@ from .multipartition import (
     Multicharge,
     Multipartition,
     _check_level,
-    multipartitions_of,
+    partitions_of,
     residue_counts,
     size,
 )
@@ -217,19 +226,59 @@ def same_block(lam: Multipartition, mu: Multipartition, charge: Multicharge) -> 
     return residue_counts(lam, charge) == residue_counts(mu, charge)
 
 
-@lru_cache(maxsize=None)
-def _blocks_grouped(n: int, e: int, kappa: tuple) -> tuple:
-    """Group all multipartitions of n by residue-count vector (lex-descending members)."""
-    charge = Multicharge(e, kappa)
-    groups: dict = {}
-    for mp in multipartitions_of(n, len(kappa)):
-        groups.setdefault(residue_counts(mp, charge), []).append(mp)
-    out = []
-    for key in groups:
-        members = tuple(sorted(groups[key], reverse=True))
-        out.append((key, members))
-    out.sort(key=lambda item: item[1][-1])
-    return tuple(out)
+@lru_cache(maxsize=CACHE_SIZE)
+def _component_table(s: int, e: int, a: int) -> dict:
+    """The partitions of s keyed by residue counts in a component of charge
+    residue a, each list lex-descending.  Keyed by size, so blocks of
+    different sizes at the same charge share their tables."""
+    charge = Multicharge(e, (a,))
+    table: dict = {}
+    for p in partitions_of(s):
+        table.setdefault(residue_counts((p,), charge), []).append(p)
+    return {key: tuple(parts) for key, parts in table.items()}
+
+
+def _split(target: tuple, e: int, kappa: tuple) -> list:
+    """Every way to write the residue counts target as a sum of one table
+    key per component, as one partition list per component: components
+    1..r-1 take keys that leave no count negative, and the last
+    component's key is what remains."""
+    states = [((), target)]
+    for a in kappa[:-1]:
+        nxt = []
+        for lists, rem in states:
+            for s in range(sum(rem) + 1):
+                for key, parts in _component_table(s, e, a).items():
+                    left = tuple(map(sub, rem, key))
+                    if min(left) >= 0:
+                        nxt.append((lists + (parts,), left))
+        states = nxt
+    last = ((lists, _component_table(sum(rem), e, kappa[-1]).get(rem)) for lists, rem in states)
+    return [lists + (parts,) for lists, parts in last if parts]
+
+
+def _members(splits) -> tuple:
+    """The multipartitions with one partition from each list of a split,
+    lex-descending."""
+    return tuple(sorted(chain.from_iterable(product(*lists) for lists in splits), reverse=True))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _blocks_joined(n: int, e: int, kappa: tuple) -> tuple:
+    """Member lists of all blocks of size n, sorted by lex-least member:
+    the table entries of every composition of n, grouped by summed key."""
+    sums: dict = {(0,) * e: [()]}
+    last = len(kappa) - 1
+    for j, a in enumerate(kappa):
+        nxt: dict = {}
+        for total, splits in sums.items():
+            left = n - sum(total)
+            for s in (left,) if j == last else range(left + 1):
+                for key, parts in _component_table(s, e, a).items():
+                    acc = nxt.setdefault(tuple(map(sum, zip(total, key))), [])
+                    acc.extend(lists + (parts,) for lists in splits)
+        sums = nxt
+    return tuple(sorted(map(_members, sums.values()), key=lambda members: members[-1]))
 
 
 def enumerate_blocks(n: int, charge: Multicharge, caps: Caps | None = None) -> tuple:
@@ -242,21 +291,23 @@ def enumerate_blocks(n: int, charge: Multicharge, caps: Caps | None = None) -> t
     caps.check_e(charge.e)
     return tuple(
         Block(descriptor=block_of(members[-1], charge), charge=charge, members=members)
-        for _key, members in _blocks_grouped(n, charge.e, charge.kappa)
+        for members in _blocks_joined(n, charge.e, charge.kappa)
     )
 
 
 def block_containing(mp: Multipartition, charge: Multicharge, caps: Caps | None = None) -> Block:
-    """The full block (with members) containing mp."""
+    """The full block (with members) containing mp.
+
+    Only the block's own residue counts are split over the components, so
+    the cost follows the per-component tables, not the number of all
+    multipartitions of the same size.
+    """
     caps = caps or default_caps()
     caps.check_n(size(mp))
     caps.check_r(charge.r)
     caps.check_e(charge.e)
-    key = residue_counts(mp, charge)
-    for gkey, members in _blocks_grouped(size(mp), charge.e, charge.kappa):
-        if gkey == key:
-            return Block(descriptor=block_of(members[-1], charge), charge=charge, members=members)
-    raise AssertionError("unreachable: every multipartition lies in a block")
+    members = _members(_split(residue_counts(mp, charge), charge.e, charge.kappa))
+    return Block(descriptor=block_of(members[-1], charge), charge=charge, members=members)
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,15 @@ def _removal_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps
     return rems
 
 
+def _swap_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps):
+    """What every order of one (mp, i) walks: the ascending removable
+    i-nodes of mp, its runner-swap image, and the image's addable i-nodes,
+    highest first."""
+    ascending = _removal_context(mp, charge, i, caps)
+    image = phi(mp, charge, i)
+    return ascending, image, [nd for nd, s in _signatures(image, charge)[i] if s > 0]
+
+
 def _walk(charge: Multicharge, start, nds, sign: int, sigma, end, what: str) -> int:
     """Move nds[t-1] for t in sigma, starting at start: removing them
     (sign -1, each step adds n_below) or adding them (sign +1, each step
@@ -313,9 +322,7 @@ def induction_order_degree(
     permutes their descending list (highest first) and each step
     contributes the current n_above.  Ends back at mp.
     """
-    _removal_context(mp, charge, i, caps or default_caps())
-    image = phi(mp, charge, i)
-    adds = [nd for nd, s in _signatures(image, charge)[i] if s > 0]
+    _, image, adds = _swap_context(mp, charge, i, caps or default_caps())
     return _walk(charge, image, adds, 1, sigma, mp, f"rebuilding {mp}")
 
 

@@ -42,11 +42,11 @@ from .blocks import (
 )
 from .branching import (
     LaurentPolynomial,
+    _swap_context,
+    _walk,
     degree_spectrum,
-    induction_order_degree,
     inversions,
     mahonian,
-    order_degree,
 )
 from .caps import Caps
 from .errors import LemmaViolation
@@ -162,6 +162,19 @@ def _caps_for(grid: SweepGrid) -> Caps:
 @lru_cache(maxsize=None)
 def _multis(n: int, r: int) -> tuple:
     return tuple(multipartitions_of(n, r))
+
+
+def _blocks_grouped(n: int, e: int, kappa: tuple) -> tuple:
+    """Reference block enumeration: every multipartition of n grouped by
+    residue counts, as (key, lex-descending members) sorted by lex-least
+    member.  The per-component join in ``akblocks.blocks`` is checked
+    against it."""
+    charge = Multicharge(e, kappa)
+    groups: dict = {}
+    for mp in multipartitions_of(n, len(kappa)):
+        groups.setdefault(residue_counts(mp, charge), []).append(mp)
+    out = [(key, tuple(sorted(members, reverse=True))) for key, members in groups.items()]
+    return tuple(sorted(out, key=lambda item: item[1][-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -729,9 +742,16 @@ def check_branching(grid: SweepGrid):
                 )
                 poly = LaurentPolynomial.zero()
                 ipoly = LaurentPolynomial.zero()
-                for sigma in permutations(range(1, delta + 1)):
+                orders = list(permutations(range(1, delta + 1)))
+                try:
+                    ascending, image, adds = _swap_context(mp, mc, i, caps)
+                except LemmaViolation as exc:  # fails every order: count each one
+                    for _ in orders:
+                        well_defined.count(False, str(exc))
+                    orders = []
+                for sigma in orders:
                     try:
-                        d = order_degree(mp, mc, i, sigma, caps)
+                        d = _walk(mc, mp, ascending, -1, sigma, image, f"stripping {mp}")
                         well_defined.count(True)
                     except LemmaViolation as exc:
                         well_defined.count(False, str(exc))
@@ -744,7 +764,7 @@ def check_branching(grid: SweepGrid):
                     )
                     poly = poly + LaurentPolynomial.monomial(d)
                     try:
-                        di = induction_order_degree(mp, mc, i, sigma, caps)
+                        di = _walk(mc, image, adds, 1, sigma, mp, f"rebuilding {mp}")
                         well_defined.count(True)
                     except LemmaViolation as exc:
                         well_defined.count(False, str(exc))

@@ -5,20 +5,27 @@ every removable and addable node) one by one; the kernels read the same
 data off the rows.  The beta-number codec (``phi``, ``to_multicore``,
 ``Multicore.to_multipartition``) is checked against the beta-set route
 (``beta_set``, ``phi_beta_set``, ``partition_of``, ``AbacusDisplay``), the
-weight, and rim-hook stripping straight off the diagram.
+weight, and rim-hook stripping straight off the diagram.  Block
+enumeration, a join of per-component residue tables, is checked against
+grouping every multipartition of n by residue counts.
 """
 
 import random
 
 import pytest
 
+import akblocks
 from akblocks import (
     AbacusDisplay,
+    Caps,
     InputError,
     Multicharge,
     beta_set,
+    block_containing,
+    block_of,
     d_min,
     delta_ij,
+    enumerate_blocks,
     hub,
     multipartitions_of,
     partition_of,
@@ -29,7 +36,13 @@ from akblocks import (
     to_multicore,
     weight,
 )
-from akblocks.verify import _classical_e_weight, _node_hub_matrix, _node_residue_counts
+from akblocks import blocks, multipartition
+from akblocks.verify import (
+    _blocks_grouped,
+    _classical_e_weight,
+    _node_hub_matrix,
+    _node_residue_counts,
+)
 
 
 def _charges(r: int):
@@ -116,6 +129,43 @@ def test_codec_matches_beta_set_route_exhaustively(r):
 def test_codec_matches_beta_set_route_on_large_random_inputs():
     for mp, mc in _random_inputs(2302):
         _assert_codec_matches(mp, mc)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_block_join_matches_grouping_exhaustively(r):
+    caps = Caps(max_n=7, max_r=3, max_e=5, max_delta=6)
+    for e in range(2, 6):
+        for charge in _charges(r):
+            mc = Multicharge(e, charge)
+            for n in range(8):
+                reference = _blocks_grouped(n, e, mc.kappa)
+                got = enumerate_blocks(n, mc, caps)
+                assert [b.members for b in got] == [members for _, members in reference]
+                for blk, (_, members) in zip(got, reference):
+                    descriptor = block_of(members[-1], mc)
+                    assert blk.descriptor == descriptor
+                    for mp in members:
+                        one = block_containing(mp, mc, caps)
+                        assert one.members == members and one.descriptor == descriptor
+
+
+def test_block_containing_never_lists_all_multipartitions(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("multipartitions_of called")
+
+    for module in (akblocks, blocks, multipartition):
+        monkeypatch.setattr(module, "multipartitions_of", refuse, raising=False)
+    for obj in vars(blocks).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    mc = Multicharge(5, (0, -2, 1))
+    lam = ((4, 3, 1), (4, 2, 2, 2), (3, 2))
+    caps = Caps(max_n=24, max_r=3, max_e=5, max_delta=6)
+    blk = block_containing(lam, mc, caps)
+    assert len(blk.members) == 4 and lam in blk.members
+    image = phi(lam, mc, 1)
+    target = block_containing(image, mc, caps)
+    assert set(target.members) == {phi(mp, mc, 1) for mp in blk.members}
 
 
 def test_kernels_reject_level_mismatch_and_bad_residues():
