@@ -229,8 +229,9 @@ def same_block(lam: Multipartition, mu: Multipartition, charge: Multicharge) -> 
 @lru_cache(maxsize=CACHE_SIZE)
 def _component_table(s: int, e: int, a: int) -> dict:
     """The partitions of s keyed by residue counts in a component of charge
-    residue a, each list lex-descending.  Keyed by size, so blocks of
-    different sizes at the same charge share their tables."""
+    residue a (0 <= a < e, an entry of ``Multicharge.kappa``), each list
+    lex-descending.  Keyed by size and residue, so blocks of different
+    sizes, and charges equal mod e, share their tables."""
     charge = Multicharge(e, (a,))
     table: dict = {}
     for p in partitions_of(s):

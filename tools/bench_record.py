@@ -1,6 +1,6 @@
 """Record an A/B benchmark of two commits into a BENCH_<label>.json file.
 
-    python3 tools/bench_record.py --parent REV --change REV --label L [--pairs 10]
+    python3 tools/bench_record.py --parent REV --change REV --label L --workdir DIR
 
 Run it from the root of the repository.  Each revision is exported with
 ``git archive`` into its own directory under ``--workdir``, and
@@ -26,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = {"sweep": 601, "certify": 701, "invariants": 601}
+PAIRS = 10
 README_CERTIFY = [
     "-m", "akblocks", "certify", "--e", "5", "--charge", "0,-2,1",
     "--lambda", "[[4,3,1],[4,2,2,2],[3,2]]", "--i", "1", "--caps", "max_n=24",
@@ -105,8 +106,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workloads", default="sweep,certify,invariants")
     parser.add_argument("--workdir", type=Path, required=True, help="empty directory for the two exports")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -122,9 +121,9 @@ def main(argv=None) -> int:
         "order": "pair k runs seed base+k on both sides, parent first on even k",
         "workloads": {},
     }
-    for workload in args.workloads.split(","):
+    for workload in SEEDS:
         runs = {"parent": [], "change": []}
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in sides:
                 runs[side].append(bench_run(dirs[side], workload, SEEDS[workload] + k, spec["run_seconds"]))
