@@ -14,6 +14,7 @@ where ell = delta*(delta-1)/2.  Summing v^degree over all orders gives the
 branching polynomial, whose coefficients form the Mahonian distribution.
 """
 
+from collections import Counter
 from itertools import combinations, permutations
 
 from .abacus import phi
@@ -219,15 +220,16 @@ def induction_factors(mp: Multipartition, charge: Multicharge) -> tuple:
     return tuple((add_node(mp, nd), n_above(mp, charge, nd)) for nd in addable_nodes(mp))
 
 
-def _removal_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps):
+def _removal_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps, report=None):
     """Validate the branching hypotheses and return the ascending i-node list.
 
     Input conditions: the block condition holds at residue i and
     delta_i >= 0.  Having no addable i-node then follows from the theory;
     violating it would be a genuine counterexample, so it raises
-    LemmaViolation, not InputError.
+    LemmaViolation, not InputError.  ``report`` is scopes_condition of
+    mp's block when the caller already holds it.
     """
-    report = scopes_condition(mp, charge, i)
+    report = report or scopes_condition(mp, charge, i)
     if report.delta < 0:
         raise InputError(
             f"branching needs delta_i >= 0, got delta_{i} = {report.delta}"
@@ -262,11 +264,18 @@ def _swap_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps):
     return ascending, image, [nd for nd, s in _signatures(image, charge)[i] if s > 0]
 
 
-def _walk(charge: Multicharge, start, nds, sign: int, sigma, end, what: str) -> int:
+def _walk(charge: Multicharge, start, nds, sign: int, sigma, end, what: str, steps=None) -> int:
     """Move nds[t-1] for t in sigma, starting at start: removing them
     (sign -1, each step adds n_below) or adding them (sign +1, each step
     adds n_above).  Every node must still be movable when its turn comes
     and the walk must end at end; either failure raises LemmaViolation.
+
+    Walks of several orders over the same nodes pass through the same
+    intermediate multipartitions (one per subset moved, against one per
+    order prefix).  A shared dict ``steps`` keeps each (multipartition,
+    node) step already taken, with its degree and result, so every order
+    is still walked and checked, but no step is computed twice; a step
+    that fails is never stored.
     """
     if sorted(sigma) != list(range(1, len(nds) + 1)):
         raise InputError(f"sigma must be a permutation of 1..{len(nds)}, got {sigma!r}")
@@ -274,14 +283,20 @@ def _walk(charge: Multicharge, start, nds, sign: int, sigma, end, what: str) -> 
     total = 0
     for t in sigma:
         nd = nds[t - 1]
-        try:
-            total += _degree(cur, charge, nd, sign)
-        except InputError:  # the node can no longer move: a law failed, not the input
-            raise LemmaViolation(
-                "branching_well_defined",
-                f"node {nd} stopped being {_KIND[sign]} while {what} in order {sigma}",
-            ) from None
-        cur = remove_node(cur, nd) if sign < 0 else add_node(cur, nd)
+        step = None if steps is None else steps.get((cur, nd))
+        if step is None:
+            try:
+                d = _degree(cur, charge, nd, sign)
+            except InputError:  # the node can no longer move: a law failed, not the input
+                raise LemmaViolation(
+                    "branching_well_defined",
+                    f"node {nd} stopped being {_KIND[sign]} while {what} in order {sigma}",
+                ) from None
+            step = (d, remove_node(cur, nd) if sign < 0 else add_node(cur, nd))
+            if steps is not None:
+                steps[cur, nd] = step
+        total += step[0]
+        cur = step[1]
     if cur != end:
         raise LemmaViolation(
             "branching_well_defined",
@@ -331,18 +346,21 @@ def branching_polynomial(
     charge: Multicharge,
     i: int,
     caps: Caps | None = None,
+    condition=None,
 ) -> LaurentPolynomial:
     """Sum of v^degree over all removal orders of the i-nodes of mp.
 
     Under the branching hypotheses this equals the Mahonian spectrum
     sum_k mahonian(delta)[k] v^(ell-2k); the equality is what the
     verification sweeps certify, so this function computes the sum by
-    direct enumeration and never takes the shortcut.
+    direct enumeration and never takes the shortcut.  ``condition`` is
+    scopes_condition of mp's block, for a caller that holds it already
+    (every member of a block shares it).
     """
-    ascending = _removal_context(mp, charge, i, caps or default_caps())
+    ascending = _removal_context(mp, charge, i, caps or default_caps(), condition)
     target = phi(mp, charge, i)
-    poly = LaurentPolynomial.zero()
-    for sigma in permutations(range(1, len(ascending) + 1)):
-        d = _walk(charge, mp, ascending, -1, sigma, target, f"stripping {mp}")
-        poly = poly + LaurentPolynomial.monomial(d)
-    return poly
+    steps: dict = {}
+    return LaurentPolynomial(Counter(
+        _walk(charge, mp, ascending, -1, sigma, target, f"stripping {mp}", steps)
+        for sigma in permutations(range(1, len(ascending) + 1))
+    ))

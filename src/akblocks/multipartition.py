@@ -193,25 +193,44 @@ def _signatures(mp: Multipartition, charge: Multicharge) -> list:
     return out
 
 
+def _replace_component(mp: Multipartition, j: int, comp: list) -> Multipartition:
+    return mp[: j - 1] + (tuple(comp),) + mp[j:]
+
+
 def remove_node(mp: Multipartition, nd: Node) -> Multipartition:
-    """Remove a removable node; InputError if it is not removable."""
-    if nd not in removable_nodes(mp):
+    """Remove a removable node; InputError if it is not removable.
+
+    The node must end its row (col equal to the row's width) with the next
+    row shorter, the rule ``_row_ends`` applies; only that row and the
+    next are read.  The result is a partition by construction.
+    """
+    b, c, j = nd
+    comp = list(mp[j - 1]) if 1 <= j <= len(mp) else []
+    if not (1 <= b <= len(comp) and comp[b - 1] == c and (b == len(comp) or comp[b] < c)):
         raise InputError(f"{nd} is not a removable node of {mp}")
-    comp = list(mp[nd.comp - 1])
-    comp[nd.row - 1] -= 1
-    return mp[: nd.comp - 1] + (as_partition(comp),) + mp[nd.comp :]
+    if c == 1:
+        comp.pop()  # the next row is empty, so this is the last row
+    else:
+        comp[b - 1] -= 1
+    return _replace_component(mp, j, comp)
 
 
 def add_node(mp: Multipartition, nd: Node) -> Multipartition:
-    """Add an addable node; InputError if the position is not addable."""
-    if nd not in addable_nodes(mp):
-        raise InputError(f"{nd} is not an addable node of {mp}")
-    comp = list(mp[nd.comp - 1])
-    if nd.row == len(comp) + 1:
+    """Add an addable node; InputError if the position is not addable.
+
+    The position must be the empty row past the last one (col 1), or one
+    past a row's end with the row above longer (or none above), the rule
+    ``_row_ends`` applies; only that row and the one above are read.
+    """
+    b, c, j = nd
+    comp = list(mp[j - 1]) if 1 <= j <= len(mp) else None
+    if comp is not None and b == len(comp) + 1 and c == 1:
         comp.append(1)
+    elif comp and 1 <= b <= len(comp) and comp[b - 1] == c - 1 and (b == 1 or comp[b - 2] > c - 1):
+        comp[b - 1] += 1
     else:
-        comp[nd.row - 1] += 1
-    return mp[: nd.comp - 1] + (as_partition(comp),) + mp[nd.comp :]
+        raise InputError(f"{nd} is not an addable node of {mp}")
+    return _replace_component(mp, j, comp)
 
 
 def residue(nd: Node, charge: Multicharge) -> int:

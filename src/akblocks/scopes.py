@@ -76,14 +76,19 @@ def verify_lex_preserved(block: Block, i: int) -> LexReport:
     the report records the condition verdict alongside.
     """
     cond = scopes_condition(block.lex_least, block.charge, i)
-    pairs = scopes_pairing(block, i)
+    violations = _lex_violations(scopes_pairing(block, i))
+    return LexReport(condition=cond, holds=not violations, violations=violations)
+
+
+def _lex_violations(pairs) -> tuple:
+    """Adjacent (member, image) pairs whose images are not lex-descending."""
     violations = []
     for (src_a, img_a), (src_b, img_b) in zip(pairs, pairs[1:]):
         if not img_a > img_b:
             violations.append(
                 f"{src_a} > {src_b} but images order as {img_a} vs {img_b}"
             )
-    return LexReport(condition=cond, holds=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +146,18 @@ class KleshchevReport:
 
 def verify_kleshchev_preserved(block: Block, i: int) -> KleshchevReport:
     cond = scopes_condition(block.lex_least, block.charge, i)
+    mismatches = _kleshchev_mismatches(scopes_pairing(block, i), block.charge)
+    return KleshchevReport(condition=cond, holds=not mismatches, mismatches=mismatches)
+
+
+def _kleshchev_mismatches(pairs, charge: Multicharge) -> tuple:
+    """(member, image) pairs of which exactly one is Kleshchev."""
     mismatches = []
-    for src, img in scopes_pairing(block, i):
-        fs, fi = is_kleshchev(src, block.charge), is_kleshchev(img, block.charge)
+    for src, img in pairs:
+        fs, fi = is_kleshchev(src, charge), is_kleshchev(img, charge)
         if fs != fi:
             mismatches.append(f"{src} kleshchev={fs} but image {img} kleshchev={fi}")
-    return KleshchevReport(condition=cond, holds=not mismatches, mismatches=tuple(mismatches))
+    return tuple(mismatches)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +284,14 @@ def certificate(block: Block, i: int, caps: Caps | None = None) -> ScopesCertifi
         all(weight(img, charge) == weight(src, charge) for src, img in pairs),
         "the swap changed a block weight",
     )
-    lex = verify_lex_preserved(block, i)
-    stamp("lex_order_preserved", lex.holds, "; ".join(lex.violations))
-    kle = verify_kleshchev_preserved(block, i)
-    stamp("kleshchev_preserved", kle.holds, "; ".join(kle.mismatches))
+    violations = _lex_violations(pairs)
+    stamp("lex_order_preserved", not violations, "; ".join(violations))
+    mismatches = _kleshchev_mismatches(pairs, charge)
+    stamp("kleshchev_preserved", not mismatches, "; ".join(mismatches))
 
     expected = degree_spectrum(cond.delta)
     for mp in block.members:
-        got = branching_polynomial(mp, charge, i, caps)
+        got = branching_polynomial(mp, charge, i, caps, cond)
         stamp(
             "branching_spectrum",
             got == expected,

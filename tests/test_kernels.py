@@ -168,6 +168,29 @@ def test_block_containing_never_lists_all_multipartitions(monkeypatch):
     assert set(target.members) == {phi(mp, mc, 1) for mp in blk.members}
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_node_moves_follow_the_row_end_lists_exhaustively(r):
+    """remove_node and add_node read one or two rows; they must accept
+    exactly the nodes removable_nodes and addable_nodes list, and move
+    them as a part-list edit would, on every position around the diagram."""
+    for n in range(7):
+        for mp in multipartitions_of(n, r):
+            movable = {-1: set(multipartition.removable_nodes(mp)), 1: set(multipartition.addable_nodes(mp))}
+            for j in range(-1, r + 2):
+                for b in range(-1, n + 3):
+                    for c in range(-1, n + 3):
+                        nd = multipartition.Node(b, c, j)
+                        for sign, move in ((-1, multipartition.remove_node), (1, multipartition.add_node)):
+                            if nd not in movable[sign]:
+                                with pytest.raises(InputError):
+                                    move(mp, nd)
+                                continue
+                            parts = list(mp[j - 1]) + [0]
+                            parts[b - 1] += sign
+                            want = mp[: j - 1] + (tuple(x for x in parts if x),) + mp[j:]
+                            assert move(mp, nd) == want
+
+
 def test_kernels_reject_level_mismatch_and_bad_residues():
     mc = Multicharge(3, (0, 1))
     for fn in (residue_counts, residue_multiset, hub):
