@@ -38,7 +38,7 @@ from .multipartition import (
     size,
 )
 from .scopes import certificate
-from .verify import DEFAULT_GRID, SweepGrid, format_results, results_to_json, run_all
+from .verify import DEFAULT_GRID, SweepGrid, _caps_for, format_results, results_to_json, run_all
 
 __all__ = ["main"]
 
@@ -211,6 +211,11 @@ def _verify_all(args, mc, mp, caps):
     grid = SweepGrid(levels=levels, es=es)
     if args.max_n is not None:
         grid = replace(grid, max_n=args.max_n, branch_n=args.max_n, oracle_n=args.max_n)
+    needs = _caps_for(grid)
+    caps = _caps(args.caps)
+    caps.check_r(needs.max_r)
+    caps.check_e(needs.max_e)
+    caps.check_n(needs.max_n)
     results = run_all(grid)
     payload = results_to_json(results, grid) if args.format == "json" else format_results(results)
     return payload, [r.lemma for r in results if not r.ok]

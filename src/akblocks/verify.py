@@ -7,9 +7,9 @@ definitions (diagram walks, permutation enumeration, generating-function
 counting), never from the code path under test.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, takewhile
 
 from .abacus import (
     AbacusDisplay,
@@ -25,6 +25,7 @@ from .abacus import (
     to_multicore,
 )
 from .blocks import (
+    _hub_matrix,
     _moves,
     block_containing,
     core_block_of,
@@ -149,6 +150,27 @@ class _Recorder:
         return LemmaResult(self.lemma, self.instances, tuple(self.violations))
 
 
+_SWEEPS: dict = {}  # sweep name -> lemma anchors; definition order is run order
+
+
+def _sweep(*lemmas: str):
+    """Declare a sweep by its lemma anchors, in output order: the body takes
+    the grid and one _Recorder per anchor, the sweep takes the grid alone
+    and returns the recorders' LemmaResults in that order."""
+
+    def declare(body):
+        def sweep(grid: SweepGrid) -> list:
+            recorders = [_Recorder(lemma) for lemma in lemmas]
+            body(grid, *recorders)
+            return [rec.result() for rec in recorders]
+
+        sweep.__name__ = sweep.__qualname__ = body.__name__
+        _SWEEPS[body.__name__] = lemmas
+        return sweep
+
+    return declare
+
+
 def _caps_for(grid: SweepGrid) -> Caps:
     top = max(grid.max_n, grid.branch_n, grid.oracle_n)
     return Caps(
@@ -181,12 +203,9 @@ def _blocks_grouped(n: int, e: int, kappa: tuple) -> tuple:
 # node counts and orders
 
 
-def check_orders(grid: SweepGrid):
-    counts = _Recorder("addable_removable_count")
-    lex_total = _Recorder("lex_total_order")
-    dom_partial = _Recorder("dominance_partial_order")
-    dom_lex = _Recorder("dominance_implies_lex")
-    node_order = _Recorder("node_order_strict")
+@_sweep("addable_removable_count", "lex_total_order", "dominance_partial_order",
+        "dominance_implies_lex", "node_order_strict")
+def check_orders(grid: SweepGrid, counts, lex_total, dom_partial, dom_lex, node_order):
     for r in grid.levels:
         for n in range(grid.max_n + 1):
             multis = _multis(n, r)
@@ -240,7 +259,6 @@ def check_orders(grid: SweepGrid):
                                 node_above(x, z),
                                 lambda x=x, y=y, z=z: f"transitivity at {x},{y},{z}",
                             )
-    return [counts.result(), lex_total.result(), dom_partial.result(), dom_lex.result(), node_order.result()]
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +283,8 @@ def _node_hub_matrix(mp, charge: Multicharge) -> tuple:
     return tuple(map(tuple, out))
 
 
-def check_residues(grid: SweepGrid):
-    shift = _Recorder("residue_count_shift")
-    hub_sum = _Recorder("hub_sum_law")
-    criterion = _Recorder("residue_block_criterion")
+@_sweep("residue_count_shift", "hub_sum_law", "residue_block_criterion")
+def check_residues(grid: SweepGrid, shift, hub_sum, criterion):
     for mc in grid.cells():
         e = mc.e
         bumped = Multicharge(e, tuple(a + 1 for a in mc.entries))
@@ -299,17 +315,14 @@ def check_residues(grid: SweepGrid):
                     len(hs) == 1,
                     lambda c=c, hs=hs: f"counts {c} have several hubs {sorted(hs)}",
                 )
-    return [shift.result(), hub_sum.result(), criterion.result()]
 
 
 # ---------------------------------------------------------------------------
 # beta-sets and displays
 
 
-def check_beta(grid: SweepGrid):
-    roundtrip = _Recorder("beta_roundtrip")
-    step = _Recorder("runner_step_adds_residue")
-    vacuum = _Recorder("vacuum_levels")
+@_sweep("beta_roundtrip", "runner_step_adds_residue", "vacuum_levels")
+def check_beta(grid: SweepGrid, roundtrip, step, vacuum):
     for a in range(-5, 6):
         for n in range(9):
             for p in partitions_of(n):
@@ -348,7 +361,6 @@ def check_beta(grid: SweepGrid):
                     disp.lowest_level(i, 1) == (a - 1 - i) // e,
                     lambda a=a, i=i: f"vacuum charge {a} runner {i}",
                 )
-    return [roundtrip.result(), step.result(), vacuum.result()]
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +392,9 @@ def _classical_e_weight(p, e: int) -> int:
     return count
 
 
-def check_weights(grid: SweepGrid):
-    core_law = _Recorder("weight_core_law")
-    fixpoint = _Recorder("multicore_fixpoint")
-    bridge = _Recorder("level_hub_bridge")
-    same_hub = _Recorder("same_hub_weight_law")
-    classical = _Recorder("classical_e_weight")
+@_sweep("weight_core_law", "multicore_fixpoint", "level_hub_bridge", "same_hub_weight_law",
+        "classical_e_weight")
+def check_weights(grid: SweepGrid, core_law, fixpoint, bridge, same_hub, classical):
     for mc in grid.cells():
         e, r = mc.e, mc.r
         hub_index: dict = {}
@@ -430,16 +439,15 @@ def check_weights(grid: SweepGrid):
                         weight((p,), mc) == _classical_e_weight(p, e),
                         lambda p=p, e=e: f"weight of {p} differs from stripping e={e} rim hooks",
                     )
-    return [core_law.result(), fixpoint.result(), bridge.result(), same_hub.result(), classical.result()]
 
 
 # ---------------------------------------------------------------------------
 # bead exchanges
 
 
-def _grid_multicores(grid: SweepGrid, mc: Multicharge, top_n: int | None = None) -> tuple:
+def _grid_multicores(grid: SweepGrid, mc: Multicharge) -> tuple:
     found = {}
-    for n in range((top_n if top_n is not None else grid.max_n) + 1):
+    for n in range(grid.max_n + 1):
         for mp in _multis(n, mc.r):
             core, hooks = to_multicore(mp, mc)
             if hooks == 0:
@@ -447,12 +455,15 @@ def _grid_multicores(grid: SweepGrid, mc: Multicharge, top_n: int | None = None)
     return tuple(found[k] for k in sorted(found))
 
 
-def check_smoves(grid: SweepGrid):
-    hub_inv = _Recorder("hub_invariance")
-    w_move = _Recorder("weight_move_formula")
-    symmetry = _Recorder("smove_symmetry")
-    inverse = _Recorder("smove_inverse")
-    g_shift = _Recorder("gamma_shift_invariance")
+def _hub_columns(mp, charge: Multicharge) -> list:
+    """(min_j, max_j) of delta_i^j over the components, for each residue i,
+    from one read of the per-component hub."""
+    return [(min(col), max(col)) for col in zip(*_hub_matrix(mp, charge))]
+
+
+@_sweep("hub_invariance", "weight_move_formula", "smove_symmetry", "smove_inverse",
+        "gamma_shift_invariance")
+def check_smoves(grid: SweepGrid, hub_inv, w_move, symmetry, inverse, g_shift):
     for mc in grid.cells():
         if mc.r == 1:
             continue
@@ -488,23 +499,18 @@ def check_smoves(grid: SweepGrid):
                     gamma_diff(shifted, *mv) == g,
                     lambda mv=mv: f"gamma difference not shift-invariant at {mv}",
                 )
-    return [hub_inv.result(), w_move.result(), symmetry.result(), inverse.result(), g_shift.result()]
 
 
 # ---------------------------------------------------------------------------
 # core blocks
 
 
-def check_core_blocks(grid: SweepGrid):
-    equivalence = _Recorder("core_block_equivalence")
-    chain_ok = _Recorder("core_chain_validity")
-    spread = _Recorder("core_delta_spread")
-    tuple_inv = _Recorder("base_tuple_consistency")
-    k_inv = _Recorder("k_block_invariant")
-    k_below = _Recorder("k_below_delta")
+@_sweep("core_block_equivalence", "core_chain_validity", "core_delta_spread",
+        "base_tuple_consistency", "k_block_invariant", "k_below_delta")
+def check_core_blocks(grid: SweepGrid, equivalence, chain_ok, spread, tuple_inv, k_inv, k_below):
     caps = _caps_for(grid)
     for mc in grid.cells():
-        e, r = mc.e, mc.r
+        e = mc.e
         hub_blocks: dict = {}
         per_n = {}
         for n in range(grid.max_n + 1):
@@ -548,9 +554,7 @@ def check_core_blocks(grid: SweepGrid):
                 tuples_seen = set()
                 for mp in blk.members:
                     m = to_multicore(mp, mc)[0]
-                    for i in range(e):
-                        lo = min(delta_ij(mp, mc, i, j) for j in range(1, r + 1))
-                        hi = max(delta_ij(mp, mc, i, j) for j in range(1, r + 1))
+                    for i, (lo, hi) in enumerate(_hub_columns(mp, mc)):
                         spread.count(
                             hi - lo <= 2,
                             lambda mp=mp, i=i: f"delta spread over components exceeds 2 at {mp}, i={i}",
@@ -572,26 +576,14 @@ def check_core_blocks(grid: SweepGrid):
                     len(tuples_seen) == 1,
                     lambda blk=blk, t=tuples_seen: f"base tuples differ across members of block of {blk.lex_least}",
                 )
-    return [
-        equivalence.result(),
-        chain_ok.result(),
-        spread.result(),
-        tuple_inv.result(),
-        k_inv.result(),
-        k_below.result(),
-    ]
 
 
 # ---------------------------------------------------------------------------
 # d-bounds
 
 
-def check_d_bounds(grid: SweepGrid):
-    master = _Recorder("master_d_bound")
-    drop = _Recorder("d_drop_bound")
-    chain_bound = _Recorder("chain_d_bound")
-    interval = _Recorder("delta_interval")
-    plus_one = _Recorder("core_d_plus_one")
+@_sweep("master_d_bound", "d_drop_bound", "chain_d_bound", "delta_interval", "core_d_plus_one")
+def check_d_bounds(grid: SweepGrid, master, drop, chain_bound, interval, plus_one):
     caps = _caps_for(grid)
     for mc in grid.cells():
         e, r = mc.e, mc.r
@@ -603,7 +595,8 @@ def check_d_bounds(grid: SweepGrid):
             h, rem = divmod(w - res.core.weight, r)
             if rem:
                 raise LemmaViolation("core_weight_drop", f"{mp} is {w - res.core.weight} over its core")
-            ds = tuple(d_min(mp, mc, i) for i in range(e))
+            cols = _hub_columns(mp, mc)
+            ds = tuple(lo for lo, _ in cols)
             for i in range(e):
                 if 0 <= h <= kv[i]:
                     master.count(
@@ -619,8 +612,7 @@ def check_d_bounds(grid: SweepGrid):
                     if abs(g) > 2:
                         tame = False
                     nxt_mp = s_move(m, *mv).to_multipartition()
-                    for i in range(e):
-                        d2 = d_min(nxt_mp, mc, i)
+                    for i, (d2, _) in enumerate(_hub_columns(nxt_mp, mc)):
                         drop.count(
                             d2 >= ds[i] - 2 and (g != 1 or d2 >= ds[i] - 1),
                             lambda mp=mp, mv=mv, i=i, g=g: (
@@ -628,9 +620,7 @@ def check_d_bounds(grid: SweepGrid):
                             ),
                         )
                 if tame:
-                    for i in range(e):
-                        lo = min(delta_ij(mp, mc, i, j) for j in range(1, r + 1))
-                        hi = max(delta_ij(mp, mc, i, j) for j in range(1, r + 1))
+                    for i, (lo, hi) in enumerate(cols):
                         interval.count(
                             hi - lo <= 2,
                             lambda mp=mp, i=i: f"delta interval exceeded at {mp}, i={i}",
@@ -638,19 +628,14 @@ def check_d_bounds(grid: SweepGrid):
                     core_mp0 = res.core_multicore.to_multipartition()
                     if size(core_mp0) <= grid.max_n:
                         for mu in block_containing(core_mp0, mc, caps).members:
-                            for i in range(e):
+                            for i, (d_mu, _) in enumerate(_hub_columns(mu, mc)):
                                 plus_one.count(
-                                    d_min(mu, mc, i) <= ds[i] + 1,
+                                    d_mu <= ds[i] + 1,
                                     lambda mp=mp, mu=mu, i=i: (
                                         f"core member {mu} has d_min more than d({mp})+1 at i={i}"
                                     ),
                                 )
-            strict = []
-            for st in res.chain:
-                if st.gamma_difference >= 3:
-                    strict.append(st)
-                else:
-                    break
+            strict = list(takewhile(lambda st: st.gamma_difference >= 3, res.chain))
             if strict:
                 cur = m
                 for st in strict:
@@ -659,24 +644,21 @@ def check_d_bounds(grid: SweepGrid):
                 h2, rem2 = divmod(w - weight(end_mp, mc), r)
                 if rem2:
                     raise LemmaViolation("core_weight_drop", f"strict exchanges from {mp}, r={r}")
-                for i in range(e):
+                for i, (d_end, _) in enumerate(_hub_columns(end_mp, mc)):
                     chain_bound.count(
-                        ds[i] >= d_min(end_mp, mc, i) - h2,
+                        ds[i] >= d_end - h2,
                         lambda mp=mp, i=i, h2=h2: (
                             f"chain bound fails from {mp} after {h2} strict steps, i={i}"
                         ),
                     )
-    return [master.result(), drop.result(), chain_bound.result(), interval.result(), plus_one.result()]
 
 
 # ---------------------------------------------------------------------------
 # the runner swap
 
 
-def check_phi(grid: SweepGrid):
-    involution = _Recorder("phi_involution")
-    beta_image = _Recorder("phi_beta_image")
-    size_shift = _Recorder("phi_size_shift")
+@_sweep("phi_involution", "phi_beta_image", "phi_size_shift")
+def check_phi(grid: SweepGrid, involution, beta_image, size_shift):
     for mc in grid.cells():
         e = mc.e
         for n in range(grid.max_n + 1):
@@ -700,7 +682,6 @@ def check_phi(grid: SweepGrid):
                         ),
                         lambda mp=mp, i=i: f"beta image mismatch for {mp} at i={i}",
                     )
-    return [involution.result(), beta_image.result(), size_shift.result()]
 
 
 # ---------------------------------------------------------------------------
@@ -717,13 +698,10 @@ def _condition_blocks(grid: SweepGrid, mc: Multicharge, caps: Caps):
                     yield blk, i, report.delta
 
 
-def check_branching(grid: SweepGrid):
-    degree_law = _Recorder("branching_degree_law")
-    well_defined = _Recorder("branching_well_defined")
-    spectrum = _Recorder("branching_spectrum")
-    induction_spectrum = _Recorder("branching_induction_spectrum")
-    no_addable = _Recorder("no_addable_under_condition")
-    no_config = _Recorder("no_forbidden_config")
+@_sweep("branching_degree_law", "branching_well_defined", "branching_spectrum",
+        "branching_induction_spectrum", "no_addable_under_condition", "no_forbidden_config")
+def check_branching(grid: SweepGrid, degree_law, well_defined, spectrum, induction_spectrum,
+                    no_addable, no_config):
     caps = _caps_for(grid)
     for mc in grid.cells():
         for blk, i, delta in _condition_blocks(grid, mc, caps):
@@ -782,35 +760,19 @@ def check_branching(grid: SweepGrid):
                         f"induction spectrum of {mp} at i={i} is {ipoly!r}, expected {expected!r}"
                     ),
                 )
-    return [
-        degree_law.result(),
-        well_defined.result(),
-        spectrum.result(),
-        induction_spectrum.result(),
-        no_addable.result(),
-        no_config.result(),
-    ]
 
 
 # ---------------------------------------------------------------------------
 # block pairing, lex and Kleshchev preservation
 
 
-def check_scopes_maps(grid: SweepGrid):
-    bijection = _Recorder("block_bijection")
-    weight_pres = _Recorder("weight_preserved")
-    lex_pres = _Recorder("lex_order_preserved")
-    kle_pres = _Recorder("kleshchev_preserved")
-    oracle = _Recorder("kleshchev_restricted_oracle")
+@_sweep("block_bijection", "weight_preserved", "lex_order_preserved", "kleshchev_preserved",
+        "kleshchev_restricted_oracle")
+def check_scopes_maps(grid: SweepGrid, bijection, weight_pres, lex_pres, kle_pres, oracle):
     caps = _caps_for(grid)
     # the runner swap can grow a multipartition well past the grid bound,
     # so image-block lookups get a generous ceiling of their own
-    wide = Caps(
-        max_n=8 * (grid.max_n + 2),
-        max_r=max(grid.levels),
-        max_e=max(grid.es),
-        max_delta=grid.max_delta,
-    )
+    wide = replace(caps, max_n=8 * (grid.max_n + 2))
     for mc in grid.cells():
         for n in range(grid.max_n + 1):
             for blk in enumerate_blocks(n, mc, caps):
@@ -854,22 +816,14 @@ def check_scopes_maps(grid: SweepGrid):
                     is_kleshchev((p,), mc) == restricted,
                     lambda p=p, e=e: f"good-node recursion disagrees with e-restriction at {p}, e={e}",
                 )
-    return [
-        bijection.result(),
-        weight_pres.result(),
-        lex_pres.result(),
-        kle_pres.result(),
-        oracle.result(),
-    ]
 
 
 # ---------------------------------------------------------------------------
 # Mahonian numbers and counting
 
 
-def check_mahonian(grid: SweepGrid):
-    identity = _Recorder("mahonian_product_identity")
-    symmetry = _Recorder("mahonian_symmetry")
+@_sweep("mahonian_product_identity", "mahonian_symmetry")
+def check_mahonian(grid: SweepGrid, identity, symmetry):
     for delta in range(9):
         counts = mahonian(delta)
         prod = LaurentPolynomial.one()
@@ -886,7 +840,6 @@ def check_mahonian(grid: SweepGrid):
             counts == counts[::-1],
             lambda delta=delta: f"mahonian({delta}) is not palindromic",
         )
-    return [identity.result(), symmetry.result()]
 
 
 def _partition_counts(top: int) -> list:
@@ -897,8 +850,8 @@ def _partition_counts(top: int) -> list:
     return dp
 
 
-def check_enumeration(grid: SweepGrid):
-    complete = _Recorder("block_partition_complete")
+@_sweep("block_partition_complete")
+def check_enumeration(grid: SweepGrid, complete):
     caps = _caps_for(grid)
     single = _partition_counts(grid.max_n)
     for mc in grid.cells():
@@ -915,7 +868,6 @@ def check_enumeration(grid: SweepGrid):
                 and len({mp for b in blocks for mp in b.members}) == level_counts[n],
                 lambda n=n, mc=mc: f"blocks of n={n}, charge {mc.entries} do not partition",
             )
-    return [complete.result()]
 
 
 # ---------------------------------------------------------------------------
@@ -923,21 +875,10 @@ def check_enumeration(grid: SweepGrid):
 
 
 def run_all(grid: SweepGrid = DEFAULT_GRID):
-    """Run every sweep; returns LemmaResults in a fixed order."""
-    results = []
-    results += check_orders(grid)
-    results += check_residues(grid)
-    results += check_beta(grid)
-    results += check_weights(grid)
-    results += check_smoves(grid)
-    results += check_core_blocks(grid)
-    results += check_d_bounds(grid)
-    results += check_phi(grid)
-    results += check_branching(grid)
-    results += check_scopes_maps(grid)
-    results += check_mahonian(grid)
-    results += check_enumeration(grid)
-    return tuple(results)
+    """Run every sweep in definition order.  Each is looked up by name as it
+    runs, not captured at import, so a wrapper installed on the module
+    attribute (akbench's tracer) sees the call."""
+    return tuple(res for name in _SWEEPS for res in globals()[name](grid))
 
 
 def format_results(results) -> str:

@@ -1,5 +1,6 @@
 """Checks on the sweep harness itself, small enough to run in seconds."""
 
+from akblocks import verify
 from akblocks.verify import (
     LemmaResult,
     SweepGrid,
@@ -56,3 +57,30 @@ def test_results_json_shape():
 def test_mahonian_sweep_alone():
     for res in check_mahonian(SweepGrid()):
         assert res.ok and res.instances == 9
+
+
+TINY = SweepGrid(max_n=1, levels=(1,), es=(2,), branch_n=1, oracle_n=1)
+
+
+def _declared() -> list:
+    return [lemma for lemmas in verify._SWEEPS.values() for lemma in lemmas]
+
+
+def test_every_anchor_declared_once_and_reported_in_order():
+    anchors = _declared()
+    assert len(anchors) == len(set(anchors)) == 49
+    assert list(verify._SWEEPS) == [name for name in vars(verify) if name.startswith("check_")]
+    assert [res.lemma for res in run_all(TINY)] == anchors
+
+
+def test_run_all_looks_sweeps_up_by_name_when_it_runs(monkeypatch):
+    # akbench's tracer wraps the module attributes; run_all must call them
+    sentinel = LemmaResult("sentinel", 1, ())
+    monkeypatch.setattr(verify, "check_mahonian", lambda grid: [sentinel])
+    before = list(verify._SWEEPS).index("check_mahonian")
+    at = sum(len(lemmas) for lemmas in list(verify._SWEEPS.values())[:before])
+    expected = _declared()
+    expected[at : at + len(verify._SWEEPS["check_mahonian"])] = ["sentinel"]
+    results = run_all(TINY)
+    assert results[at] is sentinel
+    assert [res.lemma for res in results] == expected
