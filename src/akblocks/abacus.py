@@ -241,6 +241,15 @@ class Multicore:
             raise InputError("levels must be integers")
         object.__setattr__(self, "levels", rows)
 
+    @classmethod
+    def _trusted(cls, e: int, rows: tuple) -> "Multicore":
+        """A multicore from rows the program built itself (a tuple of
+        e-tuples of integers), without the checks of ``__post_init__``."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "e", e)
+        object.__setattr__(m, "levels", rows)
+        return m
+
     @property
     def r(self) -> int:
         return len(self.levels)
@@ -282,7 +291,7 @@ def to_multicore(mp: Multipartition, charge: Multicharge):
             hooks += level
         hooks -= sum(c * base + c * (c - 1) // 2 for c in counts)
         rows.append(tuple([base + c - 1 for c in counts]))
-    core = Multicore(e, tuple(rows))
+    core = Multicore._trusted(e, tuple(rows))
     if core.charges != charge.entries:
         raise LemmaViolation("multicore_charges", f"sliding {mp} gave charges {core.charges}")
     return core, hooks
@@ -308,28 +317,37 @@ def s_move(m: Multicore, i: int, l: int, j: int, k: int) -> Multicore:
     levels[k][i]+=1.  Degenerate indices (i == l or j == k) would make it
     the identity, where the weight law fails, so they are rejected.
     """
+    e, r = m.e, m.r
     for idx in (i, l):
-        if not isinstance(idx, int) or not 0 <= idx < m.e:
-            raise InputError(f"runner index {idx} out of range 0..{m.e - 1}")
+        if not isinstance(idx, int) or not 0 <= idx < e:
+            raise InputError(f"runner index {idx} out of range 0..{e - 1}")
     for idx in (j, k):
-        if not isinstance(idx, int) or not 1 <= idx <= m.r:
-            raise InputError(f"component index {idx} out of range 1..{m.r}")
+        if not isinstance(idx, int) or not 1 <= idx <= r:
+            raise InputError(f"component index {idx} out of range 1..{r}")
     if i == l or j == k:
         raise InputError("bead exchange needs two distinct runners and two distinct components")
-    rows = [list(row) for row in m.levels]
-    rows[j - 1][i] -= 1
-    rows[j - 1][l] += 1
-    rows[k - 1][l] -= 1
-    rows[k - 1][i] += 1
-    return Multicore(m.e, tuple(tuple(row) for row in rows))
+    return _exchange(m, i, l, j, k)
+
+
+def _exchange(m: Multicore, i: int, l: int, j: int, k: int) -> Multicore:
+    """``s_move`` for indices the program chose itself: no checks."""
+    rows = list(m.levels)
+    out, back = list(rows[j - 1]), list(rows[k - 1])
+    out[i] -= 1
+    out[l] += 1
+    back[l] -= 1
+    back[i] += 1
+    rows[j - 1], rows[k - 1] = tuple(out), tuple(back)
+    return Multicore._trusted(m.e, tuple(rows))
 
 
 def gamma(m: Multicore, i: int, j: int, k: int) -> int:
     """Level difference of runner i between components j and k."""
     if not 0 <= i < m.e:
         raise InputError(f"runner index {i} out of range 0..{m.e - 1}")
-    if not (1 <= j <= m.r and 1 <= k <= m.r):
-        raise InputError(f"component indices {j},{k} out of range 1..{m.r}")
+    r = m.r
+    if not (1 <= j <= r and 1 <= k <= r):
+        raise InputError(f"component indices {j},{k} out of range 1..{r}")
     return m.levels[j - 1][i] - m.levels[k - 1][i]
 
 

@@ -19,12 +19,12 @@ summed counts.
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, combinations, product
 from operator import sub
 
-from .abacus import Multicore, gamma_diff, s_move, to_multicore
+from .abacus import Multicore, _exchange, gamma_diff, to_multicore
 from .caps import Caps, default_caps
-from .errors import InputError, LemmaViolation
+from .errors import CapExceeded, InputError, LemmaViolation
 from .multipartition import (
     Multicharge,
     Multipartition,
@@ -76,14 +76,51 @@ def weight(mp: Multipartition, charge: Multicharge) -> int:
     parity of x), so the halving is exact; a negative result means the
     counts are not those of a multipartition and raises LemmaViolation.
     """
-    c = residue_counts(mp, charge)
-    e = charge.e
-    lin = sum(c[k] for k in charge.kappa)
+    return _counts_weight(residue_counts(mp, charge), charge.kappa, mp)
+
+
+def _counts_weight(c: tuple, kappa: tuple, subject) -> int:
+    """The weight of residue counts c at charge residues kappa (see ``weight``)."""
+    e = len(c)
+    lin = sum(c[k] for k in kappa)
     quad = sum((c[i] - c[(i + 1) % e]) ** 2 for i in range(e))
     w = (2 * lin - quad) // 2
     if w < 0:
-        raise LemmaViolation("weight_nonnegative", f"negative weight {w} for {mp}")
+        raise LemmaViolation("weight_nonnegative", f"negative weight {w} for {subject}")
     return w
+
+
+def _level_counts(m: Multicore) -> tuple:
+    """Residue counts of a multicore's multipartition, read off its levels
+    in O(r*e) without decoding.
+
+    Per component of charge a, the vacuum's lowest bead on runner i is at
+    level v_i = (a - 1 - i) // e, so runner i holds N_i = l_i - v_i beads
+    more than the vacuum; moving a bead from runner i-1 to i adds an
+    i-node, so N_i = c_i - c_{i+1}.  The beta-numbers sum to the size more
+    than the vacuum's.  With c_i = c_0 - (N_0 + ... + N_{i-1}) the size
+    fixes c_0.
+    """
+    e = m.e
+    total = [0] * e
+    for row in m.levels:
+        a = e + sum(row)
+        n = drop = 0
+        drops = []
+        for i, l in enumerate(row):
+            v = (a - 1 - i) // e
+            n += e * (l * (l + 1) - v * (v + 1)) // 2 + i * (l - v)
+            drops.append(drop)
+            drop += l - v
+        c0 = (n + sum(drops)) // e
+        for i in range(e):
+            total[i] += c0 - drops[i]
+    return tuple(total)
+
+
+def _level_weight(m: Multicore) -> int:
+    """``weight`` of a multicore's multipartition, from ``_level_counts``."""
+    return _counts_weight(_level_counts(m), tuple(a % m.e for a in m.charges), f"levels {m.levels}")
 
 
 def _hub_matrix(mp: Multipartition, charge: Multicharge) -> list:
@@ -137,12 +174,13 @@ def level_hub(m: Multicore) -> tuple:
     delta_0 = l_0 - l_{e-1} - 1.  This bridge is specific to multicores;
     it fails for general multipartitions.
     """
-    e = m.e
-    out = [0] * e
-    for row in m.levels:
-        for i in range(e):
-            out[i] += row[i] - row[i - 1] - (1 if i == 0 else 0)
-    return tuple(out)
+    return tuple(map(sum, zip(*_level_hub_matrix(m))))
+
+
+def _level_hub_matrix(m: Multicore) -> list:
+    """Per-component hub of a multicore, as ``_hub_matrix`` lays it out:
+    delta_i^j = l_{j,i} - l_{j,i-1} - [i = 0]."""
+    return [[row[0] - row[-1] - 1, *map(sub, row[1:], row)] for row in m.levels]
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +504,23 @@ class CoreBlockResult:
 
 
 def _moves(m: Multicore, minimum: int | None = None):
-    """All genuine exchanges, with gamma difference >= minimum when one is
-    given, in fixed order."""
-    for j in range(1, m.r + 1):
-        for k in range(j + 1, m.r + 1):
-            for i in range(m.e):
-                for l in range(m.e):
-                    if l != i and (minimum is None or gamma_diff(m, i, l, j, k) >= minimum):
-                        yield (i, l, j, k)
+    """All genuine exchanges as ((i, l, j, k), gamma difference), with
+    gamma difference >= minimum when one is given, in fixed order."""
+    lv, e = m.levels, m.e
+    for j, k in combinations(range(len(lv)), 2):
+        g = [x - y for x, y in zip(lv[j], lv[k])]
+        for i in range(e):
+            for l in range(e):
+                if l != i and (minimum is None or g[i] - g[l] >= minimum):
+                    yield (i, l, j + 1, k + 1), g[i] - g[l]
+
+
+# Most states the breadth-first phase of _core_search may visit; past it
+# the search raises CapExceeded rather than running on.  The largest search
+# seen visits 21 states: 10 over every multipartition with n <= 8 on the
+# default verification grid, 21 over 36,000 seeded multipartitions of 100
+# to 10^4 nodes.
+SEARCH_STATES = 5000
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -484,24 +531,24 @@ def _core_search(m: Multicore) -> tuple:
     (each strictly lowers the weight).  If the result is not yet in a
     core block, phase two breadth-first searches all non-increasing
     exchanges; same hub plus bounded weight keeps the state space finite,
-    and a path always exists.
+    a path always exists, and at most SEARCH_STATES states are visited.
     """
     moves = []
     cur = m
     while True:
-        mv = next(_moves(cur, 3), None)
+        mv = next((mv for mv, _ in _moves(cur, 3)), None)
         if mv is None:
             break
         moves.append(mv)
-        cur = s_move(cur, *mv)
+        cur = _exchange(cur, *mv)
     if witness_offsets(cur):
         return tuple(moves)
     prev = {cur: None}
     queue = deque([cur])
     while queue:
         node = queue.popleft()
-        for mv in _moves(node, 2):
-            nxt = s_move(node, *mv)
+        for mv, _ in _moves(node, 2):
+            nxt = _exchange(node, *mv)
             if nxt in prev:
                 continue
             prev[nxt] = (node, mv)
@@ -513,6 +560,10 @@ def _core_search(m: Multicore) -> tuple:
                     back.append(step)
                     walk = parent
                 return tuple(moves) + tuple(reversed(back))
+            if len(prev) > SEARCH_STATES:
+                raise CapExceeded(
+                    f"exchange search from levels {m.levels} visited over {SEARCH_STATES} states"
+                )
             queue.append(nxt)
     raise LemmaViolation(
         "core_block_reachability",
@@ -528,41 +579,40 @@ def core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
     weight; both facts are checked step by step, along with the exchange
     weight law w(next) = w(cur) - r*(gamma_difference - 2).  A failed
     check raises LemmaViolation under the anchor of the law it broke.
+    The steps are checked on level matrices (``level_hub``,
+    ``_level_weight``); only the final multicore is decoded.
     """
     m0, hooks = to_multicore(mp, charge)
     h0 = hub(mp, charge)
     r = charge.r
-    path = _core_search(m0)
     cur = m0
-    cur_mp = cur.to_multipartition()
-    cur_w = weight(cur_mp, charge)
+    cur_w = _level_weight(cur)
     if cur_w != weight(mp, charge) - r * hooks:
         raise LemmaViolation(
             "weight_core_law", f"the {hooks} rim hooks of {mp} do not carry weight {r} each"
         )
     chain = []
-    for mv in path:
+    for mv in _core_search(m0):
         g = gamma_diff(cur, *mv)
-        nxt = s_move(cur, *mv)
-        nxt_mp = nxt.to_multipartition()
-        nxt_w = weight(nxt_mp, charge)
-        if hub(nxt_mp, charge) != h0:
-            raise LemmaViolation("hub_invariance", f"exchange {mv} changed the hub of {cur_mp}")
+        nxt = _exchange(cur, *mv)
+        nxt_w = _level_weight(nxt)
+        if level_hub(nxt) != h0:
+            raise LemmaViolation("hub_invariance", f"exchange {mv} changed the hub of levels {cur.levels}")
         if nxt_w != cur_w - r * (g - 2):
-            raise LemmaViolation("weight_move_formula", f"exchange {mv} (gamma {g}) on {cur_mp}")
+            raise LemmaViolation("weight_move_formula", f"exchange {mv} (gamma {g}) on levels {cur.levels}")
         chain.append(
             SMoveStep(
                 i=mv[0], l=mv[1], j=mv[2], k=mv[3],
                 gamma_difference=g, weight_before=cur_w, weight_after=nxt_w,
             )
         )
-        cur, cur_mp, cur_w = nxt, nxt_mp, nxt_w
+        cur, cur_w = nxt, nxt_w
     if not witness_offsets(cur):
         raise LemmaViolation(
             "core_block_reachability", f"the exchange chain from {mp} ends outside a core block"
         )
     descriptor = BlockDescriptor(
-        n=size(cur_mp),
+        n=size(cur.to_multipartition()),
         r=r,
         e=charge.e,
         kappa=charge.kappa,

@@ -216,6 +216,7 @@ def _verify_all(args, mc, mp, caps):
     caps.check_r(needs.max_r)
     caps.check_e(needs.max_e)
     caps.check_n(needs.max_n)
+    caps.check_delta(needs.max_delta)
     results = run_all(grid)
     payload = results_to_json(results, grid) if args.format == "json" else format_results(results)
     return payload, [r.lemma for r in results if not r.ok]

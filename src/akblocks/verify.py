@@ -9,12 +9,13 @@ counting), never from the code path under test.
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations, permutations, product, takewhile
+from itertools import combinations, permutations, takewhile
 
 from .abacus import (
     AbacusDisplay,
     BetaSet,
     Multicore,
+    _exchange,
     beta_set,
     gamma_diff,
     has_forbidden_config,
@@ -26,6 +27,8 @@ from .abacus import (
 )
 from .blocks import (
     _hub_matrix,
+    _level_hub_matrix,
+    _level_weight,
     _moves,
     block_containing,
     core_block_of,
@@ -209,19 +212,22 @@ def check_orders(grid: SweepGrid, counts, lex_total, dom_partial, dom_lex, node_
     for r in grid.levels:
         for n in range(grid.max_n + 1):
             multis = _multis(n, r)
-            for mp in multis:
+            # dominates once per ordered pair; the checks below read the table
+            dom = [[dominates(a, b) for b in multis] for a in multis]
+            for x, mp in enumerate(multis):
                 counts.count(
                     len(addable_nodes(mp)) - len(removable_nodes(mp)) == r,
                     lambda mp=mp: f"addable-removable != r for {mp}",
                 )
-                dom_partial.count(dominates(mp, mp), lambda mp=mp: f"not reflexive at {mp}")
-            for a, b in combinations(multis, 2):
+                dom_partial.count(dom[x][x], lambda mp=mp: f"not reflexive at {mp}")
+            for x, y in combinations(range(len(multis)), 2):
+                a, b = multis[x], multis[y]
                 c = lex_cmp(a, b)
                 lex_total.count(
                     c != 0 and c == -lex_cmp(b, a),
                     lambda a=a, b=b: f"trichotomy/antisymmetry fails for {a} vs {b}",
                 )
-                dab, dba = dominates(a, b), dominates(b, a)
+                dab, dba = dom[x][y], dom[y][x]
                 dom_partial.count(
                     not (dab and dba),
                     lambda a=a, b=b: f"antisymmetry fails for {a} vs {b}",
@@ -237,12 +243,15 @@ def check_orders(grid: SweepGrid, counts, lex_total, dom_partial, dom_lex, node_
                         lambda a=a, b=b: f"{b} dominates {a} but is not lex-greater",
                     )
             if n <= 4:
-                for a, b, c in product(multis, repeat=3):
-                    if dominates(a, b) and dominates(b, c):
-                        dom_partial.count(
-                            dominates(a, c),
-                            lambda a=a, b=b, c=c: f"transitivity fails at {a},{b},{c}",
-                        )
+                for x, row in enumerate(dom):
+                    for y in (y for y, ok in enumerate(row) if ok):
+                        for z in (z for z, ok in enumerate(dom[y]) if ok):
+                            dom_partial.count(
+                                row[z],
+                                lambda a=multis[x], b=multis[y], c=multis[z]: (
+                                    f"transitivity fails at {a},{b},{c}"
+                                ),
+                            )
         for n in range(min(grid.max_n, 4) + 1):
             for mp in _multis(n, r):
                 nds = nodes(mp)
@@ -445,6 +454,7 @@ def check_weights(grid: SweepGrid, core_law, fixpoint, bridge, same_hub, classic
 # bead exchanges
 
 
+@lru_cache(maxsize=64)  # the exchange and d-bound sweeps share one per cell
 def _grid_multicores(grid: SweepGrid, mc: Multicharge) -> tuple:
     found = {}
     for n in range(grid.max_n + 1):
@@ -458,7 +468,11 @@ def _grid_multicores(grid: SweepGrid, mc: Multicharge) -> tuple:
 def _hub_columns(mp, charge: Multicharge) -> list:
     """(min_j, max_j) of delta_i^j over the components, for each residue i,
     from one read of the per-component hub."""
-    return [(min(col), max(col)) for col in zip(*_hub_matrix(mp, charge))]
+    return _columns(_hub_matrix(mp, charge))
+
+
+def _columns(matrix) -> list:
+    return [(min(col), max(col)) for col in zip(*matrix)]
 
 
 @_sweep("hub_invariance", "weight_move_formula", "smove_symmetry", "smove_inverse",
@@ -474,7 +488,7 @@ def check_smoves(grid: SweepGrid, hub_inv, w_move, symmetry, inverse, g_shift):
             shifted = Multicore(
                 m.e, (tuple(x + 1 for x in m.levels[0]),) + m.levels[1:]
             )
-            for mv in _moves(m):
+            for mv, _ in _moves(m):
                 g = gamma_diff(m, *mv)
                 nxt = s_move(m, *mv)
                 nxt_mp = nxt.to_multipartition()
@@ -607,12 +621,10 @@ def check_d_bounds(grid: SweepGrid, master, drop, chain_bound, interval, plus_on
                     )
             if r >= 2:
                 tame = True
-                for mv in _moves(m):
-                    g = gamma_diff(m, *mv)
+                for mv, g in _moves(m):
                     if abs(g) > 2:
                         tame = False
-                    nxt_mp = s_move(m, *mv).to_multipartition()
-                    for i, (d2, _) in enumerate(_hub_columns(nxt_mp, mc)):
+                    for i, (d2, _) in enumerate(_columns(_level_hub_matrix(_exchange(m, *mv)))):
                         drop.count(
                             d2 >= ds[i] - 2 and (g != 1 or d2 >= ds[i] - 1),
                             lambda mp=mp, mv=mv, i=i, g=g: (
@@ -639,12 +651,11 @@ def check_d_bounds(grid: SweepGrid, master, drop, chain_bound, interval, plus_on
             if strict:
                 cur = m
                 for st in strict:
-                    cur = s_move(cur, st.i, st.l, st.j, st.k)
-                end_mp = cur.to_multipartition()
-                h2, rem2 = divmod(w - weight(end_mp, mc), r)
+                    cur = _exchange(cur, st.i, st.l, st.j, st.k)
+                h2, rem2 = divmod(w - _level_weight(cur), r)
                 if rem2:
                     raise LemmaViolation("core_weight_drop", f"strict exchanges from {mp}, r={r}")
-                for i, (d_end, _) in enumerate(_hub_columns(end_mp, mc)):
+                for i, (d_end, _) in enumerate(_columns(_level_hub_matrix(cur))):
                     chain_bound.count(
                         ds[i] >= d_end - h2,
                         lambda mp=mp, i=i, h2=h2: (

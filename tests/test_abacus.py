@@ -232,3 +232,28 @@ def test_forbidden_config_examples():
     )
     # the empty multipartition never shows the pattern for i != 0
     assert not has_forbidden_config(((),), mc, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda m: s_move(m, 0, 3, 1, 2), id="s_move runner past e"),
+        pytest.param(lambda m: s_move(m, -1, 0, 1, 2), id="s_move negative runner"),
+        pytest.param(lambda m: s_move(m, 0, 1, 0, 2), id="s_move component 0"),
+        pytest.param(lambda m: s_move(m, 0, 1, 1, 3), id="s_move component past r"),
+        pytest.param(lambda m: s_move(m, 0, 1.0, 1, 2), id="s_move float runner"),
+        pytest.param(lambda m: s_move(m, 0, 1, 1, 2.0), id="s_move float component"),
+        pytest.param(lambda m: Multicore(3, ((0, 0, 0.5), (0, 0, 0))), id="Multicore float level"),
+        pytest.param(lambda m: Multicore(3, ((0, 0, "1"), (0, 0, 0))), id="Multicore str level"),
+        pytest.param(lambda m: Multicore(3, ((0, 0), (0, 0, 0))), id="Multicore short row"),
+        pytest.param(lambda m: Multicore(1, ((0,),)), id="Multicore e=1"),
+        pytest.param(lambda m: as_multicore(((1.5,),), Multicharge(3, (0,))), id="as_multicore float part"),
+        pytest.param(lambda m: as_multicore(((3,),), Multicharge(3, (0,))), id="as_multicore non-core"),
+    ],
+)
+def test_built_multicores_keep_outside_checks(build):
+    # the program builds its own multicores unchecked; what callers pass in
+    # is still checked
+    m = Multicore(3, ((0, 0, 0), (0, 0, 0)))
+    with pytest.raises(InputError):
+        build(m)

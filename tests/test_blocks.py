@@ -9,6 +9,7 @@ import akblocks
 from akblocks import (
     Block,
     BlockDescriptor,
+    CapExceeded,
     Caps,
     InputError,
     Multicharge,
@@ -31,6 +32,8 @@ from akblocks import (
     weight,
     witness_offsets,
 )
+from akblocks import blocks
+from akblocks.cli import main
 
 MC = Multicharge(4, (1, 0, 2))
 LAM = ((1, 1), (2,), (2, 1))
@@ -216,3 +219,20 @@ def test_load_bearing_checks_survive_optimised_mode():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["weight_nonnegative,weight_core_law,multicore_fixpoint"]
+
+
+def test_exchange_search_is_bounded(monkeypatch, capsys):
+    # ((1,), (1,), (1,)) needs the breadth-first phase: no exchange of gamma
+    # difference >= 3 leads from its multicore into a core block
+    mc = Multicharge(3, (1, 0, 2))
+    mp = ((1,), (1,), (1,))
+    monkeypatch.setattr(blocks, "SEARCH_STATES", 1)
+    for cached in (blocks._core_search, blocks.core_block_of, blocks.scopes_condition):
+        cached.cache_clear()
+    with pytest.raises(CapExceeded, match="visited over 1 states"):
+        core_block_of(mp, mc)
+    assert main(["core-block", "--e", "3", "--charge", "1,0,2", "--lambda", "[[1],[1],[1]]"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exchange search" in err and "Traceback" not in err
+    monkeypatch.undo()
+    assert core_block_of(mp, mc).core_multicore

@@ -7,7 +7,9 @@ data off the rows.  The beta-number codec (``phi``, ``to_multicore``,
 (``beta_set``, ``phi_beta_set``, ``partition_of``, ``AbacusDisplay``), the
 weight, and rim-hook stripping straight off the diagram.  Block
 enumeration, a join of per-component residue tables, is checked against
-grouping every multipartition of n by residue counts.
+grouping every multipartition of n by residue counts.  The level-matrix
+reads of a multicore (residue counts, weight, per-component hub) are
+checked against its decoded multipartition.
 """
 
 import random
@@ -20,6 +22,7 @@ from akblocks import (
     Caps,
     InputError,
     Multicharge,
+    Multicore,
     beta_set,
     block_containing,
     block_of,
@@ -37,9 +40,14 @@ from akblocks import (
     weight,
 )
 from akblocks import blocks, multipartition
+from akblocks.abacus import _exchange
+from akblocks.blocks import _hub_matrix, _level_counts, _level_hub_matrix, _level_weight, _moves
 from akblocks.verify import (
+    DEFAULT_GRID,
     _blocks_grouped,
     _classical_e_weight,
+    _columns,
+    _hub_columns,
     _node_hub_matrix,
     _node_residue_counts,
 )
@@ -202,3 +210,33 @@ def test_kernels_reject_level_mismatch_and_bad_residues():
         delta_ij(((1,), ()), mc, 0, 3)
     with pytest.raises(InputError):
         d_min(((1,), ()), mc, -1)
+
+
+def _reached_multicores():
+    """Per cell of the default grid, every multicore reached by sliding a
+    multipartition with n <= 8, and every exchange from one of those."""
+    for mc in DEFAULT_GRID.cells():
+        cores = {to_multicore(mp, mc)[0] for n in range(9) for mp in multipartitions_of(n, mc.r)}
+        reached = set(cores)
+        for m in cores:
+            reached.update(_exchange(m, *mv) for mv, _ in _moves(m))
+        yield mc, sorted(reached, key=lambda m: m.levels)
+
+
+def test_level_kernels_match_the_decoded_route_exhaustively():
+    """The exchange sweeps and core_block_of read residue counts, weight
+    and per-component hub off level matrices; each must equal its value
+    on the decoded multipartition, and a multicore the program built
+    must equal the validated one."""
+    seen = 0
+    for mc, reached in _reached_multicores():
+        for m in reached:
+            mp = m.to_multipartition()
+            assert _level_counts(m) == residue_counts(mp, mc)
+            assert _level_weight(m) == weight(mp, mc)
+            assert _level_hub_matrix(m) == _hub_matrix(mp, mc)
+            assert _columns(_level_hub_matrix(m)) == _hub_columns(mp, mc)
+            validated = Multicore(m.e, m.levels)
+            assert m == validated and hash(m) == hash(validated)
+            seen += 1
+    assert seen > 10_000

@@ -84,3 +84,21 @@ def test_run_all_looks_sweeps_up_by_name_when_it_runs(monkeypatch):
     results = run_all(TINY)
     assert results[at] is sentinel
     assert [res.lemma for res in results] == expected
+
+
+def test_orders_sweep_still_catches_an_intransitive_dominance(monkeypatch):
+    # check_orders reads dominates through a per-(r, n) table; a planted
+    # order that drops one consequence of transitivity must still fail
+    real = verify.dominates
+    a, b, c = ((4,), (), ()), ((3,), (1,), ()), ((2,), (1,), (1,))
+    assert real(a, b) and real(b, c) and real(a, c)
+    monkeypatch.setattr(verify, "dominates", lambda x, y: (x, y) != (a, c) and real(x, y))
+    grid = SweepGrid(max_n=4, levels=(3,), es=(2,))
+    results = {res.lemma: res for res in verify.check_orders(grid)}
+    partial = results["dominance_partial_order"]
+    assert not partial.ok
+    assert all(
+        v.startswith(f"transitivity fails at {a},") and v.endswith(f",{c}") for v in partial.violations
+    )
+    monkeypatch.undo()
+    assert all(res.ok for res in verify.check_orders(grid))
