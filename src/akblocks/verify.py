@@ -222,9 +222,9 @@ def check_orders(grid: SweepGrid, counts, lex_total, dom_partial, dom_lex, node_
                 dom_partial.count(dom[x][x], lambda mp=mp: f"not reflexive at {mp}")
             for x, y in combinations(range(len(multis)), 2):
                 a, b = multis[x], multis[y]
-                c = lex_cmp(a, b)
+                c, c_back = lex_cmp(a, b), lex_cmp(b, a)
                 lex_total.count(
-                    c != 0 and c == -lex_cmp(b, a),
+                    c != 0 and c == -c_back,
                     lambda a=a, b=b: f"trichotomy/antisymmetry fails for {a} vs {b}",
                 )
                 dab, dba = dom[x][y], dom[y][x]
@@ -234,12 +234,12 @@ def check_orders(grid: SweepGrid, counts, lex_total, dom_partial, dom_lex, node_
                 )
                 if dab:
                     dom_lex.count(
-                        lex_cmp(a, b) > 0,
+                        c > 0,
                         lambda a=a, b=b: f"{a} dominates {b} but is not lex-greater",
                     )
                 if dba:
                     dom_lex.count(
-                        lex_cmp(b, a) > 0,
+                        c_back > 0,
                         lambda a=a, b=b: f"{b} dominates {a} but is not lex-greater",
                     )
             if n <= 4:
@@ -481,23 +481,31 @@ def check_smoves(grid: SweepGrid, hub_inv, w_move, symmetry, inverse, g_shift):
     for mc in grid.cells():
         if mc.r == 1:
             continue
+        # hub and weight of each multicore's decoded multipartition, the
+        # reference route; many exchanges of a cell reach the same multicore
+        decoded: dict = {}
+
+        def hub_weight(x: Multicore) -> tuple:
+            if x not in decoded:
+                x_mp = x.to_multipartition()
+                decoded[x] = (hub(x_mp, mc), weight(x_mp, mc))
+            return decoded[x]
+
         for m in _grid_multicores(grid, mc):
-            mp0 = m.to_multipartition()
-            h0 = hub(mp0, mc)
-            w0 = weight(mp0, mc)
+            h0, w0 = hub_weight(m)
             shifted = Multicore(
                 m.e, (tuple(x + 1 for x in m.levels[0]),) + m.levels[1:]
             )
             for mv, _ in _moves(m):
                 g = gamma_diff(m, *mv)
                 nxt = s_move(m, *mv)
-                nxt_mp = nxt.to_multipartition()
+                h, w = hub_weight(nxt)
                 hub_inv.count(
-                    hub(nxt_mp, mc) == h0,
+                    h == h0,
                     lambda m=m, mv=mv: f"hub changed by move {mv} at levels {m.levels}",
                 )
                 w_move.count(
-                    weight(nxt_mp, mc) == w0 - mc.r * (g - 2),
+                    w == w0 - mc.r * (g - 2),
                     lambda m=m, mv=mv, g=g: f"weight law fails for move {mv} (gamma {g}) at {m.levels}",
                 )
                 i, l, j, k = mv

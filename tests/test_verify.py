@@ -102,3 +102,20 @@ def test_orders_sweep_still_catches_an_intransitive_dominance(monkeypatch):
     )
     monkeypatch.undo()
     assert all(res.ok for res in verify.check_orders(grid))
+
+
+def test_exchange_sweep_still_checks_every_move(monkeypatch):
+    # check_smoves decodes each multicore once per cell; a wrong reference
+    # weight for one exchanged multicore must still fail every move onto it
+    grid = SweepGrid(max_n=3, levels=(2,), es=(3,))
+    mc = next(grid.cells())
+    m = verify._grid_multicores(grid, mc)[0]
+    (mv, _), *_ = verify._moves(m)
+    target = verify.s_move(m, *mv).to_multipartition()
+    real = verify.weight
+    monkeypatch.setattr(verify, "weight", lambda mp, charge: real(mp, charge) + (mp == target))
+    results = {res.lemma: res for res in verify.check_smoves(grid)}
+    law = results["weight_move_formula"]
+    assert not law.ok and f"move {mv} " in law.violations[0]
+    monkeypatch.undo()
+    assert all(res.ok for res in verify.check_smoves(grid))
