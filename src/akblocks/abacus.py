@@ -21,7 +21,8 @@ from .multipartition import (
     Multipartition,
     Partition,
     _check_level,
-    _signatures,
+    _is_int,
+    _signature,
     as_partition,
 )
 
@@ -62,10 +63,10 @@ class BetaSet:
     delta: frozenset
 
     def __post_init__(self):
-        if not isinstance(self.charge, int):
+        if not _is_int(self.charge):
             raise InputError(f"charge must be an integer, got {self.charge!r}")
         d = frozenset(self.delta)
-        if not all(isinstance(p, int) for p in d):
+        if not all(_is_int(p) for p in d):
             raise InputError("beta-set perturbation must contain integers")
         removed = sum(1 for p in d if p < self.charge)
         added = len(d) - removed
@@ -74,6 +75,14 @@ class BetaSet:
                 f"unbalanced beta-set: {removed} beads removed vs {added} added relative to charge {self.charge}"
             )
         object.__setattr__(self, "delta", d)
+
+    @classmethod
+    def _trusted(cls, charge: int, delta: frozenset) -> "BetaSet":
+        """A beta-set from a balanced frozenset of integers the program built itself, unchecked."""
+        bs = object.__new__(cls)
+        object.__setattr__(bs, "charge", charge)
+        object.__setattr__(bs, "delta", delta)
+        return bs
 
     def __contains__(self, p: int) -> bool:
         return (p < self.charge) != (p in self.delta)
@@ -106,10 +115,12 @@ class BetaSet:
 
 def beta_set(partition: Partition, charge: int) -> BetaSet:
     """Beta-set of a partition: {part_k + charge - k} padded by the vacuum."""
+    if type(charge) is not int:
+        raise InputError(f"charge must be an integer, got {charge!r}")
     parts = as_partition(partition)
     top = {w + charge - k for k, w in enumerate(parts, 1)}
     vac = set(range(charge - len(parts), charge))
-    return BetaSet(charge, frozenset(top ^ vac))
+    return BetaSet._trusted(charge, frozenset(top ^ vac))  # bead k moved up from charge - k: balanced
 
 
 def _decode(betas: list, charge: int) -> Partition:
@@ -138,7 +149,7 @@ class AbacusDisplay:
     components: tuple
 
     def __post_init__(self):
-        if not isinstance(self.e, int) or self.e < 2:
+        if not _is_int(self.e) or self.e < 2:
             raise InputError(f"e must be an integer >= 2, got {self.e!r}")
         comps = tuple(self.components)
         if not comps or not all(isinstance(c, BetaSet) for c in comps):
@@ -163,9 +174,9 @@ class AbacusDisplay:
 
     def lowest_level(self, i: int, j: int) -> int:
         """Level of the lowest bead on runner i of component j (1-based j)."""
-        if not isinstance(i, int) or not 0 <= i < self.e:
+        if not _is_int(i) or not 0 <= i < self.e:
             raise InputError(f"runner index {i} out of range 0..{self.e - 1}")
-        if not 1 <= j <= self.r:
+        if not _is_int(j) or not 1 <= j <= self.r:
             raise InputError(f"component index {j} out of range 1..{self.r}")
         bs = self.components[j - 1]
         beads = [p for p in bs.beads_down_to(bs.min_gap() - self.e) if p % self.e == i]
@@ -206,8 +217,8 @@ class AbacusDisplay:
                 beads = set(entry["beads_above_cutoff"])
             except (TypeError, KeyError) as exc:
                 raise InputError(f"bad abacus component entry: {entry!r}") from exc
-            if not all(isinstance(p, int) and p >= cutoff for p in beads):
-                raise InputError("beads_above_cutoff must be integers >= cutoff")
+            if not (_is_int(a) and _is_int(cutoff) and all(_is_int(p) and p >= cutoff for p in beads)):
+                raise InputError("charge, cutoff and beads_above_cutoff must be integers, the beads >= cutoff")
             comps.append(_beta_from_beads(a, cutoff, beads))
         return cls(obj["e"], tuple(comps))
 
@@ -232,19 +243,18 @@ class Multicore:
     levels: tuple
 
     def __post_init__(self):
-        if not isinstance(self.e, int) or self.e < 2:
+        if not _is_int(self.e) or self.e < 2:
             raise InputError(f"e must be an integer >= 2, got {self.e!r}")
         rows = tuple(tuple(row) for row in self.levels)
         if not rows or any(len(row) != self.e for row in rows):
             raise InputError(f"levels must be rows of length e={self.e}")
-        if not all(isinstance(x, int) for row in rows for x in row):
+        if not all(_is_int(x) for row in rows for x in row):
             raise InputError("levels must be integers")
         object.__setattr__(self, "levels", rows)
 
     @classmethod
     def _trusted(cls, e: int, rows: tuple) -> "Multicore":
-        """A multicore from rows the program built itself (a tuple of
-        e-tuples of integers), without the checks of ``__post_init__``."""
+        """A multicore from e-tuples of integers the program built itself, unchecked."""
         m = object.__new__(cls)
         object.__setattr__(m, "e", e)
         object.__setattr__(m, "levels", rows)
@@ -319,10 +329,10 @@ def s_move(m: Multicore, i: int, l: int, j: int, k: int) -> Multicore:
     """
     e, r = m.e, m.r
     for idx in (i, l):
-        if not isinstance(idx, int) or not 0 <= idx < e:
+        if type(idx) is not int or not 0 <= idx < e:
             raise InputError(f"runner index {idx} out of range 0..{e - 1}")
     for idx in (j, k):
-        if not isinstance(idx, int) or not 1 <= idx <= r:
+        if type(idx) is not int or not 1 <= idx <= r:
             raise InputError(f"component index {idx} out of range 1..{r}")
     if i == l or j == k:
         raise InputError("bead exchange needs two distinct runners and two distinct components")
@@ -343,10 +353,10 @@ def _exchange(m: Multicore, i: int, l: int, j: int, k: int) -> Multicore:
 
 def gamma(m: Multicore, i: int, j: int, k: int) -> int:
     """Level difference of runner i between components j and k."""
-    if not 0 <= i < m.e:
+    if type(i) is not int or not 0 <= i < m.e:
         raise InputError(f"runner index {i} out of range 0..{m.e - 1}")
     r = m.r
-    if not (1 <= j <= r and 1 <= k <= r):
+    if not (type(j) is int and type(k) is int and 1 <= j <= r and 1 <= k <= r):
         raise InputError(f"component indices {j},{k} out of range 1..{r}")
     return m.levels[j - 1][i] - m.levels[k - 1][i]
 
@@ -385,12 +395,12 @@ def phi(mp: Multipartition, charge: Multicharge, i: int) -> Multipartition:
     Read off the i-signature; on beta-sets this is ``phi_beta_set``, the swap
     of runners (i-1) mod e and i.
     """
-    if not isinstance(i, int) or not 0 <= i < charge.e:
+    if type(i) is not int or not 0 <= i < charge.e:
         raise InputError(f"residue {i} out of range 0..{charge.e - 1}")
     _check_level(mp, charge)
     mp = tuple(as_partition(c) for c in mp)
     rows = [[*c, 0] for c in mp]
-    for nd, sign in _signatures(mp, charge)[i]:
+    for nd, sign in _signature(mp, charge, i):
         rows[nd.comp - 1][nd.row - 1] += sign
     return tuple(tuple(filter(None, row)) for row in rows)
 
@@ -402,7 +412,7 @@ def has_forbidden_config(mp: Multipartition, charge: Multicharge, i: int) -> boo
     empty.  For i == 0: some bead b with b = e-1 (mod e) such that both
     b+1 and b+e+1 are empty.
     """
-    if not isinstance(i, int) or not 0 <= i < charge.e:
+    if not _is_int(i) or not 0 <= i < charge.e:
         raise InputError(f"residue {i} out of range 0..{charge.e - 1}")
     e = charge.e
     target = (i - 1) % e
@@ -434,7 +444,7 @@ def render(display: AbacusDisplay, window: tuple | None = None) -> str:
         lo, hi = lo0, hi0
     else:
         lo, hi = window
-        if not (isinstance(lo, int) and isinstance(hi, int) and lo <= hi):
+        if not (_is_int(lo) and _is_int(hi) and lo <= hi):
             raise InputError(f"window must be a pair of levels lo <= hi, got {window!r}")
         if lo > lo0 + 1 or hi < hi0 - 1:
             raise InputError(

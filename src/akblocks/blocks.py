@@ -9,11 +9,11 @@ carry the K invariant that feeds the runner-swap condition.
 
 Block enumeration never lists all multipartitions of n.  A block's
 residue counts are the sum of its components' counts, and each of those
-depends on one partition and one charge mod e.  So per charge residue and
-size the partitions are tabled once by residue counts, and a block is a
-join of these tables: ``block_containing`` splits the target counts over
-the components, ``enumerate_blocks`` groups every composition of n by
-summed counts.
+depends on one partition and one charge mod e.  So per charge residue the
+partitions of every size up to n are tabled by residue counts in one
+walk, and a block is a join of these tables: ``block_containing`` splits
+the target counts over the components, ``enumerate_blocks`` groups every
+composition of n by summed counts.
 """
 
 from collections import deque
@@ -29,7 +29,6 @@ from .multipartition import (
     Multicharge,
     Multipartition,
     _check_level,
-    partitions_of,
     residue_counts,
     size,
 )
@@ -264,17 +263,30 @@ def same_block(lam: Multipartition, mu: Multipartition, charge: Multicharge) -> 
     return residue_counts(lam, charge) == residue_counts(mu, charge)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _component_table(s: int, e: int, a: int) -> dict:
-    """The partitions of s keyed by residue counts in a component of charge
-    residue a (0 <= a < e, an entry of ``Multicharge.kappa``), each list
-    lex-descending.  Keyed by size and residue, so blocks of different
-    sizes, and charges equal mod e, share their tables."""
-    charge = Multicharge(e, (a,))
-    table: dict = {}
-    for p in partitions_of(s):
-        table.setdefault(residue_counts((p,), charge), []).append(p)
-    return {key: tuple(parts) for key, parts in table.items()}
+_WALKS: dict = {}  # (e, a) -> the tables of the largest walk made there, which serve every smaller top
+
+
+def _component_tables(top: int, e: int, a: int) -> tuple:
+    """Per size s up to at least top, the partitions of s keyed by residue
+    counts at charge residue a (an entry of ``Multicharge.kappa``), each
+    list lex-descending: one depth-first walk appends rows widest first,
+    row b growing by one node of residue a - b + w at a time."""
+    if len(_WALKS.get((e, a), ())) > top:
+        return _WALKS[e, a]
+    tables = [{} for _ in range(top + 1)]
+    stack = [((), (0,) * e, 0)]
+    while stack:
+        parts, counts, s = stack.pop()
+        tables[s].setdefault(counts, []).append(parts)
+        b = len(parts) + 1
+        row = list(counts)
+        for w in range(1, min(parts[-1] if parts else top, top - s) + 1):  # the widest pops first
+            row[(a - b + w) % e] += 1
+            stack.append((parts + (w,), tuple(row), s + w))
+    if len(_WALKS) >= CACHE_SIZE:
+        _WALKS.clear()
+    _WALKS[e, a] = tuple({key: tuple(ps) for key, ps in table.items()} for table in tables)
+    return _WALKS[e, a]
 
 
 def _split(target: tuple, e: int, kappa: tuple) -> list:
@@ -282,17 +294,18 @@ def _split(target: tuple, e: int, kappa: tuple) -> list:
     key per component, as one partition list per component: components
     1..r-1 take keys that leave no count negative, and the last
     component's key is what remains."""
+    tables = [_component_tables(sum(target), e, a) for a in kappa]
     states = [((), target)]
-    for a in kappa[:-1]:
+    for table in tables[:-1]:
         nxt = []
         for lists, rem in states:
             for s in range(sum(rem) + 1):
-                for key, parts in _component_table(s, e, a).items():
+                for key, parts in table[s].items():
                     left = tuple(map(sub, rem, key))
                     if min(left) >= 0:
                         nxt.append((lists + (parts,), left))
         states = nxt
-    last = ((lists, _component_table(sum(rem), e, kappa[-1]).get(rem)) for lists, rem in states)
+    last = ((lists, tables[-1][sum(rem)].get(rem)) for lists, rem in states)
     return [lists + (parts,) for lists, parts in last if parts]
 
 
@@ -308,12 +321,12 @@ def _blocks_joined(n: int, e: int, kappa: tuple) -> tuple:
     the table entries of every composition of n, grouped by summed key."""
     sums: dict = {(0,) * e: [()]}
     last = len(kappa) - 1
-    for j, a in enumerate(kappa):
+    for j, tables in enumerate(_component_tables(n, e, a) for a in kappa):
         nxt: dict = {}
         for total, splits in sums.items():
             left = n - sum(total)
             for s in (left,) if j == last else range(left + 1):
-                for key, parts in _component_table(s, e, a).items():
+                for key, parts in tables[s].items():
                     acc = nxt.setdefault(tuple(map(sum, zip(total, key))), [])
                     acc.extend(lists + (parts,) for lists in splits)
         sums = nxt
@@ -328,6 +341,12 @@ def enumerate_blocks(n: int, charge: Multicharge, caps: Caps | None = None) -> t
     caps.check_n(n)
     caps.check_r(charge.r)
     caps.check_e(charge.e)
+    return _blocks(n, charge)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _blocks(n: int, charge: Multicharge) -> tuple:
+    """``enumerate_blocks`` past its caps checks, each descriptor built once."""
     return tuple(
         Block(descriptor=block_of(members[-1], charge), charge=charge, members=members)
         for members in _blocks_joined(n, charge.e, charge.kappa)

@@ -25,7 +25,7 @@ from .multipartition import (
     Multipartition,
     Node,
     _check_level,
-    _signatures,
+    _signature,
     addable_nodes,
     remove_node,
     add_node,
@@ -183,7 +183,7 @@ def _degree(mp: Multipartition, charge: Multicharge, nd: Node, sign: int) -> int
     (sign +1): a partial sum of the node's i-signature.  InputError when nd
     is not a node of that kind.
     """
-    word = _signatures(mp, charge)[residue(nd, charge)]
+    word = _signature(mp, charge, residue(nd, charge))
     if (nd, sign) not in word:
         raise InputError(f"{nd} is not a {_KIND[sign]} node of {mp}")
     k = word.index((nd, sign))
@@ -239,7 +239,7 @@ def _removal_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps
             f"the weight condition fails at residue {i}: "
             f"w(B)={report.w_b} > w(C)+K*r={report.w_c}+{report.k}*{charge.r}"
         )
-    word = _signatures(mp, charge)[i]
+    word = _signature(mp, charge, i)
     stray = [nd for nd, s in word if s > 0]
     if stray:
         raise LemmaViolation(
@@ -255,13 +255,13 @@ def _removal_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps
     return rems
 
 
-def _swap_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps):
+def _swap_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps, report=None):
     """What every order of one (mp, i) walks: the ascending removable
     i-nodes of mp, its runner-swap image, and the image's addable i-nodes,
-    highest first."""
-    ascending = _removal_context(mp, charge, i, caps)
+    highest first.  ``report`` is as for ``_removal_context``."""
+    ascending = _removal_context(mp, charge, i, caps, report)
     image = phi(mp, charge, i)
-    return ascending, image, [nd for nd, s in _signatures(image, charge)[i] if s > 0]
+    return ascending, image, [nd for nd, s in _signature(image, charge, i) if s > 0]
 
 
 def _walk(charge: Multicharge, start, nds, sign: int, sigma, end, what: str, steps=None) -> int:

@@ -7,7 +7,7 @@ component.  Residues live in Z/eZ and depend on a multicharge.
 """
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, repeat, zip_longest
 from typing import Iterable, NamedTuple
 
 from .errors import InputError
@@ -103,9 +103,9 @@ def as_partition(parts: Iterable) -> Partition:
     """
     seq = tuple(parts)
     for x in seq:
-        if not _is_int(x) or x < 0:
+        if not (type(x) is int or _is_int(x)) or x < 0:
             raise InputError(f"partition parts must be nonnegative integers, got {x!r}")
-    if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
+    if any(a < b for a, b in zip(seq, seq[1:])):
         raise InputError(f"partition parts must be weakly decreasing, got {seq!r}")
     while seq and seq[-1] == 0:
         seq = seq[:-1]
@@ -139,7 +139,7 @@ def multipartition_to_json(mp: Multipartition) -> dict:
 
 
 def size(mp: Multipartition) -> int:
-    return sum(sum(c) for c in mp)
+    return sum(map(sum, mp))
 
 
 def nodes(mp: Multipartition):
@@ -183,13 +183,23 @@ def addable_nodes(mp: Multipartition):
     return [nd for nd, sign in _row_ends(mp) if sign > 0]
 
 
-def _signatures(mp: Multipartition, charge: Multicharge) -> list:
-    """Per residue i, the i-signature: the addable (+1) and removable (-1)
-    i-nodes as (node, sign) pairs, highest first."""
+def _signature(mp: Multipartition, charge: Multicharge, i: int) -> list:
+    """The i-signature: the addable (+1) and removable (-1) i-nodes as
+    (node, sign) pairs, highest first.  The row ends of ``_row_ends``, but
+    only of residue i: row b of width w (charge a) ends at a + w - b, and
+    the empty row past the last one has residue a - rows."""
     _check_level(mp, charge)
-    out = [[] for _ in range(charge.e)]
-    for nd, sign in _row_ends(mp):
-        out[(charge.entries[nd.comp - 1] + nd.col - nd.row) % charge.e].append((nd, sign))
+    e = charge.e
+    out = []
+    for j, (a, comp) in enumerate(zip(charge.entries, mp), start=1):
+        for b, w in enumerate(comp, start=1):
+            end = (a + w - b - i) % e  # 0 at a removable i-node, e - 1 at an addable one
+            if end == e - 1 and (b == 1 or comp[b - 2] > w):
+                out.append((Node(b, w + 1, j), 1))
+            if end == 0 and w > (comp[b] if b < len(comp) else 0):
+                out.append((Node(b, w, j), -1))
+        if (a - len(comp) - i) % e == 0:
+            out.append((Node(len(comp) + 1, 1, j), 1))
     return out
 
 
@@ -286,15 +296,13 @@ def dominates(lam: Multipartition, mu: Multipartition) -> bool:
         raise InputError("dominance needs equal numbers of components")
     if size(lam) != size(mu):
         raise InputError("dominance is only defined between multipartitions of the same size")
-    acc_l = acc_m = 0
+    run_l = run_m = 0
     for lj, mj in zip(lam, mu):
-        run_l, run_m = acc_l, acc_m
-        for b in range(max(len(lj), len(mj))):
-            run_l += lj[b] if b < len(lj) else 0
-            run_m += mj[b] if b < len(mj) else 0
+        for x, y in zip_longest(lj, mj, fillvalue=0):
+            run_l += x
+            run_m += y
             if run_l < run_m:
                 return False
-        acc_l, acc_m = run_l, run_m
     return True
 
 

@@ -28,7 +28,7 @@ from .multipartition import (
     Multicharge,
     Multipartition,
     _check_level,
-    _signatures,
+    _signature,
     multipartition_from_json,
     multipartition_to_json,
     remove_node,
@@ -95,26 +95,27 @@ def _lex_violations(pairs) -> tuple:
 # good nodes and Kleshchev multipartitions
 
 
-def good_nodes(mp: Multipartition, charge: Multicharge) -> tuple:
-    """The good node of each residue, where one exists, ordered by residue.
-
-    Per residue: read the i-signature from highest to lowest node, cancel
-    each removable immediately followed (in the surviving word) by an
-    addable, and take the highest surviving removable.
-    """
-    out = []
-    for word in _signatures(mp, charge):
+def _good_nodes(mp: Multipartition, charge: Multicharge):
+    """Yield the good node of each residue that has one, by residue: read
+    the i-signature highest first, cancel each removable immediately
+    followed (in the surviving word) by an addable, and take the highest
+    surviving removable."""
+    for i in range(charge.e):
         stack = []
-        for nd, sign in word:
+        for nd, sign in _signature(mp, charge, i):
             if sign > 0 and stack and stack[-1][1] < 0:
                 stack.pop()
             else:
                 stack.append((nd, sign))
         for nd, sign in stack:
             if sign < 0:
-                out.append(nd)
+                yield nd
                 break
-    return tuple(out)
+
+
+def good_nodes(mp: Multipartition, charge: Multicharge) -> tuple:
+    """The good node of each residue, where one exists, ordered by residue."""
+    return tuple(_good_nodes(mp, charge))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -126,12 +127,11 @@ def is_kleshchev(mp: Multipartition, charge: Multicharge) -> bool:
     """
     _check_level(mp, charge)
     while size(mp):
-        good = good_nodes(mp, charge)
-        if not good:
+        # any good node works: take the one of smallest residue, found first
+        good = next(_good_nodes(mp, charge), None)
+        if good is None:
             return False
-        # any good node works; removing the one of smallest residue is a
-        # deterministic choice
-        mp = remove_node(mp, good[0])
+        mp = remove_node(mp, good)
     return True
 
 
@@ -262,7 +262,7 @@ def certificate(block: Block, i: int, caps: Caps | None = None) -> ScopesCertifi
         )
         stamp(
             "no_addable_under_condition",
-            all(sign < 0 for _, sign in _signatures(mp, charge)[i]),
+            all(sign < 0 for _, sign in _signature(mp, charge, i)),
             f"{mp} has an addable {i}-node despite the weight condition",
         )
 

@@ -184,7 +184,7 @@ def _caps_for(grid: SweepGrid) -> Caps:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # the default grid reads 21 (n, r) pairs
 def _multis(n: int, r: int) -> tuple:
     return tuple(multipartitions_of(n, r))
 
@@ -407,32 +407,32 @@ def check_weights(grid: SweepGrid, core_law, fixpoint, bridge, same_hub, classic
     for mc in grid.cells():
         e, r = mc.e, mc.r
         hub_index: dict = {}
+        cores: dict = {}  # core levels -> (weight, fixed point?); a third of a cell's multipartitions
         for n in range(grid.max_n + 1):
             for mp in _multis(n, r):
                 core, hooks = to_multicore(mp, mc)
-                core_mp = core.to_multipartition()
+                if core.levels not in cores:
+                    core_mp = core.to_multipartition()
+                    again, hooks2 = to_multicore(core_mp, mc)
+                    disp = AbacusDisplay.from_multipartition(core_mp, mc)
+                    cores[core.levels] = (weight(core_mp, mc), hooks2 == 0 and again == core and disp.is_multicore())
+                wc, fixed = cores[core.levels]
                 w = weight(mp, mc)
-                wc = weight(core_mp, mc)
                 core_law.count(
                     w == wc + r * hooks,
                     lambda mp=mp, w=w, wc=wc, hooks=hooks: f"{mp}: w={w}, core w={wc}, hooks={hooks}",
                 )
-                again, hooks2 = to_multicore(core_mp, mc)
-                fixpoint.count(
-                    hooks2 == 0
-                    and again == core
-                    and AbacusDisplay.from_multipartition(core_mp, mc).is_multicore(),
-                    lambda mp=mp: f"core of {mp} is not a fixed point",
-                )
+                fixpoint.count(fixed, lambda mp=mp: f"core of {mp} is not a fixed point")
+                h = hub(mp, mc)
                 if hooks == 0:
-                    ok = level_hub(core) == hub(mp, mc) and all(
+                    ok = level_hub(core) == h and all(
                         delta_ij(mp, mc, i, j)
                         == core.levels[j - 1][i] - core.levels[j - 1][i - 1] - (1 if i == 0 else 0)
                         for j in range(1, r + 1)
                         for i in range(e)
                     )
                     bridge.count(ok, lambda mp=mp: f"level/hub bridge fails for multicore {mp}")
-                hub_index.setdefault(hub(mp, mc), set()).add((n, w))
+                hub_index.setdefault(h, set()).add((n, w))
         for h, pairs in hub_index.items():
             for (n1, w1), (n2, w2) in combinations(sorted(pairs), 2):
                 same_hub.count(
@@ -481,23 +481,23 @@ def check_smoves(grid: SweepGrid, hub_inv, w_move, symmetry, inverse, g_shift):
     for mc in grid.cells():
         if mc.r == 1:
             continue
-        # hub and weight of each multicore's decoded multipartition, the
-        # reference route; many exchanges of a cell reach the same multicore
+        # hub and weight of each multicore's decoded multipartition (the reference
+        # route) by levels; many exchanges of a cell reach the same multicore
         decoded: dict = {}
 
         def hub_weight(x: Multicore) -> tuple:
-            if x not in decoded:
+            got = decoded.get(x.levels)
+            if got is None:
                 x_mp = x.to_multipartition()
-                decoded[x] = (hub(x_mp, mc), weight(x_mp, mc))
-            return decoded[x]
+                got = decoded[x.levels] = (hub(x_mp, mc), weight(x_mp, mc))
+            return got
 
         for m in _grid_multicores(grid, mc):
             h0, w0 = hub_weight(m)
             shifted = Multicore(
                 m.e, (tuple(x + 1 for x in m.levels[0]),) + m.levels[1:]
             )
-            for mv, _ in _moves(m):
-                g = gamma_diff(m, *mv)
+            for mv, g in _moves(m):
                 nxt = s_move(m, *mv)
                 h, w = hub_weight(nxt)
                 hub_inv.count(
@@ -683,6 +683,7 @@ def check_phi(grid: SweepGrid, involution, beta_image, size_shift):
         for n in range(grid.max_n + 1):
             for mp in _multis(n, mc.r):
                 h = hub(mp, mc)
+                sources = [beta_set(comp, a) for comp, a in zip(mp, mc.entries)]
                 for i in range(e):
                     img = phi(mp, mc, i)
                     involution.count(
@@ -695,9 +696,8 @@ def check_phi(grid: SweepGrid, involution, beta_image, size_shift):
                     )
                     beta_image.count(
                         all(
-                            phi_beta_set(beta_set(comp, a), i, e)
-                            == beta_set(img_comp, a)
-                            for comp, img_comp, a in zip(mp, img, mc.entries)
+                            phi_beta_set(bs, i, e) == beta_set(img_comp, a)
+                            for bs, img_comp, a in zip(sources, img, mc.entries)
                         ),
                         lambda mp=mp, i=i: f"beta image mismatch for {mp} at i={i}",
                     )
@@ -707,14 +707,14 @@ def check_phi(grid: SweepGrid, involution, beta_image, size_shift):
 # branching under the weight condition
 
 
-def _condition_blocks(grid: SweepGrid, mc: Multicharge, caps: Caps):
-    """Yield (block, i, delta) with the weight condition and delta_i >= 0."""
-    for n in range(grid.branch_n + 1):
-        for blk in enumerate_blocks(n, mc, caps):
-            for i in range(mc.e):
-                report = scopes_condition(blk.lex_least, mc, i)
-                if report.holds and report.delta >= 0:
-                    yield blk, i, report.delta
+@lru_cache(maxsize=64)  # the branching and pairing sweeps share one per cell
+def _condition_blocks(grid: SweepGrid, mc: Multicharge) -> tuple:
+    """(block, i, report) for each block with the weight condition and delta_i >= 0."""
+    found = (
+        (blk, i, scopes_condition(blk.lex_least, mc, i))
+        for n in range(grid.branch_n + 1) for blk in enumerate_blocks(n, mc, _caps_for(grid)) for i in range(mc.e)
+    )
+    return tuple((blk, i, rep) for blk, i, rep in found if rep.holds and rep.delta >= 0)
 
 
 @_sweep("branching_degree_law", "branching_well_defined", "branching_spectrum",
@@ -723,7 +723,8 @@ def check_branching(grid: SweepGrid, degree_law, well_defined, spectrum, inducti
                     no_addable, no_config):
     caps = _caps_for(grid)
     for mc in grid.cells():
-        for blk, i, delta in _condition_blocks(grid, mc, caps):
+        for blk, i, report in _condition_blocks(grid, mc):
+            delta = report.delta
             if delta > grid.max_delta:
                 continue
             ell = delta * (delta - 1) // 2
@@ -740,15 +741,16 @@ def check_branching(grid: SweepGrid, degree_law, well_defined, spectrum, inducti
                 poly = LaurentPolynomial.zero()
                 ipoly = LaurentPolynomial.zero()
                 orders = list(permutations(range(1, delta + 1)))
+                down, up = {}, {}  # steps shared by the orders of (mp, i), as in branching_polynomial
                 try:
-                    ascending, image, adds = _swap_context(mp, mc, i, caps)
+                    ascending, image, adds = _swap_context(mp, mc, i, caps, report)
                 except LemmaViolation as exc:  # fails every order: count each one
                     for _ in orders:
                         well_defined.count(False, str(exc))
                     orders = []
                 for sigma in orders:
                     try:
-                        d = _walk(mc, mp, ascending, -1, sigma, image, f"stripping {mp}")
+                        d = _walk(mc, mp, ascending, -1, sigma, image, f"stripping {mp}", down)
                         well_defined.count(True)
                     except LemmaViolation as exc:
                         well_defined.count(False, str(exc))
@@ -761,7 +763,7 @@ def check_branching(grid: SweepGrid, degree_law, well_defined, spectrum, inducti
                     )
                     poly = poly + LaurentPolynomial.monomial(d)
                     try:
-                        di = _walk(mc, image, adds, 1, sigma, mp, f"rebuilding {mp}")
+                        di = _walk(mc, image, adds, 1, sigma, mp, f"rebuilding {mp}", up)
                         well_defined.count(True)
                     except LemmaViolation as exc:
                         well_defined.count(False, str(exc))
@@ -795,6 +797,7 @@ def check_scopes_maps(grid: SweepGrid, bijection, weight_pres, lex_pres, kle_pre
     for mc in grid.cells():
         for n in range(grid.max_n + 1):
             for blk in enumerate_blocks(n, mc, caps):
+                weights = [weight(mp, mc) for mp in blk.members]
                 for i in range(mc.e):
                     pairs = scopes_pairing(blk, i)
                     images = [img for _, img in pairs]
@@ -807,12 +810,12 @@ def check_scopes_maps(grid: SweepGrid, bijection, weight_pres, lex_pres, kle_pre
                         ),
                     )
                     weight_pres.count(
-                        all(weight(img, mc) == weight(src, mc) for src, img in pairs),
+                        all(weight(img, mc) == w for (_, img), w in zip(pairs, weights)),
                         lambda blk=blk, i=i: (
                             f"weight not preserved on block of {blk.lex_least} at i={i}"
                         ),
                     )
-        for blk, i, _delta in _condition_blocks(grid, mc, caps):
+        for blk, i, _ in _condition_blocks(grid, mc):
             lex_pres.count(
                 verify_lex_preserved(blk, i).holds,
                 lambda blk=blk, i=i: (

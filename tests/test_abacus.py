@@ -257,3 +257,44 @@ def test_built_multicores_keep_outside_checks(build):
     m = Multicore(3, ((0, 0, 0), (0, 0, 0)))
     with pytest.raises(InputError):
         build(m)
+
+
+def _json_display(charge, cutoff, beads):
+    return {"e": 3, "components": [{"charge": charge, "cutoff": cutoff, "beads_above_cutoff": beads}]}
+
+
+_M = Multicore(3, ((1, 0, 0), (0, 0, 0)))
+_VACUUM = AbacusDisplay.from_multipartition(((),), Multicharge(3, (0,)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: BetaSet(True, frozenset()), id="BetaSet bool charge"),
+        pytest.param(lambda: BetaSet(0, frozenset({True, -1})), id="BetaSet bool in delta"),
+        pytest.param(lambda: beta_set((1,), True), id="beta_set bool charge"),
+        pytest.param(lambda: beta_set((1,), 1.0), id="beta_set float charge"),
+        pytest.param(lambda: _VACUUM.lowest_level(True, 1), id="lowest_level bool runner"),
+        pytest.param(lambda: _VACUUM.lowest_level(0, True), id="lowest_level bool component"),
+        pytest.param(lambda: Multicore(3, ((True, 0, 0),)), id="Multicore bool level"),
+        pytest.param(lambda: s_move(_M, True, 0, 1, 2), id="s_move bool runner"),
+        pytest.param(lambda: s_move(_M, 0, 1, True, 2), id="s_move bool component"),
+        pytest.param(lambda: gamma(_M, True, 1, 2), id="gamma bool runner"),
+        pytest.param(lambda: gamma(_M, 0.5, 1, 2), id="gamma float runner"),
+        pytest.param(lambda: gamma(_M, 0, True, 2), id="gamma bool component"),
+        pytest.param(lambda: phi(((1,),), Multicharge(3, (0,)), True), id="phi bool residue"),
+        pytest.param(
+            lambda: has_forbidden_config(((1,),), Multicharge(3, (0,)), True), id="forbidden bool residue"
+        ),
+        pytest.param(lambda: render(_VACUUM, (False, True)), id="render bool window"),
+        pytest.param(lambda: AbacusDisplay.from_json(_json_display(2, "x", [])), id="from_json str cutoff"),
+        pytest.param(lambda: AbacusDisplay.from_json(_json_display(True, 0, [0])), id="from_json bool charge"),
+        pytest.param(lambda: AbacusDisplay.from_json(_json_display(0, False, [])), id="from_json bool cutoff"),
+        pytest.param(lambda: AbacusDisplay.from_json(_json_display(1, 0, [True])), id="from_json bool bead"),
+    ],
+)
+def test_abacus_entry_points_reject_values_that_only_look_like_integers(build):
+    # JSON true and 1.0 must not pass as integers, and a bad field is an
+    # InputError, not a TypeError from deeper down
+    with pytest.raises(InputError):
+        build()

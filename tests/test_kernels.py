@@ -7,9 +7,12 @@ data off the rows.  The beta-number codec (``phi``, ``to_multicore``,
 (``beta_set``, ``phi_beta_set``, ``partition_of``, ``AbacusDisplay``), the
 weight, and rim-hook stripping straight off the diagram.  Block
 enumeration, a join of per-component residue tables, is checked against
-grouping every multipartition of n by residue counts.  The level-matrix
-reads of a multicore (residue counts, weight, per-component hub) are
-checked against its decoded multipartition.
+grouping every multipartition of n by residue counts, and the tables,
+one walk per charge residue, against tabling ``partitions_of`` by
+``residue_counts``.  The level-matrix reads of a multicore (residue
+counts, weight, per-component hub) are checked against its decoded
+multipartition.  The one-residue signature is checked against the row
+ends, and good nodes against cancelling node lists one pair at a time.
 """
 
 import random
@@ -32,6 +35,7 @@ from akblocks import (
     hub,
     multipartitions_of,
     partition_of,
+    partitions_of,
     phi,
     phi_beta_set,
     residue_counts,
@@ -42,6 +46,8 @@ from akblocks import (
 from akblocks import blocks, multipartition
 from akblocks.abacus import _exchange
 from akblocks.blocks import _hub_matrix, _level_counts, _level_hub_matrix, _level_weight, _moves
+from akblocks.multipartition import _row_ends, _signature, removable_nodes, residue
+from akblocks.scopes import good_nodes
 from akblocks.verify import (
     DEFAULT_GRID,
     _blocks_grouped,
@@ -240,3 +246,50 @@ def test_level_kernels_match_the_decoded_route_exhaustively():
             assert m == validated and hash(m) == hash(validated)
             seen += 1
     assert seen > 10_000
+
+
+def _reference_good_nodes(mp, mc: Multicharge) -> tuple:
+    """Per residue, the i-nodes from the node lists, highest first, with
+    adjacent (removable, addable) pairs deleted until none is left; the
+    highest removable that survives is good."""
+    nds = [(nd, -1) for nd in removable_nodes(mp)] + [(nd, 1) for nd in multipartition.addable_nodes(mp)]
+    out = []
+    for i in range(mc.e):
+        word = sorted(((nd, s) for nd, s in nds if residue(nd, mc) == i), key=lambda x: (x[0].comp, x[0].row))
+        while True:
+            pair = next((k for k in range(len(word) - 1) if word[k][1] < 0 < word[k + 1][1]), None)
+            if pair is None:
+                break
+            del word[pair : pair + 2]
+        good = next((nd for nd, s in word if s < 0), None)
+        if good is not None:
+            out.append(good)
+    return tuple(out)
+
+
+def test_one_residue_signature_and_good_nodes_match_references():
+    for mc in DEFAULT_GRID.cells():
+        for n in range(7):
+            for mp in multipartitions_of(n, mc.r):
+                ends = _row_ends(mp)
+                for i in range(mc.e):
+                    assert _signature(mp, mc, i) == [(nd, s) for nd, s in ends if residue(nd, mc) == i]
+                assert good_nodes(mp, mc) == _reference_good_nodes(mp, mc)
+
+
+def test_residue_tables_match_tabling_every_partition():
+    """One walk per (top, e, a) tables every size up to top; each size's
+    table, keys and lists in order, equals the partitions of that size
+    tabled one by one."""
+    for e in range(2, 6):
+        for a in range(e):
+            mc = Multicharge(e, (a,))
+            tables = blocks._component_tables(12, e, a)
+            assert len(tables) >= 13
+            for s, table in enumerate(tables[:13]):
+                want: dict = {}
+                for p in partitions_of(s):
+                    want.setdefault(residue_counts((p,), mc), []).append(p)
+                assert list(table.items()) == [(key, tuple(ps)) for key, ps in want.items()]
+            # the largest walk made at (e, a) serves every smaller top
+            assert blocks._component_tables(5, e, a) is tables

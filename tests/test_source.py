@@ -18,3 +18,28 @@ def test_no_bare_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"bare assert at {found}"
+
+
+def _name(node) -> str | None:
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _unbounded_cache(dec) -> bool:
+    """An ``lru_cache(maxsize=None)``, ``lru_cache(None)`` or ``cache`` decorator."""
+    if not isinstance(dec, ast.Call):
+        return _name(dec) == "cache"
+    sizes = dec.args[:1] + [kw.value for kw in dec.keywords if kw.arg == "maxsize"]
+    return _name(dec.func) == "lru_cache" and any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+
+
+def test_no_unbounded_cache_in_the_package():
+    # a long run of distinct queries must keep a fixed footprint, so every
+    # cache carries a bound
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_unbounded_cache(dec) for dec in node.decorator_list)
+    ]
+    assert not found, f"unbounded cache at {found}"

@@ -1,6 +1,9 @@
 """Checks on the sweep harness itself, small enough to run in seconds."""
 
-from akblocks import verify
+from itertools import permutations
+
+from akblocks import branching, verify
+from akblocks.multipartition import remove_node, removable_nodes, residue
 from akblocks.verify import (
     LemmaResult,
     SweepGrid,
@@ -119,3 +122,55 @@ def test_exchange_sweep_still_checks_every_move(monkeypatch):
     assert not law.ok and f"move {mv} " in law.violations[0]
     monkeypatch.undo()
     assert all(res.ok for res in verify.check_smoves(grid))
+
+
+def test_branching_sweep_still_fails_every_order_through_a_wrong_step(monkeypatch):
+    # check_branching shares each (multipartition, node) step among the
+    # orders of a member; a wrong degree at one step must fail the degree
+    # law for every order that passes through it, and for no other
+    grid = SweepGrid(max_n=3, levels=(1,), es=(2,), branch_n=6)
+    mc = next(grid.cells())
+    mp, i = ((3, 2, 1),), 0
+    nds = [nd for nd in reversed(removable_nodes(mp)) if residue(nd, mc) == i]
+    assert len(nds) == 3
+    step = (remove_node(remove_node(mp, nds[0]), nds[1]), nds[2])
+    real = branching._degree
+    monkeypatch.setattr(
+        branching, "_degree",
+        lambda cur, charge, nd, sign: real(cur, charge, nd, sign) + ((cur, nd) == step and sign < 0),
+    )
+    monkeypatch.setattr(verify._Recorder, "KEEP", 10_000)
+
+    def through(sigma):
+        cur = mp
+        for t in sigma:
+            if (cur, nds[t - 1]) == step:
+                return True
+            cur = remove_node(cur, nds[t - 1])
+        return False
+
+    results = {res.lemma: res for res in verify.check_branching(grid)}
+    law = results["branching_degree_law"]
+    failed = {v.split(" on ")[0] for v in law.violations}
+    assert failed == {f"order {sigma}" for sigma in permutations((1, 2, 3)) if through(sigma)}
+    assert len(failed) == 2 and all(f" on {mp} " in v for v in law.violations)
+    assert results["branching_well_defined"].ok
+    monkeypatch.undo()
+    assert all(res.ok for res in verify.check_branching(grid))
+
+
+def test_phi_sweep_still_compares_every_image_with_its_beta_sets(monkeypatch):
+    # check_phi builds the source beta-sets once per multipartition; a wrong
+    # runner-swap image at one (multipartition, residue) must still fail
+    grid = SweepGrid(max_n=3, levels=(2,), es=(3,))
+    target, i = ((2,), (1,)), 1
+    real = verify.phi
+    monkeypatch.setattr(
+        verify, "phi",
+        lambda mp, charge, k: real(mp, charge, (k + 1) % charge.e if (mp, k) == (target, i) else k),
+    )
+    results = {res.lemma: res for res in verify.check_phi(grid)}
+    law = results["phi_beta_image"]
+    assert law.violations == tuple(f"beta image mismatch for {target} at i={i}" for _ in grid.cells())
+    monkeypatch.undo()
+    assert all(res.ok for res in verify.check_phi(grid))
