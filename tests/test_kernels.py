@@ -205,6 +205,37 @@ def test_node_moves_follow_the_row_end_lists_exhaustively(r):
                             assert move(mp, nd) == want
 
 
+def _is_diagram(cells) -> bool:
+    """Whether a set of (row, col) cells is the Young diagram of a weakly
+    decreasing part list: each row's cells fill columns 1..length."""
+    rows = max((b for b, _ in cells), default=0)
+    parts = [sum(1 for b, _ in cells if b == row) for row in range(1, rows + 1)]
+    return all(x >= y for x, y in zip(parts, parts[1:])) and cells == {
+        (b, c) for b, w in enumerate(parts, start=1) for c in range(1, w + 1)
+    }
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_row_ends_match_the_definition_exhaustively(r):
+    """A node is removable when it lies in the diagram and taking it out
+    leaves a diagram; a cell is addable when it lies outside and putting it
+    in leaves one.  Every cell up to one row and one column past each
+    component is tried, in order: components first, rows top down, columns
+    right to left."""
+    for n in range(8):
+        for mp in multipartitions_of(n, r):
+            want = []
+            for j, comp in enumerate(mp, start=1):
+                cells = {(b, c) for b, w in enumerate(comp, start=1) for c in range(1, w + 1)}
+                for b in range(1, len(comp) + 2):
+                    for c in range((comp[0] if comp else 0) + 1, 0, -1):
+                        if (b, c) in cells and _is_diagram(cells - {(b, c)}):
+                            want.append((multipartition.Node(b, c, j), -1))
+                        elif (b, c) not in cells and _is_diagram(cells | {(b, c)}):
+                            want.append((multipartition.Node(b, c, j), 1))
+            assert _row_ends(mp) == want, mp
+
+
 def test_kernels_reject_level_mismatch_and_bad_residues():
     mc = Multicharge(3, (0, 1))
     for fn in (residue_counts, residue_multiset, hub):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from akblocks import scopes
 from akblocks import (
     Caps,
     InputError,
@@ -125,6 +126,27 @@ def test_certificate_on_large_core_block():
         "no_forbidden_config",
         "no_addable_under_condition",
     } <= names
+
+
+def test_certificate_computes_each_kleshchev_flag_once(monkeypatch):
+    # the Kleshchev check and the certificate's pairs read the same flags,
+    # so one certificate flags each member and each image exactly once
+    calls = []
+    uncached = scopes.is_kleshchev.__wrapped__
+
+    def counted(mp, charge):
+        calls.append(mp)
+        return uncached(mp, charge)
+
+    monkeypatch.setattr(scopes, "is_kleshchev", counted)
+    mc = Multicharge(5, (0, -2, 1))
+    blk = block_containing(((4, 3, 1), (4, 2, 2, 2), (3, 2)), mc, WIDE)
+    cert = certificate(blk, 1, WIDE)
+    assert len(blk.members) == 4 and cert.condition.delta == 4
+    assert len(calls) == 2 * len(blk.members) == len(set(calls))
+    assert [flags for _, _, flags in cert.pairs] == [
+        (uncached(src, mc), uncached(img, mc)) for src, img, _ in cert.pairs
+    ]
 
 
 def test_certificate_json_roundtrip():

@@ -1,6 +1,7 @@
 """Rules on the package source that no behavioural test would catch."""
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "akblocks"
@@ -43,3 +44,33 @@ def test_no_unbounded_cache_in_the_package():
         and any(_unbounded_cache(dec) for dec in node.decorator_list)
     ]
     assert not found, f"unbounded cache at {found}"
+
+
+README = PACKAGE.parents[1] / "README.md"
+
+
+def _cached_and_defined() -> tuple:
+    """Names of the package's cached functions, and of all its functions."""
+    cached, defined = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+                if any(_name(getattr(dec, "func", dec)) in ("lru_cache", "cache") for dec in node.decorator_list):
+                    cached.add(node.name)
+    return cached, defined
+
+
+def test_readme_cache_paragraph_names_exactly_the_cached_functions():
+    # the README paragraph on caches must not go stale: it names every
+    # cached function in backticks and no function that is not cached
+    paragraphs = [p for p in README.read_text().split("\n\n") if "CACHE_SIZE" in p]
+    assert len(paragraphs) == 1
+    named = {
+        quoted.removesuffix("()").rsplit(".", 1)[-1]
+        for quoted in re.findall(r"`([^`]+)`", paragraphs[0])
+    }
+    cached, defined = _cached_and_defined()
+    assert cached
+    assert cached <= named, f"cached but not named: {sorted(cached - named)}"
+    assert not (named & defined) - cached, f"named but not cached: {sorted((named & defined) - cached)}"
