@@ -27,6 +27,7 @@ from .multipartition import (
 )
 
 _WINDOW_SLACK = 100  # levels a drawing may reach past its default window; it is built in memory
+_FLIP = ord("o") ^ ord(".")  # xor turns a drawn bead into a gap and back
 
 __all__ = [
     "BetaSet",
@@ -435,7 +436,9 @@ def render(display: AbacusDisplay, window: tuple | None = None) -> str:
     the highest irregularity and one empty row below the lowest bead are
     included.  A window that hides an irregular row is an error, so the
     drawing always determines the display, and so is one reaching past the
-    default by more than _WINDOW_SLACK levels.
+    default by more than _WINDOW_SLACK levels.  Each component's window is
+    filled once and cut into level rows, so the cost is O(size of the
+    drawing).
     """
     e = display.e
     lo0 = min(bs.min_gap() // e for bs in display.components) - 1
@@ -459,18 +462,18 @@ def render(display: AbacusDisplay, window: tuple | None = None) -> str:
         "%*s  %s" % (width, "level", "  ".join([runners] * display.r)),
     ]
     base, span = lo * e, (hi + 1 - lo) * e
-    cells = []
+    levels = []
     for bs in display.components:
         # the vacuum's beads below the charge, then each perturbation flipped
         filled = min(max(bs.charge - base, 0), span)
-        row = ["o"] * filled + ["."] * (span - filled)
+        row = bytearray(b"o" * filled + b"." * (span - filled))
         for p in bs.delta:
             if base <= p < base + span:
-                row[p - base] = "." if row[p - base] == "o" else "o"
-        cells.append("".join(row))
-    for k in range(hi + 1 - lo):
-        groups = "  ".join(c[k * e : (k + 1) * e] for c in cells)
-        lines.append("%*d  %s" % (width, lo + k, groups))
+                row[p - base] ^= _FLIP
+        drawn = row.decode()
+        levels.append([drawn[k : k + e] for k in range(0, span, e)])
+    groups = map("  ".join, zip(*levels))
+    lines += [str(lv).rjust(width) + "  " + g for lv, g in zip(range(lo, hi + 1), groups)]
     return "\n".join(lines) + "\n"
 
 

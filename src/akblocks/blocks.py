@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import sub
 
-from .abacus import Multicore, _exchange, gamma_diff, to_multicore
+from .abacus import Multicore, _exchange, to_multicore
 from .caps import Caps, default_caps
 from .errors import CapExceeded, InputError, LemmaViolation
 from .multipartition import (
@@ -81,14 +81,18 @@ def weight(mp: Multipartition, charge: Multicharge) -> int:
     return _counts_weight(residue_counts(mp, charge), charge.kappa, mp)
 
 
-def _counts_weight(c: tuple, kappa: tuple, subject) -> int:
-    """The weight of residue counts c at charge residues kappa (see ``weight``)."""
+def _counts_weight(c: tuple, kappa: tuple, subject, label: str = "") -> int:
+    """The weight of residue counts c at charge residues kappa (see ``weight``).
+
+    A negative weight raises LemmaViolation naming ``label`` + ``subject``;
+    the message is formatted only then.
+    """
     e = len(c)
     lin = sum(c[k] for k in kappa)
     quad = sum((c[i] - c[(i + 1) % e]) ** 2 for i in range(e))
     w = (2 * lin - quad) // 2
     if w < 0:
-        raise LemmaViolation("weight_nonnegative", f"negative weight {w} for {subject}")
+        raise LemmaViolation("weight_nonnegative", f"negative weight {w} for {label}{subject}")
     return w
 
 
@@ -120,9 +124,10 @@ def _level_counts(m: Multicore) -> tuple:
     return tuple(total)
 
 
-def _level_weight(m: Multicore) -> int:
-    """``weight`` of a multicore's multipartition, from ``_level_counts``."""
-    return _counts_weight(_level_counts(m), tuple(a % m.e for a in m.charges), f"levels {m.levels}")
+def _level_weight(m: Multicore, kappa: tuple) -> int:
+    """``weight`` of a multicore's multipartition, from ``_level_counts``;
+    kappa is its charges mod e, which no exchange changes."""
+    return _counts_weight(_level_counts(m), kappa, m.levels, "levels ")
 
 
 def _hub_matrix(mp: Multipartition, charge: Multicharge) -> list:
@@ -598,29 +603,32 @@ def core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
     weight law w(next) = w(cur) - r*(gamma_difference - 2).  A failed
     check raises LemmaViolation under the anchor of the law it broke.
     The steps are checked on level matrices (``level_hub``,
-    ``_level_weight``); only the final multicore is decoded.
+    ``_level_weight``), and the core's size is read off its level matrix
+    too (``_level_counts``): no multicore is decoded.
     """
     m0, hooks = to_multicore(mp, charge)
     h0 = hub(mp, charge)
-    r = charge.r
+    r, kappa = charge.r, charge.kappa
     cur = m0
-    cur_w = _level_weight(cur)
+    cur_w = _level_weight(cur, kappa)
     if cur_w != weight(mp, charge) - r * hooks:
         raise LemmaViolation(
             "weight_core_law", f"the {hooks} rim hooks of {mp} do not carry weight {r} each"
         )
     chain = []
     for mv in _core_search(m0):
-        g = gamma_diff(cur, *mv)
+        i, l, j, k = mv
+        lj, lk = cur.levels[j - 1], cur.levels[k - 1]
+        g = lj[i] - lk[i] - (lj[l] - lk[l])  # gamma(i;j,k) - gamma(l;j,k)
         nxt = _exchange(cur, *mv)
-        nxt_w = _level_weight(nxt)
+        nxt_w = _level_weight(nxt, kappa)
         if level_hub(nxt) != h0:
             raise LemmaViolation("hub_invariance", f"exchange {mv} changed the hub of levels {cur.levels}")
         if nxt_w != cur_w - r * (g - 2):
             raise LemmaViolation("weight_move_formula", f"exchange {mv} (gamma {g}) on levels {cur.levels}")
         chain.append(
             SMoveStep(
-                i=mv[0], l=mv[1], j=mv[2], k=mv[3],
+                i=i, l=l, j=j, k=k,
                 gamma_difference=g, weight_before=cur_w, weight_after=nxt_w,
             )
         )
@@ -630,10 +638,10 @@ def core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
             "core_block_reachability", f"the exchange chain from {mp} ends outside a core block"
         )
     descriptor = BlockDescriptor(
-        n=size(cur.to_multipartition()),
+        n=sum(_level_counts(cur)),
         r=r,
         e=charge.e,
-        kappa=charge.kappa,
+        kappa=kappa,
         hub=h0,
         weight=cur_w,
         core_weight=cur_w,

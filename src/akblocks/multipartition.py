@@ -7,7 +7,7 @@ component.  Residues live in Z/eZ and depend on a multicharge.
 """
 
 from dataclasses import dataclass
-from itertools import chain, repeat, zip_longest
+from itertools import accumulate, chain, repeat, zip_longest
 from typing import Iterable, NamedTuple
 
 from .errors import InputError
@@ -253,22 +253,26 @@ def residue(nd: Node, charge: Multicharge) -> int:
 def residue_counts(mp: Multipartition, charge: Multicharge) -> tuple:
     """Number of nodes of each residue, as a tuple indexed by Z/eZ.
 
-    Row b of width w in a component of charge a holds the w consecutive
-    residues a - b + 1, ..., a - b + w: w // e full cycles plus w % e
-    residues from (a - b + 1) mod e on.  O(rows * e), not O(nodes).
+    Row b of width w in a component of charge a holds the residues of the
+    integers s, ..., u - 1 with s = a - b + 1 and u = s + w, so residue x
+    occurs u // e - s // e + [x >= s mod e] - [x >= u mod e] times there.
+    Each row adds to a common count and marks two points of a difference
+    array, and one prefix pass finishes: O(rows + e), not O(nodes).
     """
     _check_level(mp, charge)
     e = charge.e
-    out = [0] * e
+    diff = [0] * e
     cycles = 0
     for a, comp in zip(charge.entries, mp):
-        for b, w in enumerate(comp, start=1):
-            full, rest = divmod(w, e)
-            cycles += full
-            start = a - b + 1
-            for k in range(start, start + rest):
-                out[k % e] += 1
-    return tuple(c + cycles for c in out)
+        s = a + 1
+        for w in comp:
+            s -= 1
+            u = s + w
+            cycles += u // e - s // e
+            diff[s % e] += 1
+            diff[u % e] -= 1
+    diff[0] += cycles
+    return tuple(accumulate(diff))
 
 
 def residue_multiset(mp: Multipartition, charge: Multicharge) -> tuple:

@@ -661,7 +661,7 @@ def check_d_bounds(grid: SweepGrid, master, drop, chain_bound, interval, plus_on
                 cur = m
                 for st in strict:
                     cur = _exchange(cur, st.i, st.l, st.j, st.k)
-                h2, rem2 = divmod(w - _level_weight(cur), r)
+                h2, rem2 = divmod(w - _level_weight(cur, mc.kappa), r)
                 if rem2:
                     raise LemmaViolation("core_weight_drop", f"strict exchanges from {mp}, r={r}")
                 for i, (d_end, _) in enumerate(_columns(_level_hub_matrix(cur))):

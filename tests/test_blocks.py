@@ -12,6 +12,7 @@ from akblocks import (
     CapExceeded,
     Caps,
     InputError,
+    LemmaViolation,
     Multicharge,
     base_tuples,
     block_containing,
@@ -179,6 +180,29 @@ def test_d_min_is_component_minimum():
     assert d_min(EXK, EXK_MC, 1) == min(
         delta_ij(EXK, EXK_MC, 1, j) for j in range(1, 4)
     )
+
+
+class _Unprintable:
+    def __str__(self):
+        raise AssertionError("formatted a message that was not raised")
+
+    __repr__ = __str__
+
+
+def test_negative_weight_message_is_formatted_only_on_failure(monkeypatch):
+    assert blocks._counts_weight((1, 0), (0,), _Unprintable(), "levels ") == 0
+    monkeypatch.setattr(blocks, "residue_counts", lambda mp, charge: (5, 0))
+    with pytest.raises(LemmaViolation) as exc:
+        weight(((1,),), Multicharge(2, (0,)))
+    assert str(exc.value) == "weight_nonnegative: negative weight -20 for ((1,),)"
+    monkeypatch.setattr(blocks, "_level_counts", lambda m: (5, 0))
+    m = to_multicore(((1,),), Multicharge(2, (1,)))[0]
+    with pytest.raises(LemmaViolation) as exc:
+        blocks._level_weight(m, (1,))
+    assert str(exc.value) == f"weight_nonnegative: negative weight -25 for levels {m.levels}"
+    blocks.core_block_of.cache_clear()
+    with pytest.raises(LemmaViolation, match=r"negative weight -25 for levels \(\("):
+        core_block_of(((1,),), Multicharge(2, (1,)))
 
 
 _OPTIMISED_CHECKS = """

@@ -13,6 +13,8 @@ one walk per charge residue, against tabling ``partitions_of`` by
 counts, weight, per-component hub) are checked against its decoded
 multipartition.  The one-residue signature is checked against the row
 ends, and good nodes against cancelling node lists one pair at a time.
+``render`` is checked against drawing every cell of the window by bead
+membership.
 """
 
 import random
@@ -38,13 +40,14 @@ from akblocks import (
     partitions_of,
     phi,
     phi_beta_set,
+    render,
     residue_counts,
     residue_multiset,
     to_multicore,
     weight,
 )
 from akblocks import blocks, multipartition
-from akblocks.abacus import _exchange
+from akblocks.abacus import _WINDOW_SLACK, _exchange
 from akblocks.blocks import _hub_matrix, _level_counts, _level_hub_matrix, _level_weight, _moves
 from akblocks.multipartition import _row_ends, _signature, removable_nodes, residue
 from akblocks.scopes import good_nodes
@@ -109,6 +112,111 @@ def _random_inputs(seed: int):
 def test_kernels_match_node_walks_on_large_random_inputs():
     for mp, mc in _random_inputs(2301):
         _assert_kernels_match(mp, mc)
+
+
+def _wraps(mp, mc: Multicharge) -> bool:
+    """Whether some row's leftover residues run from its start up past
+    e - 1 and back to 0: row b of width w (charge a) starts at residue
+    (a - b + 1) mod e and holds w mod e residues past its full cycles."""
+    e = mc.e
+    return any(
+        (a - b + 1) % e + w % e >= e
+        for a, comp in zip(mc.entries, mp)
+        for b, w in enumerate(comp, start=1)
+    )
+
+
+# (multipartition, e, charge) with wrapping rows
+_WRAPPING = [
+    (((3,),), 5, (4,)),  # starts at 4, and 4 + 3 > 5: residues 4, 0, 1
+    (((7, 3, 1), (5,)), 2, (1, 0)),  # e = 2
+    (((17, 16, 2), (13,)), 5, (-3, 2)),  # rows longer than 3e, a negative charge
+    (((11, 9, 9, 4), (), (20, 1)), 3, (-7, -1, -5)),
+    (((1,) * 9, (6, 6)), 4, (-2, -9)),
+]
+
+
+def test_residue_counts_match_node_walks_where_rows_wrap():
+    """The difference-array count against the node walk, on rows whose
+    leftover residues wrap back to 0, and on one seeded input of about
+    10^4 nodes with negative charges at every e."""
+    for mp, e, charge in _WRAPPING:
+        mc = Multicharge(e, charge)
+        assert _wraps(mp, mc), mp
+        assert residue_counts(mp, mc) == _node_residue_counts(mp, mc)
+    rng = random.Random(2303)
+    mp = tuple(_random_partition(rng, m) for m in (4_100, 3_500, 2_400))
+    assert max(map(len, mp)) > 15 and sum(map(sum, mp)) == 10_000
+    for e in range(2, 6):
+        mc = Multicharge(e, (-4, 3, -1))
+        assert _wraps(mp, mc)
+        assert residue_counts(mp, mc) == _node_residue_counts(mp, mc)
+
+
+def _reference_render(disp: AbacusDisplay, lo: int, hi: int) -> str:
+    """The drawing of levels lo..hi, cell by cell: 'o' where a bead is."""
+    e = disp.e
+    width = max(len("level"), len(str(lo)), len(str(hi)))
+    runners = "".join(str(i % 10) for i in range(e))
+    lines = [
+        "e=%d charges=%s" % (e, ",".join(str(bs.charge) for bs in disp.components)),
+        "level".rjust(width) + "  " + "  ".join([runners] * disp.r),
+    ]
+    for lv in range(lo, hi + 1):
+        cells = range(lv * e, lv * e + e)
+        groups = ["".join("o" if p in bs else "." for p in cells) for bs in disp.components]
+        lines.append(str(lv).rjust(width) + "  " + "  ".join(groups))
+    return "\n".join(lines) + "\n"
+
+
+def _default_window(mp, mc: Multicharge) -> tuple:
+    """One level above the lowest gap a - len(parts) and one below the
+    highest bead a + parts[0] - 1 (a - 1 for the empty partition)."""
+    e = mc.e
+    lo = min((a - len(p)) // e for a, p in zip(mc.entries, mp)) - 1
+    hi = max((a + (p[0] if p else 0) - 1) // e for a, p in zip(mc.entries, mp)) + 1
+    return lo, hi
+
+
+def _seeded_displays(seed: int):
+    """Two multipartitions of 10^2 to 10^4 nodes per e = 2..5 and r = 1..3,
+    with charges in -9..4."""
+    rng = random.Random(seed)
+    for e in range(2, 6):
+        for r in range(1, 4):
+            for _ in range(2):
+                n = round(100 * 100 ** rng.random())
+                cuts = sorted(rng.randint(0, n) for _ in range(r - 1))
+                sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+                mp = tuple(_random_partition(rng, m) for m in sizes)
+                yield mp, Multicharge(e, tuple(rng.randint(-9, 4) for _ in range(r)))
+
+
+def test_render_matches_cell_by_cell_drawing():
+    charges = set()
+    for mp, mc in _seeded_displays(1101):
+        disp = AbacusDisplay.from_multipartition(mp, mc)
+        assert render(disp) == _reference_render(disp, *_default_window(mp, mc))
+        charges.update(mc.entries)
+    assert min(charges) < 0
+
+
+def test_render_windows_at_their_limits():
+    """Windows exactly at the limits draw cell by cell; one level past any
+    limit is an InputError."""
+    for mp, mc in _seeded_displays(1102):
+        disp = AbacusDisplay.from_multipartition(mp, mc)
+        lo0, hi0 = _default_window(mp, mc)
+        for lo, hi in ((lo0 - _WINDOW_SLACK, hi0 + _WINDOW_SLACK), (lo0 + 1, hi0 - 1)):
+            assert render(disp, window=(lo, hi)) == _reference_render(disp, lo, hi)
+        for window in (
+            (lo0 - _WINDOW_SLACK - 1, hi0),
+            (lo0, hi0 + _WINDOW_SLACK + 1),
+            (lo0 + 2, hi0),
+            (lo0, hi0 - 2),
+        ):
+            with pytest.raises(InputError):
+                render(disp, window=window)
 
 
 def _assert_codec_matches(mp, mc: Multicharge) -> None:
@@ -270,7 +378,7 @@ def test_level_kernels_match_the_decoded_route_exhaustively():
         for m in reached:
             mp = m.to_multipartition()
             assert _level_counts(m) == residue_counts(mp, mc)
-            assert _level_weight(m) == weight(mp, mc)
+            assert _level_weight(m, mc.kappa) == weight(mp, mc)
             assert _level_hub_matrix(m) == _hub_matrix(mp, mc)
             assert _columns(_level_hub_matrix(m)) == _hub_columns(mp, mc)
             validated = Multicore(m.e, m.levels)

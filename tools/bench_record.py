@@ -10,7 +10,9 @@ workload runs seed base+k on both sides, the parent first on even k and
 the change first on odd k.  The file then holds every raw value, the
 median and quartiles per side, and the pairs the change won for each
 end-to-end metric, plus the README ``certify`` wall/peak RSS and the
-tier-1 wall on both sides.
+tier-1 wall on both sides.  The header records the bytecode setting,
+which moves a fresh-process op by about a fifth: records made with
+different settings are not comparable.
 """
 
 import argparse
@@ -116,6 +118,11 @@ def main(argv=None) -> int:
         "commits": commits,
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
+        "bytecode": {
+            # every child inherits the variable, which sets its sys.flags
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "dont_write_bytecode": sys.flags.dont_write_bytecode,
+        },
         "run_seconds": spec["run_seconds"],
         "command": "python3 akbench/run.py --workload W --seed S --seconds run_seconds --trace 0",
         "order": "pair k runs seed base+k on both sides, parent first on even k",
