@@ -82,11 +82,8 @@ def weight(mp: Multipartition, charge: Multicharge) -> int:
 
 
 def _counts_weight(c: tuple, kappa: tuple, subject, label: str = "") -> int:
-    """The weight of residue counts c at charge residues kappa (see ``weight``).
-
-    A negative weight raises LemmaViolation naming ``label`` + ``subject``;
-    the message is formatted only then.
-    """
+    """The weight of residue counts c at charge residues kappa (see ``weight``);
+    a negative one raises, naming ``label`` + ``subject`` only then."""
     e = len(c)
     lin = sum(c[k] for k in kappa)
     quad = sum((c[i] - c[(i + 1) % e]) ** 2 for i in range(e))
