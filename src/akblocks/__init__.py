@@ -51,14 +51,9 @@ from .branching import (
     LaurentPolynomial,
     branching_polynomial,
     degree_spectrum,
-    induction_factors,
-    induction_order_degree,
     inversions,
     mahonian,
-    n_above,
-    n_below,
     order_degree,
-    restriction_factors,
 )
 from .caps import Caps, default_caps
 from .errors import CapExceeded, InputError, LemmaViolation
@@ -84,16 +79,11 @@ from .multipartition import (
     size,
 )
 from .scopes import (
-    KleshchevReport,
-    LexReport,
     ScopesCertificate,
     certificate,
     good_nodes,
     is_kleshchev,
-    phi_block,
     scopes_pairing,
-    verify_kleshchev_preserved,
-    verify_lex_preserved,
 )
 from .verify import (
     DEFAULT_GRID,

@@ -214,21 +214,6 @@ class BlockDescriptor:
             "core_weight": self.core_weight,
         }
 
-    @classmethod
-    def from_json(cls, obj) -> "BlockDescriptor":
-        try:
-            return cls(
-                n=obj["n"],
-                r=obj["r"],
-                e=obj["e"],
-                kappa=tuple(obj["kappa"]),
-                hub=tuple(obj["hub"]),
-                weight=obj["weight"],
-                core_weight=obj["core_weight"],
-            )
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"bad block descriptor JSON: {obj!r}") from exc
-
     @property
     def is_core(self) -> bool:
         return self.weight == self.core_weight
@@ -255,7 +240,7 @@ def block_of(mp: Multipartition, charge: Multicharge) -> BlockDescriptor:
         r=charge.r,
         e=charge.e,
         kappa=charge.kappa,
-        hub=hub(mp, charge),
+        hub=core.core.hub,
         weight=weight(mp, charge),
         core_weight=core.core.weight,
     )
@@ -686,5 +671,5 @@ def scopes_condition(mp: Multipartition, charge: Multicharge, i: int) -> ScopesR
         w_b=w_b,
         w_c=res.core.weight,
         k=k,
-        delta=hub(mp, charge)[i],
+        delta=res.core.hub[i],
     )

@@ -1,10 +1,10 @@
-"""Graded branching: restriction/induction factors and degree polynomials.
+"""Graded branching: the degree of each step, walks, and the branching polynomial.
 
-Restricting a Specht-type module along one step splits, up to filtration,
-into one factor per removable node; inducing splits into one factor per
-addable node.  Each factor is shifted by an integer degree counted from
-the addable/removable nodes of the same residue below (restriction) or
-above (induction) the node in question.
+Removing a removable node (one restriction step) has degree n_below: the
+addable minus the removable nodes of its residue strictly below it.
+Adding an addable node (one induction step) has degree n_above, the same
+count taken strictly above it.  A walk moves given nodes one at a time in
+a given order, checks that each can still move, and sums the degrees.
 
 When the runner-swap condition holds at residue i and the block has
 delta_i >= 0 removable i-nodes and none addable, iterating single-step
@@ -24,12 +24,9 @@ from .multipartition import (
     Multicharge,
     Multipartition,
     Node,
-    _check_level,
     _signature,
-    addable_nodes,
     remove_node,
     add_node,
-    removable_nodes,
     residue,
 )
 from .blocks import scopes_condition
@@ -39,12 +36,7 @@ __all__ = [
     "inversions",
     "mahonian",
     "degree_spectrum",
-    "n_below",
-    "n_above",
-    "restriction_factors",
-    "induction_factors",
     "order_degree",
-    "induction_order_degree",
     "branching_polynomial",
 ]
 
@@ -67,31 +59,11 @@ class LaurentPolynomial:
         self._c = {d: c[d] for d in sorted(c) if c[d]}
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "LaurentPolynomial":
-        return cls({degree: coeff})
-
-    @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPolynomial":
         return cls({0: 1})
 
     def coefficient(self, degree: int) -> int:
         return self._c.get(degree, 0)
-
-    def degrees(self):
-        return tuple(self._c)
-
-    def items(self):
-        return tuple(self._c.items())
-
-    def __add__(self, other):
-        c = dict(self._c)
-        for d, x in other._c.items():
-            c[d] = c.get(d, 0) + x
-        return LaurentPolynomial(c)
 
     def __mul__(self, other):
         c = {}
@@ -133,16 +105,6 @@ class LaurentPolynomial:
     def to_json(self) -> dict:
         return {str(d): x for d, x in self._c.items()}
 
-    @classmethod
-    def from_json(cls, obj) -> "LaurentPolynomial":
-        if not isinstance(obj, dict):
-            raise InputError(f"polynomial JSON must be an object, got {obj!r}")
-        try:
-            return cls({int(d): x for d, x in obj.items()})
-        except ValueError as exc:
-            raise InputError(f"polynomial JSON keys must be integer strings: {obj!r}") from exc
-
-
 def inversions(seq) -> int:
     """Number of out-of-order pairs."""
     return sum(1 for a, b in combinations(seq, 2) if a > b)
@@ -179,45 +141,16 @@ _KIND = {-1: "removable", 1: "addable"}
 
 
 def _degree(mp: Multipartition, charge: Multicharge, nd: Node, sign: int) -> int:
-    """n_below of a removable node (sign -1) or n_above of an addable one
-    (sign +1): a partial sum of the node's i-signature.  InputError when nd
-    is not a node of that kind.
+    """Degree of one step at nd: its n_below when it is removable (sign -1),
+    its n_above when it is addable (sign +1).  Either count is a partial
+    sum of the i-signature of its residue.  InputError when nd is not a
+    node of that kind.
     """
     word = _signature(mp, charge, residue(nd, charge))
     if (nd, sign) not in word:
         raise InputError(f"{nd} is not a {_KIND[sign]} node of {mp}")
     k = word.index((nd, sign))
     return sum(s for _, s in (word[k + 1 :] if sign < 0 else word[:k]))
-
-
-def n_below(mp: Multipartition, charge: Multicharge, nd: Node) -> int:
-    """Degree of the restriction factor at a removable node.
-
-    Counts addable minus removable nodes of the same residue strictly
-    below the node.
-    """
-    return _degree(mp, charge, nd, -1)
-
-
-def n_above(mp: Multipartition, charge: Multicharge, nd: Node) -> int:
-    """Degree of the induction factor at an addable node.
-
-    Counts addable minus removable nodes of the same residue strictly
-    above the node.
-    """
-    return _degree(mp, charge, nd, 1)
-
-
-def restriction_factors(mp: Multipartition, charge: Multicharge) -> tuple:
-    """(smaller multipartition, degree) per removable node, lowest node first."""
-    _check_level(mp, charge)
-    return tuple((remove_node(mp, nd), n_below(mp, charge, nd)) for nd in removable_nodes(mp)[::-1])
-
-
-def induction_factors(mp: Multipartition, charge: Multicharge) -> tuple:
-    """(larger multipartition, degree) per addable node, highest node first."""
-    _check_level(mp, charge)
-    return tuple((add_node(mp, nd), n_above(mp, charge, nd)) for nd in addable_nodes(mp))
 
 
 def _removal_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps, report=None):
@@ -266,8 +199,8 @@ def _swap_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps, r
 
 def _walk(charge: Multicharge, start, nds, sign: int, sigma, end, what: str, steps=None) -> int:
     """Move nds[t-1] for t in sigma, starting at start: removing them
-    (sign -1, each step adds n_below) or adding them (sign +1, each step
-    adds n_above).  Every node must still be movable when its turn comes
+    (sign -1, each step adds the node's n_below) or adding them (sign +1,
+    each step adds its n_above), as ``_degree`` counts them.  Every node must still be movable when its turn comes
     and the walk must end at end; either failure raises LemmaViolation.
 
     Walks of several orders over the same nodes pass through the same
@@ -322,23 +255,6 @@ def order_degree(
     """
     ascending = _removal_context(mp, charge, i, caps or default_caps())
     return _walk(charge, mp, ascending, -1, sigma, phi(mp, charge, i), f"stripping {mp}")
-
-
-def induction_order_degree(
-    mp: Multipartition,
-    charge: Multicharge,
-    i: int,
-    sigma,
-    caps: Caps | None = None,
-) -> int:
-    """Accumulated degree of one addition order on the runner-swap image.
-
-    The image's addable i-nodes are exactly the stripped ones; sigma
-    permutes their descending list (highest first) and each step
-    contributes the current n_above.  Ends back at mp.
-    """
-    _, image, adds = _swap_context(mp, charge, i, caps or default_caps())
-    return _walk(charge, image, adds, 1, sigma, mp, f"rebuilding {mp}")
 
 
 def branching_polynomial(

@@ -80,15 +80,6 @@ class Multicharge:
     def to_json(self) -> dict:
         return {"e": self.e, "charge": list(self.entries)}
 
-    @classmethod
-    def from_json(cls, obj) -> "Multicharge":
-        if not isinstance(obj, dict) or "e" not in obj or "charge" not in obj:
-            raise InputError(f"multicharge JSON needs keys 'e' and 'charge', got {obj!r}")
-        charge = obj["charge"]
-        if not isinstance(charge, (list, tuple)):
-            raise InputError(f"'charge' must be a list, got {charge!r}")
-        return cls(obj["e"], tuple(charge))
-
 
 def _is_int(x) -> bool:
     """An int that is not a bool: JSON ``true`` must not pass as 1."""

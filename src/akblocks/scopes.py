@@ -17,7 +17,6 @@ from .blocks import (
     BlockDescriptor,
     ScopesReport,
     block_containing,
-    block_of,
     scopes_condition,
     weight,
 )
@@ -29,55 +28,23 @@ from .multipartition import (
     Multipartition,
     _check_level,
     _signature,
-    multipartition_from_json,
     multipartition_to_json,
     remove_node,
     size,
 )
 
 __all__ = [
-    "phi_block",
     "scopes_pairing",
-    "LexReport",
-    "verify_lex_preserved",
     "good_nodes",
     "is_kleshchev",
-    "KleshchevReport",
-    "verify_kleshchev_preserved",
     "ScopesCertificate",
     "certificate",
 ]
 
 
-def phi_block(block: Block, i: int) -> BlockDescriptor:
-    """Descriptor of the block the runner swap sends this block into."""
-    image = phi(block.lex_least, block.charge, i)
-    return block_of(image, block.charge)
-
-
 def scopes_pairing(block: Block, i: int) -> tuple:
     """(member, image) pairs, members lex-descending."""
     return tuple((mp, phi(mp, block.charge, i)) for mp in block.members)
-
-
-@dataclass(frozen=True)
-class LexReport:
-    """Whether the swap preserves lexicographic order on a block."""
-
-    condition: ScopesReport
-    holds: bool
-    violations: tuple
-
-
-def verify_lex_preserved(block: Block, i: int) -> LexReport:
-    """Check images of lex-descending members stay strictly lex-descending.
-
-    Outside the weight condition the preservation may genuinely fail;
-    the report records the condition verdict alongside.
-    """
-    cond = scopes_condition(block.lex_least, block.charge, i)
-    violations = _lex_violations(scopes_pairing(block, i))
-    return LexReport(condition=cond, holds=not violations, violations=violations)
 
 
 def _lex_violations(pairs) -> tuple:
@@ -135,21 +102,6 @@ def is_kleshchev(mp: Multipartition, charge: Multicharge) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class KleshchevReport:
-    """Whether the swap preserves the Kleshchev property on a block."""
-
-    condition: ScopesReport
-    holds: bool
-    mismatches: tuple
-
-
-def verify_kleshchev_preserved(block: Block, i: int) -> KleshchevReport:
-    cond = scopes_condition(block.lex_least, block.charge, i)
-    mismatches = _kleshchev_mismatches(_kleshchev_flags(scopes_pairing(block, i), block.charge))
-    return KleshchevReport(condition=cond, holds=not mismatches, mismatches=mismatches)
-
-
 def _kleshchev_flags(pairs, charge: Multicharge) -> tuple:
     """(member, image, (member is Kleshchev, image is Kleshchev)) per pair."""
     return tuple((src, img, (is_kleshchev(src, charge), is_kleshchev(img, charge))) for src, img in pairs)
@@ -199,38 +151,6 @@ class ScopesCertificate:
             "polynomial": self.polynomial.to_json(),
             "checks": {anchor: "ok" for anchor in self.checks},
         }
-
-    @classmethod
-    def from_json(cls, obj) -> "ScopesCertificate":
-        try:
-            if obj["schema"] != 1:
-                raise InputError(f"unsupported certificate schema {obj['schema']!r}")
-            cond = obj["condition"]
-            return cls(
-                schema=obj["schema"],
-                block=BlockDescriptor.from_json(obj["block"]),
-                image_block=BlockDescriptor.from_json(obj["image_block"]),
-                i=obj["i"],
-                condition=ScopesReport(
-                    holds=cond["holds"],
-                    w_b=cond["wB"],
-                    w_c=cond["wC"],
-                    k=cond["K"],
-                    delta=cond["delta"],
-                ),
-                pairs=tuple(
-                    (
-                        multipartition_from_json(p["source"]),
-                        multipartition_from_json(p["image"]),
-                        tuple(p["kleshchev"]),
-                    )
-                    for p in obj["pairs"]
-                ),
-                polynomial=LaurentPolynomial.from_json(obj["polynomial"]),
-                checks=tuple(sorted(obj["checks"])),
-            )
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"bad certificate JSON: {exc!r}") from exc
 
 
 def certificate(block: Block, i: int, caps: Caps | None = None) -> ScopesCertificate:

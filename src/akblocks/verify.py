@@ -7,6 +7,7 @@ definitions (diagram walks, permutation enumeration, generating-function
 counting), never from the code path under test.
 """
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, permutations, takewhile
@@ -75,7 +76,7 @@ from .scopes import (
     scopes_pairing,
 )
 
-__all__ = ["SweepGrid", "LemmaResult", "run_all", "format_results", "results_to_json"]
+__all__ = ["SweepGrid", "DEFAULT_GRID", "LemmaResult", "run_all", "format_results", "results_to_json"]
 
 
 @dataclass(frozen=True)
@@ -739,8 +740,7 @@ def check_branching(grid: SweepGrid, degree_law, well_defined, spectrum, inducti
                     not has_forbidden_config(mp, mc, i),
                     lambda mp=mp, i=i: f"{mp} shows the forbidden bead pattern at i={i}",
                 )
-                poly = LaurentPolynomial.zero()
-                ipoly = LaurentPolynomial.zero()
+                degrees, idegrees = Counter(), Counter()
                 orders = list(permutations(range(1, delta + 1)))
                 down, up = {}, {}  # steps shared by the orders of (mp, i), as in branching_polynomial
                 try:
@@ -762,14 +762,15 @@ def check_branching(grid: SweepGrid, degree_law, well_defined, spectrum, inducti
                             f"order {sigma} on {mp} gave degree {d}, expected {ell - 2 * inversions(sigma)}"
                         ),
                     )
-                    poly = poly + LaurentPolynomial.monomial(d)
+                    degrees[d] += 1
                     try:
                         di = _walk(mc, image, adds, 1, sigma, mp, f"rebuilding {mp}", up)
                         well_defined.count(True)
                     except LemmaViolation as exc:
                         well_defined.count(False, str(exc))
                         continue
-                    ipoly = ipoly + LaurentPolynomial.monomial(di)
+                    idegrees[di] += 1
+                poly, ipoly = LaurentPolynomial(degrees), LaurentPolynomial(idegrees)
                 spectrum.count(
                     poly == expected,
                     lambda mp=mp, i=i, poly=poly, expected=expected: (

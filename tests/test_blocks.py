@@ -7,8 +7,8 @@ import pytest
 
 import akblocks
 from akblocks import (
+    DEFAULT_GRID,
     Block,
-    BlockDescriptor,
     CapExceeded,
     Caps,
     InputError,
@@ -63,7 +63,23 @@ def test_hub_determines_block():
 def test_block_of_roundtrip():
     desc = block_of(LAM, MC)
     assert desc.n == 7 and desc.weight == 3
-    assert BlockDescriptor.from_json(desc.to_json()) == desc
+    assert desc.to_json() == {
+        "n": 7, "r": 3, "e": 4, "kappa": [1, 0, 2],
+        "hub": [-1, 2, -3, -1], "weight": 3, "core_weight": 0,
+    }
+
+
+def test_block_of_and_scopes_condition_read_the_hub_of_the_core_block():
+    # both take the hub from core_block_of, which keeps hub(mp) for its core
+    checked = 0
+    for mc in DEFAULT_GRID.cells():
+        for n in range(6):
+            for mp in multipartitions_of(n, mc.r):
+                h = hub(mp, mc)
+                assert block_of(mp, mc).hub == h
+                assert [scopes_condition(mp, mc, i).delta for i in range(mc.e)] == list(h)
+                checked += 1
+    assert checked > 1000
 
 
 def test_enumerate_blocks_partitions_everything():

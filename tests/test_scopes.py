@@ -8,17 +8,15 @@ from akblocks import (
     InputError,
     Multicharge,
     Node,
-    ScopesCertificate,
     block_containing,
+    block_of,
     certificate,
     good_nodes,
     is_kleshchev,
     partitions_of,
-    phi_block,
+    phi,
     scopes_condition,
     scopes_pairing,
-    verify_kleshchev_preserved,
-    verify_lex_preserved,
     weight,
 )
 
@@ -72,7 +70,7 @@ def test_pairing_is_a_weight_preserving_bijection():
         assert len(set(images)) == len(blk.members)
         target = block_containing(images[0], mc, WIDE)
         assert set(images) == set(target.members)
-        assert phi_block(blk, i) == target.descriptor
+        assert block_of(phi(blk.lex_least, mc, i), mc) == target.descriptor
         for src, img in pairs:
             assert weight(img, mc) == weight(src, mc)
 
@@ -81,9 +79,9 @@ def test_lex_report_on_small_block():
     mc = Multicharge(2, (0, 1))
     blk = block_containing(((1,), ()), mc, WIDE)
     for i in range(2):
-        rep = verify_lex_preserved(blk, i)
-        if rep.condition.holds and rep.condition.delta >= 0:
-            assert rep.holds and not rep.violations
+        cond = scopes_condition(blk.lex_least, mc, i)
+        if cond.holds and cond.delta >= 0:
+            assert scopes._lex_violations(scopes_pairing(blk, i)) == ()
 
 
 def test_kleshchev_report_structure():
@@ -91,9 +89,13 @@ def test_kleshchev_report_structure():
     mc = Multicharge(2, (0, 1))
     blk = block_containing(((1,), (1,)), mc, WIDE)
     for i in range(2):
-        rep = verify_kleshchev_preserved(blk, i)
-        if rep.condition.holds and rep.condition.delta >= 0:
-            assert rep.holds
+        cond = scopes_condition(blk.lex_least, mc, i)
+        flagged = scopes._kleshchev_flags(scopes_pairing(blk, i), mc)
+        mismatches = scopes._kleshchev_mismatches(flagged)
+        if cond.holds and cond.delta >= 0:
+            assert mismatches == ()
+        else:  # off the condition the flag need not transfer, and here it fails twice
+            assert len(mismatches) == 2
 
 
 # --- certificates -------------------------------------------------------------
@@ -154,9 +156,8 @@ def test_certificate_json_roundtrip():
     blk = block_containing(((),), mc, WIDE)
     cert = certificate(blk, 1, WIDE)
     blob = json.dumps(cert.to_json(), sort_keys=True)
-    back = ScopesCertificate.from_json(json.loads(blob))
-    assert back.to_json() == cert.to_json()
-    assert back.schema == 1
+    assert json.loads(blob) == cert.to_json()
+    assert cert.to_json()["schema"] == 1
 
 
 def test_certificate_rejects_failed_condition():
@@ -176,15 +177,6 @@ def test_certificate_rejects_failed_condition():
         if found:
             break
     assert found
-
-
-def test_certificate_from_json_rejects_other_schema():
-    mc = Multicharge(2, (0,))
-    blk = block_containing(((),), mc, WIDE)
-    obj = certificate(blk, 1, WIDE).to_json()
-    obj["schema"] = 2
-    with pytest.raises(InputError):
-        ScopesCertificate.from_json(obj)
 
 
 def test_kleshchev_on_a_thousand_nodes_and_more():

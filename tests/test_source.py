@@ -1,6 +1,7 @@
 """Rules on the package source that no behavioural test would catch."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -74,3 +75,32 @@ def test_readme_cache_paragraph_names_exactly_the_cached_functions():
     assert cached
     assert cached <= named, f"cached but not named: {sorted(cached - named)}"
     assert not (named & defined) - cached, f"named but not cached: {sorted((named & defined) - cached)}"
+
+
+def _modules() -> list:
+    """The package's modules other than ``__init__`` and ``__main__``."""
+    return [importlib.import_module(f"akblocks.{path.stem}") for path in sorted(PACKAGE.glob("[!_]*.py"))]
+
+
+def test_every_all_entry_is_defined():
+    # a stale __all__ entry breaks ``from akblocks.<module> import *``
+    modules = _modules()
+    assert len(modules) > 5
+    stale = [f"{mod.__name__}.{name}" for mod in modules for name in mod.__all__ if not hasattr(mod, name)]
+    assert not stale, f"in __all__ but not defined: {stale}"
+
+
+def test_package_reexports_only_names_in_their_modules_all():
+    imports = [
+        (node.module, alias.name)
+        for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(imports) > 50
+    missing = [
+        f"{module}.{name}"
+        for module, name in imports
+        if name not in importlib.import_module(f"akblocks.{module}").__all__
+    ]
+    assert not missing, f"re-exported but not in __all__: {missing}"
