@@ -200,8 +200,9 @@ def _swap_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps, r
 def _walk(charge: Multicharge, start, nds, sign: int, sigma, end, what: str, steps=None) -> int:
     """Move nds[t-1] for t in sigma, starting at start: removing them
     (sign -1, each step adds the node's n_below) or adding them (sign +1,
-    each step adds its n_above), as ``_degree`` counts them.  Every node must still be movable when its turn comes
-    and the walk must end at end; either failure raises LemmaViolation.
+    each step adds its n_above), as ``_degree`` counts them.  Every node
+    must still be movable when its turn comes and the walk must end at
+    end; either failure raises LemmaViolation.
 
     Walks of several orders over the same nodes pass through the same
     intermediate multipartitions (one per subset moved, against one per

@@ -77,14 +77,10 @@ def test_readme_cache_paragraph_names_exactly_the_cached_functions():
     assert not (named & defined) - cached, f"named but not cached: {sorted((named & defined) - cached)}"
 
 
-def _modules() -> list:
-    """The package's modules other than ``__init__`` and ``__main__``."""
-    return [importlib.import_module(f"akblocks.{path.stem}") for path in sorted(PACKAGE.glob("[!_]*.py"))]
-
-
 def test_every_all_entry_is_defined():
     # a stale __all__ entry breaks ``from akblocks.<module> import *``
-    modules = _modules()
+    # (every module but __init__ and __main__)
+    modules = [importlib.import_module(f"akblocks.{path.stem}") for path in sorted(PACKAGE.glob("[!_]*.py"))]
     assert len(modules) > 5
     stale = [f"{mod.__name__}.{name}" for mod in modules for name in mod.__all__ if not hasattr(mod, name)]
     assert not stale, f"in __all__ but not defined: {stale}"
