@@ -21,6 +21,7 @@ from .multipartition import (
     Multipartition,
     Partition,
     _check_level,
+    _check_range,
     _is_int,
     _signature,
     as_partition,
@@ -175,10 +176,8 @@ class AbacusDisplay:
 
     def lowest_level(self, i: int, j: int) -> int:
         """Level of the lowest bead on runner i of component j (1-based j)."""
-        if not _is_int(i) or not 0 <= i < self.e:
-            raise InputError(f"runner index {i} out of range 0..{self.e - 1}")
-        if not _is_int(j) or not 1 <= j <= self.r:
-            raise InputError(f"component index {j} out of range 1..{self.r}")
+        _check_range("runner index", 0, self.e - 1, i)
+        _check_range("component index", 1, self.r, j)
         bs = self.components[j - 1]
         beads = [p for p in bs.beads_down_to(bs.min_gap() - self.e) if p % self.e == i]
         if not beads:
@@ -328,13 +327,8 @@ def s_move(m: Multicore, i: int, l: int, j: int, k: int) -> Multicore:
     levels[k][i]+=1.  Degenerate indices (i == l or j == k) would make it
     the identity, where the weight law fails, so they are rejected.
     """
-    e, r = m.e, m.r
-    for idx in (i, l):
-        if type(idx) is not int or not 0 <= idx < e:
-            raise InputError(f"runner index {idx} out of range 0..{e - 1}")
-    for idx in (j, k):
-        if type(idx) is not int or not 1 <= idx <= r:
-            raise InputError(f"component index {idx} out of range 1..{r}")
+    _check_range("runner index", 0, m.e - 1, i, l)
+    _check_range("component index", 1, m.r, j, k)
     if i == l or j == k:
         raise InputError("bead exchange needs two distinct runners and two distinct components")
     return _exchange(m, i, l, j, k)
@@ -354,11 +348,8 @@ def _exchange(m: Multicore, i: int, l: int, j: int, k: int) -> Multicore:
 
 def gamma(m: Multicore, i: int, j: int, k: int) -> int:
     """Level difference of runner i between components j and k."""
-    if type(i) is not int or not 0 <= i < m.e:
-        raise InputError(f"runner index {i} out of range 0..{m.e - 1}")
-    r = m.r
-    if not (type(j) is int and type(k) is int and 1 <= j <= r and 1 <= k <= r):
-        raise InputError(f"component indices {j},{k} out of range 1..{r}")
+    _check_range("runner index", 0, m.e - 1, i)
+    _check_range("component index", 1, m.r, j, k)
     return m.levels[j - 1][i] - m.levels[k - 1][i]
 
 
@@ -396,8 +387,7 @@ def phi(mp: Multipartition, charge: Multicharge, i: int) -> Multipartition:
     Read off the i-signature; on beta-sets this is ``phi_beta_set``, the swap
     of runners (i-1) mod e and i.
     """
-    if type(i) is not int or not 0 <= i < charge.e:
-        raise InputError(f"residue {i} out of range 0..{charge.e - 1}")
+    _check_range("residue", 0, charge.e - 1, i)
     _check_level(mp, charge)
     mp = tuple(as_partition(c) for c in mp)
     rows = [[*c, 0] for c in mp]
@@ -413,8 +403,7 @@ def has_forbidden_config(mp: Multipartition, charge: Multicharge, i: int) -> boo
     empty.  For i == 0: some bead b with b = e-1 (mod e) such that both
     b+1 and b+e+1 are empty.
     """
-    if not _is_int(i) or not 0 <= i < charge.e:
-        raise InputError(f"residue {i} out of range 0..{charge.e - 1}")
+    _check_range("residue", 0, charge.e - 1, i)
     e = charge.e
     target = (i - 1) % e
     disp = AbacusDisplay.from_multipartition(mp, charge)

@@ -29,6 +29,8 @@ from .multipartition import (
     Multicharge,
     Multipartition,
     _check_level,
+    _check_range,
+    _is_int,
     residue_counts,
     size,
 )
@@ -156,10 +158,8 @@ def _hub_matrix(mp: Multipartition, charge: Multicharge) -> list:
 
 def delta_ij(mp: Multipartition, charge: Multicharge, i: int, j: int) -> int:
     """Removable minus addable i-nodes of component j (1-based)."""
-    if not 1 <= j <= len(mp):
-        raise InputError(f"component index {j} out of range 1..{len(mp)}")
-    if not 0 <= i < charge.e:
-        raise InputError(f"residue {i} out of range 0..{charge.e - 1}")
+    _check_range("component index", 1, len(mp), j)
+    _check_range("residue", 0, charge.e - 1, i)
     return _hub_matrix(mp, charge)[j - 1][i]
 
 
@@ -241,7 +241,7 @@ def block_of(mp: Multipartition, charge: Multicharge) -> BlockDescriptor:
         e=charge.e,
         kappa=charge.kappa,
         hub=core.core.hub,
-        weight=weight(mp, charge),
+        weight=_start_weight(core),
         core_weight=core.core.weight,
     )
 
@@ -310,11 +310,9 @@ def _members(splits) -> tuple:
 def enumerate_blocks(n: int, charge: Multicharge, caps: Caps | None = None) -> tuple:
     """All blocks of size n, sorted by lexicographically least member."""
     caps = caps or default_caps()
-    if n < 0:
+    if not _is_int(n) or n < 0:
         raise InputError("block enumeration needs n >= 0")
-    caps.check_n(n)
-    caps.check_r(charge.r)
-    caps.check_e(charge.e)
+    caps.check(n=n, r=charge.r, e=charge.e)
     return _blocks(n, charge)
 
 
@@ -348,9 +346,7 @@ def block_containing(mp: Multipartition, charge: Multicharge, caps: Caps | None 
     multipartitions of the same size.
     """
     caps = caps or default_caps()
-    caps.check_n(size(mp))
-    caps.check_r(charge.r)
-    caps.check_e(charge.e)
+    caps.check(n=size(mp), r=charge.r, e=charge.e)
     members = _members(_split(residue_counts(mp, charge), charge.e, charge.kappa))
     return Block(descriptor=block_of(members[-1], charge), charge=charge, members=members)
 
@@ -447,8 +443,7 @@ def k_value(m: Multicore, i: int) -> int:
     K_i = min_j l'_ij - max_j l'_(i-1)j - [i = 0]; the invariant is the
     maximum over all witnesses (distinct witnesses can disagree).
     """
-    if not 0 <= i < m.e:
-        raise InputError(f"residue {i} out of range 0..{m.e - 1}")
+    _check_range("residue", 0, m.e - 1, i)
     ws = witness_offsets(m)
     if not ws:
         raise InputError("K is only defined on core blocks")
@@ -466,8 +461,7 @@ def k_value(m: Multicore, i: int) -> int:
 
 def d_min(mp: Multipartition, charge: Multicharge, i: int) -> int:
     """Smallest per-component hub entry: min_j delta_i^j."""
-    if not 0 <= i < charge.e:
-        raise InputError(f"residue {i} out of range 0..{charge.e - 1}")
+    _check_range("residue", 0, charge.e - 1, i)
     return min(row[i] for row in _hub_matrix(mp, charge))
 
 
@@ -633,6 +627,12 @@ def core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
     )
 
 
+def _start_weight(res: CoreBlockResult) -> int:
+    """w(mp) for res = core_block_of(mp): its multicore's weight plus r per
+    rim hook, which core_block_of checks against ``weight`` (weight_core_law)."""
+    return (res.chain[0].weight_before if res.chain else res.core.weight) + res.core.r * res.hooks_removed
+
+
 # ---------------------------------------------------------------------------
 # the runner-swap condition
 
@@ -664,7 +664,7 @@ def scopes_condition(mp: Multipartition, charge: Multicharge, i: int) -> ScopesR
     core block itself); holds=False is a report, not an error.
     """
     res = core_block_of(mp, charge)
-    w_b = weight(mp, charge)
+    w_b = _start_weight(res)
     k = k_value(res.core_multicore, i)
     return ScopesReport(
         holds=w_b <= res.core.weight + k * charge.r,

@@ -24,6 +24,7 @@ from .multipartition import (
     Multicharge,
     Multipartition,
     Node,
+    _is_int,
     _signature,
     remove_node,
     add_node,
@@ -51,9 +52,8 @@ class LaurentPolynomial:
     def __init__(self, coeffs=None):
         c = {}
         for d, x in (coeffs or {}).items():
-            if not isinstance(x, int):
-                raise InputError(f"coefficients must be integers, got {x!r}")
-            d = int(d)
+            if not (_is_int(d) and _is_int(x)):
+                raise InputError(f"degrees and coefficients must be integers, got {d!r}: {x!r}")
             if x:
                 c[d] = c.get(d, 0) + x
         self._c = {d: c[d] for d in sorted(c) if c[d]}
@@ -184,7 +184,7 @@ def _removal_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps
     if len(rems) != report.delta:
         detail = f"{mp} has {len(rems)} removable {i}-nodes and no addable one"
         raise LemmaViolation("delta_counts_removable", f"{detail}, but delta_{i} = {report.delta}")
-    caps.check_delta(len(rems))
+    caps.check(delta=len(rems))
     return rems
 
 
@@ -274,8 +274,8 @@ def branching_polynomial(
     scopes_condition of mp's block, for a caller that holds it already
     (every member of a block shares it).
     """
+    target = phi(mp, charge, i)  # checks i and mp's level before any i-signature is read
     ascending = _removal_context(mp, charge, i, caps or default_caps(), condition)
-    target = phi(mp, charge, i)
     steps: dict = {}
     return LaurentPolynomial(Counter(
         _walk(charge, mp, ascending, -1, sigma, target, f"stripping {mp}", steps)

@@ -15,11 +15,15 @@ entry points that enumerate (block listings, verification sweeps).
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import CapExceeded
 
 __all__ = ["Caps", "default_caps"]
+
+
+# how the message for each capped value names it
+_CAPPED = {"n": "size", "r": "level", "e": "characteristic", "delta": "order enumeration for"}
 
 
 @dataclass(frozen=True)
@@ -29,24 +33,15 @@ class Caps:
     max_e: int = 5
     max_delta: int = 6
 
-    def check_n(self, n: int) -> None:
-        if n > self.max_n:
-            raise CapExceeded(f"size n={n} exceeds cap {self.max_n} (set AKBLOCKS_MAX_N to raise)")
-
-    def check_r(self, r: int) -> None:
-        if r > self.max_r:
-            raise CapExceeded(f"level r={r} exceeds cap {self.max_r} (set AKBLOCKS_MAX_R to raise)")
-
-    def check_e(self, e: int) -> None:
-        if e > self.max_e:
-            raise CapExceeded(f"characteristic e={e} exceeds cap {self.max_e} (set AKBLOCKS_MAX_E to raise)")
-
-    def check_delta(self, delta: int) -> None:
-        if delta > self.max_delta:
-            raise CapExceeded(
-                f"order enumeration for delta={delta} exceeds cap {self.max_delta}"
-                " (set AKBLOCKS_MAX_DELTA to raise)"
-            )
+    def check(self, **values) -> None:
+        """CapExceeded for the first value past its cap, in argument order:
+        ``check(r=2, e=3)`` tests r against max_r, then e against max_e."""
+        for key, value in values.items():
+            cap = getattr(self, f"max_{key}")
+            if value > cap:
+                raise CapExceeded(
+                    f"{_CAPPED[key]} {key}={value} exceeds cap {cap} (set AKBLOCKS_MAX_{key.upper()} to raise)"
+                )
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -61,9 +56,4 @@ def _env_int(name: str, fallback: int) -> int:
 
 def default_caps() -> Caps:
     """Caps from the environment, falling back to the desk-scale defaults."""
-    return Caps(
-        max_n=_env_int("AKBLOCKS_MAX_N", Caps.max_n),
-        max_r=_env_int("AKBLOCKS_MAX_R", Caps.max_r),
-        max_e=_env_int("AKBLOCKS_MAX_E", Caps.max_e),
-        max_delta=_env_int("AKBLOCKS_MAX_DELTA", Caps.max_delta),
-    )
+    return Caps(**{f.name: _env_int(f"AKBLOCKS_{f.name.upper()}", f.default) for f in fields(Caps)})

@@ -197,7 +197,6 @@ def _branch(args, mc, mp, caps):
 
 
 def _certify(args, mc, mp, caps):
-    caps.check_n(size(mp))
     return certificate(block_containing(mp, mc, caps), args.i, caps).to_json()
 
 
@@ -212,11 +211,7 @@ def _verify_all(args, mc, mp, caps):
     if args.max_n is not None:
         grid = replace(grid, max_n=args.max_n, branch_n=args.max_n, oracle_n=args.max_n)
     needs = _caps_for(grid)
-    caps = _caps(args.caps)
-    caps.check_r(needs.max_r)
-    caps.check_e(needs.max_e)
-    caps.check_n(needs.max_n)
-    caps.check_delta(needs.max_delta)
+    _caps(args.caps).check(r=needs.max_r, e=needs.max_e, n=needs.max_n, delta=needs.max_delta)
     results = run_all(grid)
     payload = results_to_json(results, grid) if args.format == "json" else format_results(results)
     return payload, [r.lemma for r in results if not r.ok]
@@ -237,6 +232,7 @@ class _Command(NamedTuple):
     flags: tuple = ()  # further (names, argparse options) pairs, in help order
     charged: bool = True  # takes --e/--charge; --caps is then read and checked
     lam: bool = True  # takes --lambda as a JSON multipartition (needs charged)
+    capped: bool = True  # takes --caps; parse-abacus has nothing to cap
 
 
 _RESIDUE = _flag("--i", type=int, required=True, help="residue")
@@ -252,7 +248,7 @@ _COMMANDS = (
         flags=(_flag("--window", help="level window lo,hi"), _FORMAT),
     ),
     _Command(
-        "parse-abacus", "decode a rendered bead display", _parse_abacus, charged=False, lam=False,
+        "parse-abacus", "decode a rendered bead display", _parse_abacus, charged=False, lam=False, capped=False,
         flags=(_flag("--lambda", dest="lam", required=True, help="display text or @file"),),
     ),
     _Command("weight", "block weight of a multipartition", _weight),
@@ -296,8 +292,7 @@ def _run(cmd: _Command, args) -> int:
         if cmd.lam:
             mp = _lam(args.lam)
         caps = _caps(args.caps)
-        caps.check_r(mc.r)
-        caps.check_e(mc.e)
+        caps.check(r=mc.r, e=mc.e)
     out = cmd.handler(args, mc, mp, caps)
     payload, failed = out if isinstance(out, tuple) else (out, ())
     _emit(args, payload)
@@ -330,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         for names, options in cmd.flags:
             s.add_argument(*names, **options)
         s.add_argument("--out", help="write output to this file instead of stdout")
-        s.add_argument("--caps", help="override caps, e.g. max_n=12,max_delta=7")
+        if cmd.capped:
+            s.add_argument("--caps", help="override caps, e.g. max_n=12,max_delta=7")
         s.set_defaults(cmd=cmd)
 
     # let "--charge -1,0,1" and "--window -3,1" pass as values: no option

@@ -86,6 +86,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_range(what: str, lo: int, hi: int, *values) -> None:
+    """InputError naming the first value that is a bool, not an int, or outside lo..hi."""
+    for x in values:
+        if not (type(x) is int or _is_int(x)) or not lo <= x <= hi:
+            raise InputError(f"{what} {x} out of range {lo}..{hi}")
+
+
 def as_partition(parts: Iterable) -> Partition:
     """Validate and canonicalise a partition (strip trailing zeros).
 
@@ -178,8 +185,8 @@ def _signature(mp: Multipartition, charge: Multicharge, i: int) -> list:
     """The i-signature: the addable (+1) and removable (-1) i-nodes as
     (node, sign) pairs, highest first.  The row ends of ``_row_ends``, but
     only of residue i: row b of width w (charge a) ends at a + w - b, and
-    the empty row past the last one has residue a - rows."""
-    _check_level(mp, charge)
+    the empty row past the last one has residue a - rows.  Every caller
+    has already checked mp's level against the charge."""
     e = charge.e
     out = []
     for j, (a, comp) in enumerate(zip(charge.entries, mp), start=1):
@@ -236,8 +243,7 @@ def add_node(mp: Multipartition, nd: Node) -> Multipartition:
 
 def residue(nd: Node, charge: Multicharge) -> int:
     """Residue of a node: (a_comp + col - row) mod e."""
-    if not 1 <= nd.comp <= charge.r:
-        raise InputError(f"node component {nd.comp} out of range for r={charge.r}")
+    _check_range("node component", 1, charge.r, nd.comp)
     return (charge.entries[nd.comp - 1] + nd.col - nd.row) % charge.e
 
 

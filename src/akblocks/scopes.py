@@ -82,6 +82,7 @@ def _good_nodes(mp: Multipartition, charge: Multicharge):
 
 def good_nodes(mp: Multipartition, charge: Multicharge) -> tuple:
     """The good node of each residue, where one exists, ordered by residue."""
+    _check_level(mp, charge)
     return tuple(_good_nodes(mp, charge))
 
 

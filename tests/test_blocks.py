@@ -14,6 +14,7 @@ from akblocks import (
     InputError,
     LemmaViolation,
     Multicharge,
+    Node,
     base_tuples,
     block_containing,
     block_of,
@@ -26,6 +27,7 @@ from akblocks import (
     k_value,
     level_hub,
     multipartitions_of,
+    residue,
     residue_counts,
     same_block,
     scopes_condition,
@@ -70,14 +72,16 @@ def test_block_of_roundtrip():
 
 
 def test_block_of_and_scopes_condition_read_the_hub_of_the_core_block():
-    # both take the hub from core_block_of, which keeps hub(mp) for its core
+    # both take the hub from core_block_of, which keeps hub(mp) for its core,
+    # and the weight from its chain, which starts r per rim hook below w(mp)
     checked = 0
     for mc in DEFAULT_GRID.cells():
         for n in range(6):
             for mp in multipartitions_of(n, mc.r):
-                h = hub(mp, mc)
-                assert block_of(mp, mc).hub == h
-                assert [scopes_condition(mp, mc, i).delta for i in range(mc.e)] == list(h)
+                h, w = hub(mp, mc), weight(mp, mc)
+                assert (block_of(mp, mc).hub, block_of(mp, mc).weight) == (h, w)
+                reports = [scopes_condition(mp, mc, i) for i in range(mc.e)]
+                assert [(rep.delta, rep.w_b) for rep in reports] == [(d, w) for d in h]
                 checked += 1
     assert checked > 1000
 
@@ -95,6 +99,37 @@ def test_enumerate_blocks_respects_caps():
     mc = Multicharge(2, (0,))
     with pytest.raises(InputError):
         enumerate_blocks(4, mc, Caps(max_n=3, max_r=3, max_e=5, max_delta=6))
+
+
+def test_caps_check_names_the_first_value_past_its_cap():
+    with pytest.raises(CapExceeded, match=r"^level r=2 exceeds cap 1 \(set AKBLOCKS_MAX_R to raise\)$"):
+        Caps(max_r=1, max_e=2).check(r=2, e=3)
+
+
+_M = to_multicore(((2,), (1,)), Multicharge(3, (0, 1)))[0]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: k_value(_M, True), id="k_value bool residue"),
+        pytest.param(lambda: k_value(_M, 1.0), id="k_value float residue"),
+        pytest.param(lambda: delta_ij(LAM, MC, True, 1), id="delta_ij bool residue"),
+        pytest.param(lambda: delta_ij(LAM, MC, 0, 1.0), id="delta_ij float component"),
+        pytest.param(lambda: d_min(LAM, MC, True), id="d_min bool residue"),
+        pytest.param(lambda: d_min(LAM, MC, 1.0), id="d_min float residue"),
+        pytest.param(lambda: scopes_condition(LAM, MC, True), id="scopes_condition bool residue"),
+        pytest.param(lambda: residue(Node(1, 1, True), MC), id="residue bool component"),
+        pytest.param(lambda: residue(Node(1, 1, 1.0), MC), id="residue float component"),
+        pytest.param(lambda: enumerate_blocks(2.0, MC), id="enumerate_blocks float size"),
+        pytest.param(lambda: enumerate_blocks(True, MC), id="enumerate_blocks bool size"),
+    ],
+)
+def test_block_entry_points_reject_values_that_only_look_like_integers(build):
+    # each of these gave a wrong answer or a TypeError before the range
+    # checks went through one helper that rejects bools and floats
+    with pytest.raises(InputError):
+        build()
 
 
 def test_level_hub_bridge_on_multicore():

@@ -49,8 +49,10 @@ def test_polynomial_drops_zero_coefficients():
 
 
 def test_polynomial_rejects_non_integshape():
-    with pytest.raises(InputError):
-        LaurentPolynomial({0: 1.5})
+    # neither True nor a float or string degree may pass as an integer
+    for coeffs in ({0: 1.5}, {0: True}, {2.5: 1}, {"2": 1}):
+        with pytest.raises(InputError):
+            LaurentPolynomial(coeffs)
 
 
 def test_polynomial_json_roundtrip():

@@ -143,6 +143,18 @@ def test_env_caps_are_honoured(capsys, monkeypatch):
     monkeypatch.setenv("AKBLOCKS_MAX_N", "10")
     code, out, _ = run(capsys, "blocks", "--e", "2", "--charge", "0", "--n", "9")
     assert code == 0
+    # each further variable: one below what the command needs fails, the
+    # value it needs passes
+    for variable, needed, argv in (
+        ("AKBLOCKS_MAX_R", 4, ["weight", "--e", "2", "--charge", "0,0,0,0", "--lambda", "[[],[],[],[]]"]),
+        ("AKBLOCKS_MAX_E", 9, ["weight", "--e", "9", "--charge", "0", "--lambda", "[[1]]"]),
+        ("AKBLOCKS_MAX_DELTA", 3, ["branch", "--e", "3", "--charge", "0,0,0", "--lambda", "[[1],[1],[1]]", "--i", "0"]),
+    ):
+        monkeypatch.setenv(variable, str(needed - 1))
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and variable in err
+        monkeypatch.setenv(variable, str(needed))
+        assert run(capsys, *argv)[0] == 0
 
 
 def test_verify_all_json_format(capsys):

@@ -104,6 +104,8 @@ CASES = [
     ["verify-all", "--caps", "max_n=1", "--max-n", "3", "--r", "1", "--e", "2"],
     ["verify-all", "--max-n", "3", "--r", "12", "--e", "2"],
     ["verify-all", "--caps", "max_delta=1", "--max-n", "4", "--r", "1,2", "--e", "2"],
+    # exit 2: parse-abacus takes no --caps
+    ["parse-abacus", "--lambda", DRAWING, "--caps", "max_n=3"],
 ]
 
 _CAP_VARIABLES = ("AKBLOCKS_MAX_N", "AKBLOCKS_MAX_R", "AKBLOCKS_MAX_E", "AKBLOCKS_MAX_DELTA")

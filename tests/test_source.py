@@ -100,3 +100,14 @@ def test_package_reexports_only_names_in_their_modules_all():
         if name not in importlib.import_module(f"akblocks.{module}").__all__
     ]
     assert not missing, f"re-exported but not in __all__: {missing}"
+
+
+def test_only_multipartition_formats_out_of_range_messages():
+    # index and residue bounds are checked by multipartition._check_range
+    # alone, so no other module writes a range check of its own
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "multipartition.py" and "out of range" in path.read_text()
+    ]
+    assert not found, f"an 'out of range' message outside multipartition.py: {found}"
