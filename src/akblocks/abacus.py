@@ -41,7 +41,6 @@ __all__ = [
     "s_move",
     "gamma",
     "gamma_diff",
-    "phi_int",
     "phi_beta_set",
     "phi",
     "has_forbidden_config",

@@ -17,7 +17,7 @@ composition of n by summed counts.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import sub
@@ -132,25 +132,24 @@ def _level_weight(m: Multicore, kappa: tuple) -> int:
 def _hub_matrix(mp: Multipartition, charge: Multicharge) -> list:
     """Per-component hub: row j-1 holds delta_i^j for i in Z/eZ.
 
-    Read off the row ends in O(rows + r*e): row b of width w ends in a
-    removable node of residue a + w - b when the next row is shorter, and
-    has an addable node of residue a + w + 1 - b when it is the first row
-    or the row above is longer.  The empty row one past the end is always
-    addable, with residue a - (number of rows).
+    Read off the rows in O(rows + r*e), with no test of which row ends
+    are removable or addable: row b of width w (charge a) marks +1 at
+    residue a + w - b, its last node, and -1 at a + w - b + 1, one past
+    it, and the empty row past the last one marks -1 at a - (number of
+    rows).  Between two rows of equal width the lower row's -1 falls on
+    the upper row's +1, so in a run of equal rows only the top -1 (the
+    addable node past the run) and the bottom +1 (its removable node)
+    survive.
     """
     _check_level(mp, charge)
     e = charge.e
     out = []
     for a, comp in zip(charge.entries, mp):
         row = [0] * e
-        above = None
         for b, w in enumerate(comp, start=1):
-            below = comp[b] if b < len(comp) else 0
-            if w > below:
-                row[(a + w - b) % e] += 1
-            if above is None or above > w:
-                row[(a + w + 1 - b) % e] -= 1
-            above = w
+            end = a + w - b
+            row[end % e] += 1
+            row[(end + 1) % e] -= 1
         row[(a - len(comp)) % e] -= 1
         out.append(row)
     return out
@@ -204,15 +203,7 @@ class BlockDescriptor:
     core_weight: int
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "e": self.e,
-            "kappa": list(self.kappa),
-            "hub": list(self.hub),
-            "weight": self.weight,
-            "core_weight": self.core_weight,
-        }
+        return {**asdict(self), "kappa": list(self.kappa), "hub": list(self.hub)}
 
     @property
     def is_core(self) -> bool:

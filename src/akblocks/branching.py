@@ -24,6 +24,7 @@ from .multipartition import (
     Multicharge,
     Multipartition,
     Node,
+    _check_range,
     _is_int,
     _signature,
     remove_node,
@@ -120,10 +121,7 @@ def mahonian(delta: int) -> tuple:
     >>> mahonian(3)
     (1, 2, 2, 1)
     """
-    if delta < 0:
-        raise InputError("mahonian needs delta >= 0")
-    if delta > MAHONIAN_CAP:
-        raise InputError(f"mahonian enumeration capped at delta <= {MAHONIAN_CAP}, got {delta}")
+    _check_range("mahonian delta", 0, MAHONIAN_CAP, delta)
     out = [0] * (delta * (delta - 1) // 2 + 1)
     for sigma in permutations(range(delta)):
         out[inversions(sigma)] += 1
@@ -132,8 +130,8 @@ def mahonian(delta: int) -> tuple:
 
 def degree_spectrum(delta: int) -> LaurentPolynomial:
     """sum_k mahonian(delta)[k] * v^(ell - 2k) with ell = delta*(delta-1)/2."""
-    ell = delta * (delta - 1) // 2
     counts = mahonian(delta)
+    ell = delta * (delta - 1) // 2
     return LaurentPolynomial({ell - 2 * k: counts[k] for k in range(len(counts))})
 
 

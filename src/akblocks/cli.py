@@ -11,7 +11,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Callable, NamedTuple
 
 from .abacus import AbacusDisplay, parse_abacus, phi, render
@@ -91,12 +91,13 @@ def _lam(raw: str):
 
 
 def _caps(spec) -> Caps:
+    names = [f.name for f in fields(Caps)]
     updates = {}
     for piece in spec.split(",") if spec else ():
         key, _, value = piece.partition("=")
         key = key.strip()
-        if key not in ("max_n", "max_r", "max_e", "max_delta"):
-            raise InputError(f"unknown cap {key!r} (use max_n/max_r/max_e/max_delta)")
+        if key not in names:
+            raise InputError(f"unknown cap {key!r} (use {'/'.join(names)})")
         try:
             updates[key] = int(value)
         except ValueError:
@@ -209,7 +210,7 @@ def _verify_all(args, mc, mp, caps):
     es = _ints(args.e_list, _INT_LIST) if args.e_list else DEFAULT_GRID.es
     grid = SweepGrid(levels=levels, es=es)
     if args.max_n is not None:
-        grid = replace(grid, max_n=args.max_n, branch_n=args.max_n, oracle_n=args.max_n)
+        grid = replace(grid, max_n=args.max_n, branch_n=args.max_n)
     needs = _caps_for(grid)
     _caps(args.caps).check(r=needs.max_r, e=needs.max_e, n=needs.max_n, delta=needs.max_delta)
     results = run_all(grid)

@@ -6,6 +6,7 @@ Nodes are (row, col, comp) triples, all 1-based, with comp indexing the
 component.  Residues live in Z/eZ and depend on a multicharge.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat, zip_longest
 from typing import Iterable, NamedTuple
@@ -13,8 +14,6 @@ from typing import Iterable, NamedTuple
 from .errors import InputError
 
 __all__ = [
-    "Partition",
-    "Multipartition",
     "Node",
     "Multicharge",
     "as_partition",
@@ -91,6 +90,13 @@ def _check_range(what: str, lo: int, hi: int, *values) -> None:
     for x in values:
         if not (type(x) is int or _is_int(x)) or not lo <= x <= hi:
             raise InputError(f"{what} {x} out of range {lo}..{hi}")
+
+
+def _check_node(nd: Node, r: int) -> None:
+    """InputError unless nd's component is an int in 1..r and its row and column are positive ints."""
+    row, col, comp = nd
+    _check_range("node component", 1, r, comp)
+    _check_range("node row or column", 1, math.inf, row, col)
 
 
 def as_partition(parts: Iterable) -> Partition:
@@ -212,9 +218,10 @@ def remove_node(mp: Multipartition, nd: Node) -> Multipartition:
     row shorter, the rule ``_row_ends`` applies; only that row and the
     next are read.  The result is a partition by construction.
     """
+    _check_node(nd, len(mp))
     b, c, j = nd
-    comp = list(mp[j - 1]) if 1 <= j <= len(mp) else []
-    if not (1 <= b <= len(comp) and comp[b - 1] == c and (b == len(comp) or comp[b] < c)):
+    comp = list(mp[j - 1])
+    if not (b <= len(comp) and comp[b - 1] == c and (b == len(comp) or comp[b] < c)):
         raise InputError(f"{nd} is not a removable node of {mp}")
     if c == 1:
         comp.pop()  # the next row is empty, so this is the last row
@@ -230,11 +237,12 @@ def add_node(mp: Multipartition, nd: Node) -> Multipartition:
     past a row's end with the row above longer (or none above), the rule
     ``_row_ends`` applies; only that row and the one above are read.
     """
+    _check_node(nd, len(mp))
     b, c, j = nd
-    comp = list(mp[j - 1]) if 1 <= j <= len(mp) else None
-    if comp is not None and b == len(comp) + 1 and c == 1:
+    comp = list(mp[j - 1])
+    if b == len(comp) + 1 and c == 1:
         comp.append(1)
-    elif comp and 1 <= b <= len(comp) and comp[b - 1] == c - 1 and (b == 1 or comp[b - 2] > c - 1):
+    elif b <= len(comp) and comp[b - 1] == c - 1 and (b == 1 or comp[b - 2] > c - 1):
         comp[b - 1] += 1
     else:
         raise InputError(f"{nd} is not an addable node of {mp}")
@@ -243,7 +251,7 @@ def add_node(mp: Multipartition, nd: Node) -> Multipartition:
 
 def residue(nd: Node, charge: Multicharge) -> int:
     """Residue of a node: (a_comp + col - row) mod e."""
-    _check_range("node component", 1, charge.r, nd.comp)
+    _check_node(nd, charge.r)
     return (charge.entries[nd.comp - 1] + nd.col - nd.row) % charge.e
 
 

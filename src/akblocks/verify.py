@@ -8,7 +8,7 @@ counting), never from the code path under test.
 """
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import combinations, permutations, takewhile
 
@@ -78,22 +78,25 @@ from .scopes import (
 
 __all__ = ["SweepGrid", "DEFAULT_GRID", "LemmaResult", "run_all", "format_results", "results_to_json"]
 
+# the largest delta whose delta! removal orders the branching sweep walks
+_MAX_DELTA = 6
+
 
 @dataclass(frozen=True)
 class SweepGrid:
     """The enumeration ranges a verification run covers.
 
     max_n bounds most sweeps; branch_n the branching/forbidden-config/
-    preservation sweeps (which only visit condition-satisfying blocks);
-    oracle_n the r=1 Kleshchev oracle.
+    preservation sweeps (which only visit condition-satisfying blocks)
+    and the r=1 Kleshchev oracle.  ``to_json`` writes branch_n under both
+    the branch_n and oracle_n keys, and the branching sweep's delta bound
+    as max_delta.
     """
 
     max_n: int = 6
     levels: tuple = (1, 2, 3)
     es: tuple = (2, 3, 4)
     branch_n: int = 8
-    oracle_n: int = 8
-    max_delta: int = 6
 
     def charges(self, r: int, e: int) -> tuple:
         if r == 1:
@@ -111,14 +114,8 @@ class SweepGrid:
                     yield Multicharge(e, entries)
 
     def to_json(self) -> dict:
-        return {
-            "max_n": self.max_n,
-            "levels": list(self.levels),
-            "es": list(self.es),
-            "branch_n": self.branch_n,
-            "oracle_n": self.oracle_n,
-            "max_delta": self.max_delta,
-        }
+        lists = {"levels": list(self.levels), "es": list(self.es)}
+        return {**asdict(self), **lists, "oracle_n": self.branch_n, "max_delta": _MAX_DELTA}
 
 
 DEFAULT_GRID = SweepGrid()
@@ -177,12 +174,12 @@ def _sweep(*lemmas: str):
 
 
 def _caps_for(grid: SweepGrid) -> Caps:
-    top = max(grid.max_n, grid.branch_n, grid.oracle_n)
+    top = max(grid.max_n, grid.branch_n)
     return Caps(
         max_n=top,
         max_r=max(grid.levels),
         max_e=max(grid.es),
-        max_delta=grid.max_delta,
+        max_delta=_MAX_DELTA,
     )
 
 
@@ -727,7 +724,7 @@ def check_branching(grid: SweepGrid, degree_law, well_defined, spectrum, inducti
     for mc in grid.cells():
         for blk, i, report in _condition_blocks(grid, mc):
             delta = report.delta
-            if delta > grid.max_delta:
+            if delta > _MAX_DELTA:
                 continue
             ell = delta * (delta - 1) // 2
             expected = degree_spectrum(delta)
@@ -835,7 +832,7 @@ def check_scopes_maps(grid: SweepGrid, bijection, weight_pres, lex_pres, kle_pre
             )
     for e in grid.es:
         mc = Multicharge(e, (0,))
-        for n in range(grid.oracle_n + 1):
+        for n in range(grid.branch_n + 1):
             for p in partitions_of(n):
                 padded = p + (0,)
                 restricted = all(padded[b] - padded[b + 1] < e for b in range(len(p)))
@@ -928,13 +925,5 @@ def results_to_json(results, grid: SweepGrid) -> dict:
     return {
         "schema": 1,
         "grid": grid.to_json(),
-        "results": [
-            {
-                "lemma": r.lemma,
-                "instances": r.instances,
-                "ok": r.ok,
-                "violations": list(r.violations),
-            }
-            for r in results
-        ],
+        "results": [{**asdict(r), "ok": r.ok, "violations": list(r.violations)} for r in results],
     }

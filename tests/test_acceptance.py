@@ -124,7 +124,7 @@ def _every_single_hook_slide_drops_weight_by_r(mc, max_n):
 
 def test_c04_weight_laws():
     t0 = time.monotonic()
-    grid = SweepGrid(max_n=7, levels=(1, 2, 3), es=(2, 3, 4), branch_n=7, oracle_n=7)
+    grid = SweepGrid(max_n=7, levels=(1, 2, 3), es=(2, 3, 4), branch_n=7)
     _assert_all_ok(
         check_weights(grid),
         ["weight_core_law", "same_hub_weight_law", "classical_e_weight"],

@@ -15,18 +15,22 @@ from akblocks import (
     LemmaViolation,
     Multicharge,
     Node,
+    add_node,
     base_tuples,
     block_containing,
     block_of,
     core_block_of,
     d_min,
+    degree_spectrum,
     delta_ij,
     enumerate_blocks,
     hub,
     is_core_block,
     k_value,
     level_hub,
+    mahonian,
     multipartitions_of,
+    remove_node,
     residue,
     residue_counts,
     same_block,
@@ -121,6 +125,17 @@ _M = to_multicore(((2,), (1,)), Multicharge(3, (0, 1)))[0]
         pytest.param(lambda: scopes_condition(LAM, MC, True), id="scopes_condition bool residue"),
         pytest.param(lambda: residue(Node(1, 1, True), MC), id="residue bool component"),
         pytest.param(lambda: residue(Node(1, 1, 1.0), MC), id="residue float component"),
+        pytest.param(lambda: residue(Node(1.0, 1, 1), MC), id="residue float row"),
+        pytest.param(lambda: residue(Node(True, 1, 1), MC), id="residue bool row"),
+        pytest.param(lambda: residue(Node(1, 0, 1), MC), id="residue column 0"),
+        pytest.param(lambda: remove_node(((1,), ()), Node(1, True, 1)), id="remove_node bool column"),
+        pytest.param(lambda: remove_node(((1,), ()), Node(1, 1, True)), id="remove_node bool component"),
+        pytest.param(lambda: add_node(((1,), ()), Node(1, 2.0, 1)), id="add_node float column"),
+        pytest.param(lambda: add_node(((1,), ()), Node(1.0, 2, 1)), id="add_node float row"),
+        pytest.param(lambda: mahonian(2.0), id="mahonian float delta"),
+        pytest.param(lambda: mahonian(True), id="mahonian bool delta"),
+        pytest.param(lambda: degree_spectrum(2.0), id="degree_spectrum float delta"),
+        pytest.param(lambda: degree_spectrum(True), id="degree_spectrum bool delta"),
         pytest.param(lambda: enumerate_blocks(2.0, MC), id="enumerate_blocks float size"),
         pytest.param(lambda: enumerate_blocks(True, MC), id="enumerate_blocks bool size"),
     ],

@@ -44,7 +44,7 @@ def test_result_flags_and_rendering():
 
 
 def test_results_json_shape():
-    grid = SweepGrid(max_n=2, levels=(1,), es=(2,), branch_n=2, oracle_n=2)
+    grid = SweepGrid(max_n=2, levels=(1,), es=(2,), branch_n=2)
     results = run_all(grid)
     payload = results_to_json(results, grid)
     assert payload["schema"] == 1
@@ -62,7 +62,7 @@ def test_mahonian_sweep_alone():
         assert res.ok and res.instances == 9
 
 
-TINY = SweepGrid(max_n=1, levels=(1,), es=(2,), branch_n=1, oracle_n=1)
+TINY = SweepGrid(max_n=1, levels=(1,), es=(2,), branch_n=1)
 
 
 def _declared() -> list:
