@@ -13,7 +13,7 @@ removes one rim e-hook.  Multicores are stored as the matrix of lowest
 occupied levels per runner and component.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, LemmaViolation
 from .multipartition import (
@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BetaSet:
+class BetaSet(NamedTuple("BetaSet", [("charge", int), ("delta", frozenset)])):
     """An infinite down-closed bead set, stored as (charge, delta).
 
     ``delta`` is the finite symmetric difference from the vacuum
@@ -60,32 +59,29 @@ class BetaSet:
     balance: |delta below charge| == |delta at or above charge|.
     """
 
-    charge: int
-    delta: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_int(self.charge):
-            raise InputError(f"charge must be an integer, got {self.charge!r}")
-        d = frozenset(self.delta)
+    def __new__(cls, charge: int, delta: frozenset):
+        if not _is_int(charge):
+            raise InputError(f"charge must be an integer, got {charge!r}")
+        d = frozenset(delta)
         if not all(_is_int(p) for p in d):
             raise InputError("beta-set perturbation must contain integers")
-        removed = sum(1 for p in d if p < self.charge)
+        removed = sum(1 for p in d if p < charge)
         added = len(d) - removed
         if removed != added:
             raise InputError(
-                f"unbalanced beta-set: {removed} beads removed vs {added} added relative to charge {self.charge}"
+                f"unbalanced beta-set: {removed} beads removed vs {added} added relative to charge {charge}"
             )
-        object.__setattr__(self, "delta", d)
+        return tuple.__new__(cls, (charge, d))
 
     @classmethod
     def _trusted(cls, charge: int, delta: frozenset) -> "BetaSet":
         """A beta-set from a balanced frozenset of integers the program built itself, unchecked."""
-        bs = object.__new__(cls)
-        object.__setattr__(bs, "charge", charge)
-        object.__setattr__(bs, "delta", delta)
-        return bs
+        return tuple.__new__(cls, (charge, delta))
 
     def __contains__(self, p: int) -> bool:
+        # a bead test, not tuple membership of the two fields
         return (p < self.charge) != (p in self.delta)
 
     def min_gap(self) -> int:
@@ -142,20 +138,18 @@ def partition_of(bs: BetaSet):
     return _decode(betas, bs.charge), bs.charge
 
 
-@dataclass(frozen=True)
-class AbacusDisplay:
+class AbacusDisplay(NamedTuple("AbacusDisplay", [("e", int), ("components", tuple)])):
     """One beta-set per component, drawn on a common set of e runners."""
 
-    e: int
-    components: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_int(self.e) or self.e < 2:
-            raise InputError(f"e must be an integer >= 2, got {self.e!r}")
-        comps = tuple(self.components)
+    def __new__(cls, e: int, components: tuple):
+        if not _is_int(e) or e < 2:
+            raise InputError(f"e must be an integer >= 2, got {e!r}")
+        comps = tuple(components)
         if not comps or not all(isinstance(c, BetaSet) for c in comps):
             raise InputError("components must be a nonempty tuple of BetaSet")
-        object.__setattr__(self, "components", comps)
+        return tuple.__new__(cls, (e, comps))
 
     @property
     def r(self) -> int:
@@ -229,8 +223,7 @@ def _beta_from_beads(charge: int, cutoff: int, beads) -> BetaSet:
     return BetaSet(charge, frozenset(p for p in span if (p < cutoff or p in beads) != (p < charge)))
 
 
-@dataclass(frozen=True)
-class Multicore:
+class Multicore(NamedTuple("Multicore", [("e", int), ("levels", tuple)])):
     """A multicore, stored as lowest occupied levels: levels[j][i].
 
     Component charges are recovered as a_j = e + sum_i levels[j][i].
@@ -238,26 +231,22 @@ class Multicore:
     never has a removable rim e-hook.
     """
 
-    e: int
-    levels: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_int(self.e) or self.e < 2:
-            raise InputError(f"e must be an integer >= 2, got {self.e!r}")
-        rows = tuple(tuple(row) for row in self.levels)
-        if not rows or any(len(row) != self.e for row in rows):
-            raise InputError(f"levels must be rows of length e={self.e}")
+    def __new__(cls, e: int, levels: tuple):
+        if not _is_int(e) or e < 2:
+            raise InputError(f"e must be an integer >= 2, got {e!r}")
+        rows = tuple(tuple(row) for row in levels)
+        if not rows or any(len(row) != e for row in rows):
+            raise InputError(f"levels must be rows of length e={e}")
         if not all(_is_int(x) for row in rows for x in row):
             raise InputError("levels must be integers")
-        object.__setattr__(self, "levels", rows)
+        return tuple.__new__(cls, (e, rows))
 
     @classmethod
     def _trusted(cls, e: int, rows: tuple) -> "Multicore":
         """A multicore from e-tuples of integers the program built itself, unchecked."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "e", e)
-        object.__setattr__(m, "levels", rows)
-        return m
+        return tuple.__new__(cls, (e, rows))
 
     @property
     def r(self) -> int:

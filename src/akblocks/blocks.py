@@ -17,10 +17,10 @@ composition of n by summed counts.
 """
 
 from collections import deque
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import sub
+from typing import NamedTuple
 
 from .abacus import Multicore, _exchange, to_multicore
 from .caps import Caps, default_caps
@@ -190,8 +190,7 @@ def _level_hub_matrix(m: Multicore) -> list:
 # block descriptors and enumeration
 
 
-@dataclass(frozen=True)
-class BlockDescriptor:
+class BlockDescriptor(NamedTuple):
     """Invariants that pin down a block: size, level, e, charges mod e, hub, weights."""
 
     n: int
@@ -203,15 +202,14 @@ class BlockDescriptor:
     core_weight: int
 
     def to_json(self) -> dict:
-        return {**asdict(self), "kappa": list(self.kappa), "hub": list(self.hub)}
+        return {**self._asdict(), "kappa": list(self.kappa), "hub": list(self.hub)}
 
     @property
     def is_core(self) -> bool:
         return self.weight == self.core_weight
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """A block together with its full membership list, lex-descending."""
 
     descriptor: BlockDescriptor
@@ -460,8 +458,7 @@ def d_min(mp: Multipartition, charge: Multicharge, i: int) -> int:
 # reaching the core block
 
 
-@dataclass(frozen=True)
-class SMoveStep:
+class SMoveStep(NamedTuple):
     """One recorded bead exchange along a core-block chain."""
 
     i: int
@@ -484,8 +481,7 @@ class SMoveStep:
         }
 
 
-@dataclass(frozen=True)
-class CoreBlockResult:
+class CoreBlockResult(NamedTuple):
     """Where a block's weight goes when all of it is stripped away."""
 
     core: BlockDescriptor
@@ -628,8 +624,7 @@ def _start_weight(res: CoreBlockResult) -> int:
 # the runner-swap condition
 
 
-@dataclass(frozen=True)
-class ScopesReport:
+class ScopesReport(NamedTuple):
     """Verdict of the weight-versus-K condition for one block and residue."""
 
     holds: bool

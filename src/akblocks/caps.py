@@ -15,7 +15,7 @@ entry points that enumerate (block listings, verification sweeps).
 """
 
 import os
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import CapExceeded
 
@@ -26,8 +26,7 @@ __all__ = ["Caps", "default_caps"]
 _CAPPED = {"n": "size", "r": "level", "e": "characteristic", "delta": "order enumeration for"}
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     max_n: int = 8
     max_r: int = 3
     max_e: int = 5
@@ -56,4 +55,4 @@ def _env_int(name: str, fallback: int) -> int:
 
 def default_caps() -> Caps:
     """Caps from the environment, falling back to the desk-scale defaults."""
-    return Caps(**{f.name: _env_int(f"AKBLOCKS_{f.name.upper()}", f.default) for f in fields(Caps)})
+    return Caps(**{name: _env_int(f"AKBLOCKS_{name.upper()}", value) for name, value in Caps._field_defaults.items()})

@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import fields, replace
 from typing import Callable, NamedTuple
 
 from .abacus import AbacusDisplay, parse_abacus, phi, render
@@ -82,27 +81,27 @@ def _text(raw: str) -> str:
         raise InputError(f"cannot read {raw[1:]!r}: {exc}")
 
 
-def _lam(raw: str):
+def _lam(raw: str, flag: str):
+    """The multipartition given as JSON (or @file) to the option named flag."""
     try:
         obj = json.loads(_text(raw))
     except json.JSONDecodeError as exc:
-        raise InputError(f"--lambda is not valid JSON: {exc}")
+        raise InputError(f"{flag} is not valid JSON: {exc}")
     return multipartition_from_json(obj)
 
 
 def _caps(spec) -> Caps:
-    names = [f.name for f in fields(Caps)]
     updates = {}
     for piece in spec.split(",") if spec else ():
         key, _, value = piece.partition("=")
         key = key.strip()
-        if key not in names:
-            raise InputError(f"unknown cap {key!r} (use {'/'.join(names)})")
+        if key not in Caps._fields:
+            raise InputError(f"unknown cap {key!r} (use {'/'.join(Caps._fields)})")
         try:
             updates[key] = int(value)
         except ValueError:
             raise InputError(f"cap {key} needs an integer, got {value!r}")
-    return replace(default_caps(), **updates)
+    return default_caps()._replace(**updates)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +115,7 @@ def _residues(args, mc, mp, caps):
         "counts": {str(i): c for i, c in enumerate(residue_counts(mp, mc))},
     }
     if args.other is not None:
-        payload["same_block"] = same_block(mp, _lam(args.other), mc)
+        payload["same_block"] = same_block(mp, _lam(args.other, "--other"), mc)
     return payload
 
 
@@ -210,7 +209,7 @@ def _verify_all(args, mc, mp, caps):
     es = _ints(args.e_list, _INT_LIST) if args.e_list else DEFAULT_GRID.es
     grid = SweepGrid(levels=levels, es=es)
     if args.max_n is not None:
-        grid = replace(grid, max_n=args.max_n, branch_n=args.max_n)
+        grid = grid._replace(max_n=args.max_n, branch_n=args.max_n)
     needs = _caps_for(grid)
     _caps(args.caps).check(r=needs.max_r, e=needs.max_e, n=needs.max_n, delta=needs.max_delta)
     results = run_all(grid)
@@ -291,7 +290,7 @@ def _run(cmd: _Command, args) -> int:
     if cmd.charged:
         mc = Multicharge(args.e, _ints(args.charge, "--charge expects integers like 1,0,2; got"))
         if cmd.lam:
-            mp = _lam(args.lam)
+            mp = _lam(args.lam, "--lambda")
         caps = _caps(args.caps)
         caps.check(r=mc.r, e=mc.e)
     out = cmd.handler(args, mc, mp, caps)

@@ -7,7 +7,6 @@ component.  Residues live in Z/eZ and depend on a multicharge.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat, zip_longest
 from typing import Iterable, NamedTuple
 
@@ -48,24 +47,22 @@ class Node(NamedTuple):
     comp: int
 
 
-@dataclass(frozen=True)
-class Multicharge:
+class Multicharge(NamedTuple("Multicharge", [("e", int), ("entries", tuple)])):
     """Quantum characteristic ``e`` plus an integer charge per component.
 
     Only the residues ``entries[j] mod e`` affect residue combinatorics;
     the actual integers shift abacus bead positions.
     """
 
-    e: int
-    entries: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_int(self.e) or self.e < 2:
-            raise InputError(f"e must be an integer >= 2, got {self.e!r}")
-        ent = tuple(self.entries)
+    def __new__(cls, e: int, entries: tuple):
+        if not _is_int(e) or e < 2:
+            raise InputError(f"e must be an integer >= 2, got {e!r}")
+        ent = tuple(entries)
         if not ent or not all(_is_int(a) for a in ent):
-            raise InputError(f"charge must be a nonempty tuple of integers, got {self.entries!r}")
-        object.__setattr__(self, "entries", ent)
+            raise InputError(f"charge must be a nonempty tuple of integers, got {entries!r}")
+        return tuple.__new__(cls, (e, ent))
 
     @property
     def r(self) -> int:
@@ -89,7 +86,7 @@ def _check_range(what: str, lo: int, hi: int, *values) -> None:
     """InputError naming the first value that is a bool, not an int, or outside lo..hi."""
     for x in values:
         if not (type(x) is int or _is_int(x)) or not lo <= x <= hi:
-            raise InputError(f"{what} {x} out of range {lo}..{hi}")
+            raise InputError(f"{what} {x!r} out of range {lo}..{hi}")
 
 
 def _check_node(nd: Node, r: int) -> None:

@@ -7,8 +7,8 @@ and preserves being Kleshchev.  ``certificate`` re-runs every one of
 those checks on a concrete block and stamps the result.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .abacus import has_forbidden_config, phi
 from .blocks import (
@@ -121,8 +121,7 @@ def _kleshchev_mismatches(flagged) -> tuple:
 # certificates
 
 
-@dataclass(frozen=True)
-class ScopesCertificate:
+class ScopesCertificate(NamedTuple):
     """A fully re-checked record of one block/residue swap instance."""
 
     schema: int

@@ -8,9 +8,9 @@ counting), never from the code path under test.
 """
 
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import combinations, permutations, takewhile
+from typing import NamedTuple
 
 from .abacus import (
     AbacusDisplay,
@@ -82,8 +82,7 @@ __all__ = ["SweepGrid", "DEFAULT_GRID", "LemmaResult", "run_all", "format_result
 _MAX_DELTA = 6
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(NamedTuple):
     """The enumeration ranges a verification run covers.
 
     max_n bounds most sweeps; branch_n the branching/forbidden-config/
@@ -115,14 +114,13 @@ class SweepGrid:
 
     def to_json(self) -> dict:
         lists = {"levels": list(self.levels), "es": list(self.es)}
-        return {**asdict(self), **lists, "oracle_n": self.branch_n, "max_delta": _MAX_DELTA}
+        return {**self._asdict(), **lists, "oracle_n": self.branch_n, "max_delta": _MAX_DELTA}
 
 
 DEFAULT_GRID = SweepGrid()
 
 
-@dataclass(frozen=True)
-class LemmaResult:
+class LemmaResult(NamedTuple):
     lemma: str
     instances: int
     violations: tuple
@@ -792,7 +790,7 @@ def check_scopes_maps(grid: SweepGrid, bijection, weight_pres, lex_pres, kle_pre
     caps = _caps_for(grid)
     # the runner swap can grow a multipartition well past the grid bound,
     # so image-block lookups get a generous ceiling of their own
-    wide = replace(caps, max_n=8 * (grid.max_n + 2))
+    wide = caps._replace(max_n=8 * (grid.max_n + 2))
     for mc in grid.cells():
         for n in range(grid.max_n + 1):
             for blk in enumerate_blocks(n, mc, caps):
@@ -925,5 +923,5 @@ def results_to_json(results, grid: SweepGrid) -> dict:
     return {
         "schema": 1,
         "grid": grid.to_json(),
-        "results": [{**asdict(r), "ok": r.ok, "violations": list(r.violations)} for r in results],
+        "results": [{**r._asdict(), "ok": r.ok, "violations": list(r.violations)} for r in results],
     }

@@ -118,6 +118,7 @@ _M = to_multicore(((2,), (1,)), Multicharge(3, (0, 1)))[0]
     [
         pytest.param(lambda: k_value(_M, True), id="k_value bool residue"),
         pytest.param(lambda: k_value(_M, 1.0), id="k_value float residue"),
+        pytest.param(lambda: k_value(_M, "1"), id="k_value string residue"),
         pytest.param(lambda: delta_ij(LAM, MC, True, 1), id="delta_ij bool residue"),
         pytest.param(lambda: delta_ij(LAM, MC, 0, 1.0), id="delta_ij float component"),
         pytest.param(lambda: d_min(LAM, MC, True), id="d_min bool residue"),
@@ -134,6 +135,7 @@ _M = to_multicore(((2,), (1,)), Multicharge(3, (0, 1)))[0]
         pytest.param(lambda: add_node(((1,), ()), Node(1.0, 2, 1)), id="add_node float row"),
         pytest.param(lambda: mahonian(2.0), id="mahonian float delta"),
         pytest.param(lambda: mahonian(True), id="mahonian bool delta"),
+        pytest.param(lambda: mahonian("3"), id="mahonian string delta"),
         pytest.param(lambda: degree_spectrum(2.0), id="degree_spectrum float delta"),
         pytest.param(lambda: degree_spectrum(True), id="degree_spectrum bool delta"),
         pytest.param(lambda: enumerate_blocks(2.0, MC), id="enumerate_blocks float size"),
@@ -145,6 +147,21 @@ def test_block_entry_points_reject_values_that_only_look_like_integers(build):
     # checks went through one helper that rejects bools and floats
     with pytest.raises(InputError):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: k_value(_M, "1"), "residue '1' out of range 0..2"),
+        (lambda: mahonian("3"), "mahonian delta '3' out of range 0..9"),
+    ],
+    ids=["k_value", "mahonian"],
+)
+def test_range_messages_quote_a_string_value(build, message):
+    # printed bare, the value would read as a valid integer: "residue 1 out of range 0..2"
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_level_hub_bridge_on_multicore():

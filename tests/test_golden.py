@@ -106,6 +106,8 @@ CASES = [
     ["verify-all", "--caps", "max_delta=1", "--max-n", "4", "--r", "1,2", "--e", "2"],
     # exit 2: parse-abacus takes no --caps
     ["parse-abacus", "--lambda", DRAWING, "--caps", "max_n=3"],
+    # exit 2: bad JSON is reported under the option that carried it
+    ["residues", *SMALL, "--other", "[[1]]junk"],
 ]
 
 _CAP_VARIABLES = ("AKBLOCKS_MAX_N", "AKBLOCKS_MAX_R", "AKBLOCKS_MAX_E", "AKBLOCKS_MAX_DELTA")

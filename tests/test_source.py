@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -115,3 +118,19 @@ def test_only_multipartition_formats_out_of_range_messages():
         if path.name != "multipartition.py" and "out of range" in path.read_text()
     ]
     assert not found, f"an 'out of range' message outside multipartition.py: {found}"
+
+
+def test_starting_the_cli_does_not_import_dataclasses():
+    # every process pays for what ``import akblocks.cli`` loads, and building
+    # dataclasses (plus the inspect/ast/dis chain behind the module) costs
+    # more than the rest of the imported standard library: the records are
+    # NamedTuples
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, akblocks.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

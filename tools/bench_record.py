@@ -9,10 +9,12 @@ seed at a time, for ``run_seconds`` from BENCHMARK.json.  Pair k of a
 workload runs seed base+k on both sides, the parent first on even k and
 the change first on odd k.  The file then holds every raw value, the
 median and quartiles per side, and the pairs the change won for each
-end-to-end metric, plus the README ``certify`` wall/peak RSS and the
-tier-1 wall on both sides.  The header records the bytecode setting,
-which moves a fresh-process op by about a fifth: records made with
-different settings are not comparable.
+end-to-end metric, plus the README ``certify`` wall/peak RSS, the
+tier-1 wall and the start-up cost on both sides: ``import_ms`` holds the
+minimum and median wall of IMPORT_RUNS fresh ``import akblocks.cli``
+processes per export, the two sides alternating.  The header records
+the bytecode setting, which moves a fresh-process op by about a fifth:
+records made with different settings are not comparable.
 """
 
 import argparse
@@ -34,6 +36,7 @@ README_CERTIFY = [
     "--lambda", "[[4,3,1],[4,2,2,2],[3,2]]", "--i", "1", "--caps", "max_n=24",
 ]
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+IMPORT_RUNS = 15
 
 
 def export(rev: str, dest: Path) -> str:
@@ -77,6 +80,16 @@ def bench_run(cwd: Path, workload: str, seed: int, seconds: float) -> dict:
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+
+
+def import_ms(dirs: dict) -> dict:
+    """Min and median wall, in ms, of fresh ``import akblocks.cli`` processes
+    in each export, the parent first on even runs and the change first on odd."""
+    walls = {side: [] for side in dirs}
+    for k in range(IMPORT_RUNS):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            walls[side].append(child(["-c", "import akblocks.cli"], dirs[side])[1] * 1000)
+    return {side: {"min": min(w), "median": statistics.median(w), "runs": w} for side, w in walls.items()}
 
 
 def quartiles(values: list) -> dict:
@@ -145,6 +158,8 @@ def main(argv=None) -> int:
         out, wall, _ = child(TIER1, dirs[side])
         record["tier1"][side] = {"wall_s": wall, "summary": out.strip().splitlines()[-1]}
         print(side, record["readme_certify"][side], record["tier1"][side], flush=True)
+    record["import_ms"] = import_ms(dirs)
+    print("import_ms", {side: (v["min"], v["median"]) for side, v in record["import_ms"].items()}, flush=True)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path}")
