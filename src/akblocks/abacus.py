@@ -378,10 +378,15 @@ def phi(mp: Multipartition, charge: Multicharge, i: int) -> Multipartition:
     _check_range("residue", 0, charge.e - 1, i)
     _check_level(mp, charge)
     mp = tuple(as_partition(c) for c in mp)
-    rows = [[*c, 0] for c in mp]
-    for nd, sign in _signature(mp, charge, i):
-        rows[nd.comp - 1][nd.row - 1] += sign
-    return tuple(tuple(filter(None, row)) for row in rows)
+    rows = {}  # component -> its rows and an empty one, copied once it changes
+    for j, b, sign in _signature(mp, charge, i):
+        if j not in rows:
+            rows[j] = [*mp[j], 0]
+        rows[j][b] += sign
+    out = list(mp)
+    for j, row in rows.items():
+        out[j] = tuple(filter(None, row))
+    return tuple(out)
 
 
 def has_forbidden_config(mp: Multipartition, charge: Multicharge, i: int) -> bool:

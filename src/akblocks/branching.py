@@ -26,6 +26,7 @@ from .multipartition import (
     Node,
     _check_range,
     _is_int,
+    _node_of,
     _signature,
     remove_node,
     add_node,
@@ -145,10 +146,11 @@ def _degree(mp: Multipartition, charge: Multicharge, nd: Node, sign: int) -> int
     node of that kind.
     """
     word = _signature(mp, charge, residue(nd, charge))
-    if (nd, sign) not in word:
+    entry = (nd.comp - 1, nd.row - 1, sign)
+    if entry not in word or _node_of(mp, entry) != nd:
         raise InputError(f"{nd} is not a {_KIND[sign]} node of {mp}")
-    k = word.index((nd, sign))
-    return sum(s for _, s in (word[k + 1 :] if sign < 0 else word[:k]))
+    k = word.index(entry)
+    return sum(s for _, _, s in (word[k + 1 :] if sign < 0 else word[:k]))
 
 
 def _removal_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps, report=None):
@@ -171,14 +173,14 @@ def _removal_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps
             f"w(B)={report.w_b} > w(C)+K*r={report.w_c}+{report.k}*{charge.r}"
         )
     word = _signature(mp, charge, i)
-    stray = [nd for nd, s in word if s > 0]
+    stray = [_node_of(mp, entry) for entry in word if entry[2] > 0]
     if stray:
         raise LemmaViolation(
             "no_addable_under_condition",
             f"{mp} with charge {charge.entries} has addable {i}-nodes {stray} "
             "despite the weight condition",
         )
-    rems = [nd for nd, _ in reversed(word)]
+    rems = [_node_of(mp, entry) for entry in reversed(word)]
     if len(rems) != report.delta:
         detail = f"{mp} has {len(rems)} removable {i}-nodes and no addable one"
         raise LemmaViolation("delta_counts_removable", f"{detail}, but delta_{i} = {report.delta}")
@@ -192,7 +194,7 @@ def _swap_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps, r
     highest first.  ``report`` is as for ``_removal_context``."""
     ascending = _removal_context(mp, charge, i, caps, report)
     image = phi(mp, charge, i)
-    return ascending, image, [nd for nd, s in _signature(image, charge, i) if s > 0]
+    return ascending, image, [_node_of(image, entry) for entry in _signature(image, charge, i) if entry[2] > 0]
 
 
 def _walk(charge: Multicharge, start, nds, sign: int, sigma, end, what: str, steps=None) -> int:

@@ -207,6 +207,9 @@ def _verify_all(args, mc, mp, caps):
         raise InputError(f"--max-n must be >= 0, got {args.max_n}")
     levels = _ints(args.r, _INT_LIST) if args.r else DEFAULT_GRID.levels
     es = _ints(args.e_list, _INT_LIST) if args.e_list else DEFAULT_GRID.es
+    for flag, text, values in (("--r", args.r, levels), ("--e", args.e_list, es)):
+        if len(set(values)) < len(values):  # a repeated entry would sweep its cells twice
+            raise InputError(f"{flag} must not repeat an entry, got {text!r}")
     grid = SweepGrid(levels=levels, es=es)
     if args.max_n is not None:
         grid = grid._replace(max_n=args.max_n, branch_n=args.max_n)

@@ -185,23 +185,33 @@ def addable_nodes(mp: Multipartition):
 
 
 def _signature(mp: Multipartition, charge: Multicharge, i: int) -> list:
-    """The i-signature: the addable (+1) and removable (-1) i-nodes as
-    (node, sign) pairs, highest first.  The row ends of ``_row_ends``, but
-    only of residue i: row b of width w (charge a) ends at a + w - b, and
-    the empty row past the last one has residue a - rows.  Every caller
-    has already checked mp's level against the charge."""
+    """The i-signature: the addable (+1) and removable (-1) i-nodes,
+    highest first, as (component, row, sign) entries with 0-based indices.
+    The row ends of ``_row_ends``, but only of residue i: row b of width w
+    (charge a) ends at a + w - b, and the empty row past the last one has
+    residue a - rows.  A removable entry's node is its row's last, an
+    addable entry's the cell one past its row's end (``_node_of``).  Every
+    caller has already checked mp's level against the charge."""
     e = charge.e
     out = []
-    for j, (a, comp) in enumerate(zip(charge.entries, mp), start=1):
-        for b, w in enumerate(comp, start=1):
-            end = (a + w - b - i) % e  # 0 at a removable i-node, e - 1 at an addable one
-            if end == e - 1 and (b == 1 or comp[b - 2] > w):
-                out.append((Node(b, w + 1, j), 1))
-            if end == 0 and w > (comp[b] if b < len(comp) else 0):
-                out.append((Node(b, w, j), -1))
-        if (a - len(comp) - i) % e == 0:
-            out.append((Node(len(comp) + 1, 1, j), 1))
+    for j, (a, comp) in enumerate(zip(charge.entries, mp)):
+        last = len(comp) - 1
+        for b, w in enumerate(comp):
+            end = (a + w - b - 1 - i) % e  # 0 at a removable i-node, e - 1 at an addable one
+            if end == e - 1 and (b == 0 or comp[b - 1] > w):
+                out.append((j, b, 1))
+            if end == 0 and w > (comp[b + 1] if b < last else 0):
+                out.append((j, b, -1))
+        if (a - last - 1 - i) % e == 0:
+            out.append((j, last + 1, 1))
     return out
+
+
+def _node_of(mp: Multipartition, entry: tuple) -> Node:
+    """The node of an i-signature entry of mp."""
+    j, b, sign = entry
+    comp = mp[j]
+    return Node(b + 1, (comp[b] if b < len(comp) else 0) + (sign > 0), j + 1)
 
 
 def _replace_component(mp: Multipartition, j: int, comp: list) -> Multipartition:

@@ -27,6 +27,7 @@ from .multipartition import (
     Multicharge,
     Multipartition,
     _check_level,
+    _node_of,
     _signature,
     multipartition_to_json,
     remove_node,
@@ -69,14 +70,14 @@ def _good_nodes(mp: Multipartition, charge: Multicharge):
     surviving removable."""
     for i in range(charge.e):
         stack = []
-        for nd, sign in _signature(mp, charge, i):
-            if sign > 0 and stack and stack[-1][1] < 0:
+        for entry in _signature(mp, charge, i):
+            if entry[2] > 0 and stack and stack[-1][2] < 0:
                 stack.pop()
             else:
-                stack.append((nd, sign))
-        for nd, sign in stack:
-            if sign < 0:
-                yield nd
+                stack.append(entry)
+        for entry in stack:
+            if entry[2] < 0:
+                yield _node_of(mp, entry)
                 break
 
 
@@ -186,7 +187,7 @@ def certificate(block: Block, i: int, caps: Caps | None = None) -> ScopesCertifi
         )
         stamp(
             "no_addable_under_condition",
-            all(sign < 0 for _, sign in _signature(mp, charge, i)),
+            all(sign < 0 for _, _, sign in _signature(mp, charge, i)),
             f"{mp} has an addable {i}-node despite the weight condition",
         )
 

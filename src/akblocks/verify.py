@@ -27,6 +27,7 @@ from .abacus import (
     to_multicore,
 )
 from .blocks import (
+    _counts_weight,
     _hub_matrix,
     _level_hub_matrix,
     _level_weight,
@@ -140,11 +141,13 @@ class _Recorder:
         self.instances = 0
         self.violations = []
 
-    def count(self, ok: bool, detail=None) -> None:
+    def count(self, ok: bool, text: str = "violation", *args) -> None:
+        """Count one instance; keep a failed one's text, formatted with args
+        when there are any, while fewer than KEEP are kept.  Only a kept
+        text is formatted."""
         self.instances += 1
         if not ok and len(self.violations) < self.KEEP:
-            text = detail() if callable(detail) else (detail or "violation")
-            self.violations.append(text)
+            self.violations.append(text.format(*args) if args else text)
 
     def result(self) -> LemmaResult:
         return LemmaResult(self.lemma, self.instances, tuple(self.violations))
@@ -214,30 +217,30 @@ def check_orders(grid: SweepGrid, counts, lex_total, dom_partial, dom_lex, node_
             for x, mp in enumerate(multis):
                 counts.count(
                     len(addable_nodes(mp)) - len(removable_nodes(mp)) == r,
-                    lambda mp=mp: f"addable-removable != r for {mp}",
+                    "addable-removable != r for {}", mp,
                 )
-                dom_partial.count(dom[x][x], lambda mp=mp: f"not reflexive at {mp}")
+                dom_partial.count(dom[x][x], "not reflexive at {}", mp)
             for x, y in combinations(range(len(multis)), 2):
                 a, b = multis[x], multis[y]
                 c, c_back = lex_cmp(a, b), lex_cmp(b, a)
                 lex_total.count(
                     c != 0 and c == -c_back,
-                    lambda a=a, b=b: f"trichotomy/antisymmetry fails for {a} vs {b}",
+                    "trichotomy/antisymmetry fails for {} vs {}", a, b,
                 )
                 dab, dba = dom[x][y], dom[y][x]
                 dom_partial.count(
                     not (dab and dba),
-                    lambda a=a, b=b: f"antisymmetry fails for {a} vs {b}",
+                    "antisymmetry fails for {} vs {}", a, b,
                 )
                 if dab:
                     dom_lex.count(
                         c > 0,
-                        lambda a=a, b=b: f"{a} dominates {b} but is not lex-greater",
+                        "{} dominates {} but is not lex-greater", a, b,
                     )
                 if dba:
                     dom_lex.count(
                         c_back > 0,
-                        lambda a=a, b=b: f"{b} dominates {a} but is not lex-greater",
+                        "{} dominates {} but is not lex-greater", b, a,
                     )
             if n <= 4:
                 for x, row in enumerate(dom):
@@ -245,25 +248,23 @@ def check_orders(grid: SweepGrid, counts, lex_total, dom_partial, dom_lex, node_
                         for z in (z for z, ok in enumerate(dom[y]) if ok):
                             dom_partial.count(
                                 row[z],
-                                lambda a=multis[x], b=multis[y], c=multis[z]: (
-                                    f"transitivity fails at {a},{b},{c}"
-                                ),
+                                "transitivity fails at {},{},{}", multis[x], multis[y], multis[z],
                             )
         for n in range(min(grid.max_n, 4) + 1):
             for mp in _multis(n, r):
                 nds = nodes(mp)
                 for x in nds:
-                    node_order.count(not node_above(x, x), lambda x=x: f"irreflexivity at {x}")
+                    node_order.count(not node_above(x, x), "irreflexivity at {}", x)
                 for x, y in combinations(nds, 2):
                     node_order.count(
                         not (node_above(x, y) and node_above(y, x)),
-                        lambda x=x, y=y: f"antisymmetry at {x},{y}",
+                        "antisymmetry at {},{}", x, y,
                     )
                     for z in nds:
                         if node_above(x, y) and node_above(y, z):
                             node_order.count(
                                 node_above(x, z),
-                                lambda x=x, y=y, z=z: f"transitivity at {x},{y},{z}",
+                                "transitivity at {},{},{}", x, y, z,
                             )
 
 
@@ -302,24 +303,22 @@ def check_residues(grid: SweepGrid, shift, hub_sum, criterion):
                 c2 = residue_counts(mp, bumped)
                 shift.count(
                     c2 == tuple(c[(i - 1) % e] for i in range(e)),
-                    lambda mp=mp, c=c, c2=c2: f"shift law fails for {mp}: {c} -> {c2}",
+                    "shift law fails for {}: {} -> {}", mp, c, c2,
                 )
                 h = hub(mp, mc)
-                hub_sum.count(
-                    sum(h) == -mc.r,
-                    lambda mp=mp, h=h: f"hub of {mp} sums to {sum(h)}",
-                )
+                total = sum(h)
+                hub_sum.count(total == -mc.r, "hub of {} sums to {}", mp, total)
                 hub_to_counts.setdefault(h, set()).add(c)
                 counts_to_hub.setdefault(c, set()).add(h)
             for h, cs in hub_to_counts.items():
                 criterion.count(
                     len(cs) == 1,
-                    lambda h=h, cs=cs: f"hub {h} has several residue-count vectors {sorted(cs)}",
+                    "hub {} has several residue-count vectors {}", h, sorted(cs),
                 )
             for c, hs in counts_to_hub.items():
                 criterion.count(
                     len(hs) == 1,
-                    lambda c=c, hs=hs: f"counts {c} have several hubs {sorted(hs)}",
+                    "counts {} have several hubs {}", c, sorted(hs),
                 )
 
 
@@ -336,7 +335,7 @@ def check_beta(grid: SweepGrid, roundtrip, step, vacuum):
                 q, a2 = partition_of(bs)
                 roundtrip.count(
                     (q, a2) == (p, a),
-                    lambda p=p, a=a, q=q: f"{p} at charge {a} decoded to {q}",
+                    "{} at charge {} decoded to {}", p, a, q,
                 )
     for e in grid.es:
         for a in (-2, 0, 3):
@@ -358,14 +357,14 @@ def check_beta(grid: SweepGrid, roundtrip, step, vacuum):
                             sum(q) == sum(p) + 1
                             and len(grown) == 1
                             and residue(grown[0], mc) == (b + 1) % e,
-                            lambda p=p, b=b, q=q: f"bumping bead {b} of {p} gave {q}",
+                            "bumping bead {} of {} gave {}", b, p, q,
                         )
         for a in range(-4, 5):
             disp = AbacusDisplay(e, (beta_set((), a),))
             for i in range(e):
                 vacuum.count(
                     disp.lowest_level(i, 1) == (a - 1 - i) // e,
-                    lambda a=a, i=i: f"vacuum charge {a} runner {i}",
+                    "vacuum charge {} runner {}", a, i,
                 )
 
 
@@ -417,9 +416,9 @@ def check_weights(grid: SweepGrid, core_law, fixpoint, bridge, same_hub, classic
                 w = weight(mp, mc)
                 core_law.count(
                     w == wc + r * hooks,
-                    lambda mp=mp, w=w, wc=wc, hooks=hooks: f"{mp}: w={w}, core w={wc}, hooks={hooks}",
+                    "{}: w={}, core w={}, hooks={}", mp, w, wc, hooks,
                 )
-                fixpoint.count(fixed, lambda mp=mp: f"core of {mp} is not a fixed point")
+                fixpoint.count(fixed, "core of {} is not a fixed point", mp)
                 h = hub(mp, mc)
                 if hooks == 0:
                     ok = level_hub(core) == h and all(
@@ -428,22 +427,20 @@ def check_weights(grid: SweepGrid, core_law, fixpoint, bridge, same_hub, classic
                         for j in range(1, r + 1)
                         for i in range(e)
                     )
-                    bridge.count(ok, lambda mp=mp: f"level/hub bridge fails for multicore {mp}")
+                    bridge.count(ok, "level/hub bridge fails for multicore {}", mp)
                 hub_index.setdefault(h, set()).add((n, w))
         for h, pairs in hub_index.items():
             for (n1, w1), (n2, w2) in combinations(sorted(pairs), 2):
                 same_hub.count(
                     (n1 - n2) % e == 0 and e * (w1 - w2) == r * (n1 - n2),
-                    lambda h=h, n1=n1, n2=n2, w1=w1, w2=w2: (
-                        f"hub {h}: sizes {n1},{n2} carry weights {w1},{w2}"
-                    ),
+                    "hub {}: sizes {},{} carry weights {},{}", h, n1, n2, w1, w2,
                 )
         if r == 1:
             for n in range(grid.max_n + 1):
                 for p in partitions_of(n):
                     classical.count(
                         weight((p,), mc) == _classical_e_weight(p, e),
-                        lambda p=p, e=e: f"weight of {p} differs from stripping e={e} rim hooks",
+                        "weight of {} differs from stripping e={} rim hooks", p, e,
                     )
 
 
@@ -472,51 +469,67 @@ def _columns(matrix) -> list:
     return [(min(col), max(col)) for col in zip(*matrix)]
 
 
+def _row_facts(e: int, row: tuple) -> tuple:
+    """Residue counts and hub of the partition one level row decodes to,
+    at the row's own charge e + sum(row)."""
+    one = Multicore(e, (row,))
+    mp, charge = one.to_multipartition(), Multicharge(e, one.charges)
+    return residue_counts(mp, charge), hub(mp, charge)
+
+
+def _decoded_hub_weight(x: Multicore, kappa: tuple, facts: dict) -> tuple:
+    """Hub and weight of x's decoded multipartition, kappa its charges mod
+    e: the exchange sweep's reference route, which reads no level kernel.
+    Hubs and residue counts are sums over components, and a component's
+    decode, counts and hub depend on its level row alone, so both are
+    summed from ``_row_facts``; facts keeps them per row, for one e, as
+    one vector of counts then hub."""
+    rows = []
+    for row in x.levels:
+        got = facts.get(row)
+        if got is None:
+            counts, h = _row_facts(x.e, row)
+            got = facts[row] = counts + h
+        rows.append(got)
+    summed = tuple(map(sum, zip(*rows)))
+    return summed[x.e :], _counts_weight(summed[: x.e], kappa, x.levels, "levels ")
+
+
 @_sweep("hub_invariance", "weight_move_formula", "smove_symmetry", "smove_inverse",
         "gamma_shift_invariance")
 def check_smoves(grid: SweepGrid, hub_inv, w_move, symmetry, inverse, g_shift):
     for mc in grid.cells():
         if mc.r == 1:
             continue
-        # hub and weight of each multicore's decoded multipartition (the reference
-        # route) by levels; many exchanges of a cell reach the same multicore
-        decoded: dict = {}
-
-        def hub_weight(x: Multicore) -> tuple:
-            got = decoded.get(x.levels)
-            if got is None:
-                x_mp = x.to_multipartition()
-                got = decoded[x.levels] = (hub(x_mp, mc), weight(x_mp, mc))
-            return got
-
+        kappa, facts = mc.kappa, {}  # facts lives for this cell only
         for m in _grid_multicores(grid, mc):
-            h0, w0 = hub_weight(m)
+            h0, w0 = _decoded_hub_weight(m, kappa, facts)
             shifted = Multicore(
                 m.e, (tuple(x + 1 for x in m.levels[0]),) + m.levels[1:]
             )
             for mv, g in _moves(m):
                 nxt = s_move(m, *mv)
-                h, w = hub_weight(nxt)
+                h, w = _decoded_hub_weight(nxt, kappa, facts)
                 hub_inv.count(
                     h == h0,
-                    lambda m=m, mv=mv: f"hub changed by move {mv} at levels {m.levels}",
+                    "hub changed by move {} at levels {}", mv, m.levels,
                 )
                 w_move.count(
                     w == w0 - mc.r * (g - 2),
-                    lambda m=m, mv=mv, g=g: f"weight law fails for move {mv} (gamma {g}) at {m.levels}",
+                    "weight law fails for move {} (gamma {}) at {}", mv, g, m.levels,
                 )
                 i, l, j, k = mv
                 symmetry.count(
                     nxt == s_move(m, l, i, k, j),
-                    lambda mv=mv: f"s_il^jk != s_li^kj at {mv}",
+                    "s_il^jk != s_li^kj at {}", mv,
                 )
                 inverse.count(
                     s_move(nxt, l, i, j, k) == m,
-                    lambda mv=mv: f"move {mv} is not undone by its inverse",
+                    "move {} is not undone by its inverse", mv,
                 )
                 g_shift.count(
                     gamma_diff(shifted, *mv) == g,
-                    lambda mv=mv: f"gamma difference not shift-invariant at {mv}",
+                    "gamma difference not shift-invariant at {}", mv,
                 )
 
 
@@ -553,9 +566,8 @@ def check_core_blocks(grid: SweepGrid, equivalence, chain_ok, spread, tuple_inv,
                 )
                 equivalence.count(
                     witness_def == minimal_def == members_cores,
-                    lambda blk=blk, a=witness_def, b=minimal_def, c=members_cores: (
-                        f"block of {blk.lex_least}: witness={a} minimal={b} all-cores={c}"
-                    ),
+                    "block of {}: witness={} minimal={} all-cores={}",
+                    blk.lex_least, witness_def, minimal_def, members_cores,
                 )
                 res = core_block_of(rep, mc)
                 weights = [weight(rep, mc)] + [st.weight_after for st in res.chain]
@@ -565,7 +577,7 @@ def check_core_blocks(grid: SweepGrid, equivalence, chain_ok, spread, tuple_inv,
                     and (res.core.weight == blk.descriptor.weight) == witness_def
                     and all(a >= b for a, b in zip(weights, weights[1:]))
                     and is_core_block(res.core_multicore),
-                    lambda blk=blk: f"bad core chain for block of {blk.lex_least}",
+                    "bad core chain for block of {}", blk.lex_least,
                 )
                 if not witness_def:
                     continue
@@ -576,7 +588,7 @@ def check_core_blocks(grid: SweepGrid, equivalence, chain_ok, spread, tuple_inv,
                     for i, (lo, hi) in enumerate(_hub_columns(mp, mc)):
                         spread.count(
                             hi - lo <= 2,
-                            lambda mp=mp, i=i: f"delta spread over components exceeds 2 at {mp}, i={i}",
+                            "delta spread over components exceeds 2 at {}, i={}", mp, i,
                         )
                     tuples_seen.add(base_tuples(m))
                     kv = tuple(k_value(m, i) for i in range(e))
@@ -584,16 +596,16 @@ def check_core_blocks(grid: SweepGrid, equivalence, chain_ok, spread, tuple_inv,
                         ks = kv
                     k_inv.count(
                         kv == ks,
-                        lambda mp=mp, kv=kv, ks=ks: f"K varies across members: {kv} vs {ks} at {mp}",
+                        "K varies across members: {} vs {} at {}", kv, ks, mp,
                     )
                     for i in range(e):
                         k_below.count(
                             kv[i] <= d_min(mp, mc, i),
-                            lambda mp=mp, i=i, kv=kv: f"K_{i}={kv[i]} exceeds d_min at {mp}",
+                            "K_{}={} exceeds d_min at {}", i, kv[i], mp,
                         )
                 tuple_inv.count(
                     len(tuples_seen) == 1,
-                    lambda blk=blk, t=tuples_seen: f"base tuples differ across members of block of {blk.lex_least}",
+                    "base tuples differ across members of block of {}", blk.lex_least,
                 )
 
 
@@ -620,9 +632,7 @@ def check_d_bounds(grid: SweepGrid, master, drop, chain_bound, interval, plus_on
                 if 0 <= h <= kv[i]:
                     master.count(
                         ds[i] >= kv[i] - h,
-                        lambda mp=mp, i=i, h=h, kv=kv, ds=ds: (
-                            f"d_min={ds[i]} < K-h={kv[i]-h} at {mp}, i={i}"
-                        ),
+                        "d_min={} < K-h={} at {}, i={}", ds[i], kv[i] - h, mp, i,
                     )
             if r >= 2:
                 tame = True
@@ -632,15 +642,13 @@ def check_d_bounds(grid: SweepGrid, master, drop, chain_bound, interval, plus_on
                     for i, (d2, _) in enumerate(_columns(_level_hub_matrix(_exchange(m, *mv)))):
                         drop.count(
                             d2 >= ds[i] - 2 and (g != 1 or d2 >= ds[i] - 1),
-                            lambda mp=mp, mv=mv, i=i, g=g: (
-                                f"d drop too large for move {mv} (gamma {g}) at {mp}, i={i}"
-                            ),
+                            "d drop too large for move {} (gamma {}) at {}, i={}", mv, g, mp, i,
                         )
                 if tame:
                     for i, (lo, hi) in enumerate(cols):
                         interval.count(
                             hi - lo <= 2,
-                            lambda mp=mp, i=i: f"delta interval exceeded at {mp}, i={i}",
+                            "delta interval exceeded at {}, i={}", mp, i,
                         )
                     core_mp0 = res.core_multicore.to_multipartition()
                     if size(core_mp0) <= grid.max_n:
@@ -648,9 +656,7 @@ def check_d_bounds(grid: SweepGrid, master, drop, chain_bound, interval, plus_on
                             for i, (d_mu, _) in enumerate(_hub_columns(mu, mc)):
                                 plus_one.count(
                                     d_mu <= ds[i] + 1,
-                                    lambda mp=mp, mu=mu, i=i: (
-                                        f"core member {mu} has d_min more than d({mp})+1 at i={i}"
-                                    ),
+                                    "core member {} has d_min more than d({})+1 at i={}", mu, mp, i,
                                 )
             strict = list(takewhile(lambda st: st.gamma_difference >= 3, res.chain))
             if strict:
@@ -663,9 +669,7 @@ def check_d_bounds(grid: SweepGrid, master, drop, chain_bound, interval, plus_on
                 for i, (d_end, _) in enumerate(_columns(_level_hub_matrix(cur))):
                     chain_bound.count(
                         ds[i] >= d_end - h2,
-                        lambda mp=mp, i=i, h2=h2: (
-                            f"chain bound fails from {mp} after {h2} strict steps, i={i}"
-                        ),
+                        "chain bound fails from {} after {} strict steps, i={}", mp, h2, i,
                     )
 
 
@@ -673,30 +677,38 @@ def check_d_bounds(grid: SweepGrid, master, drop, chain_bound, interval, plus_on
 # the runner swap
 
 
+def _beta_images(mp, charge: Multicharge, i: int, images: dict) -> tuple:
+    """The runner swap of mp at residue i by the beta-set route, which never
+    calls ``phi``.  It acts on each component alone, so each component's
+    image is what phi_beta_set of its beta-set decodes to; images keeps
+    those per (component, charge, residue), for one e."""
+    out = []
+    for comp, a in zip(mp, charge.entries):
+        got = images.get((comp, a, i))
+        if got is None:
+            got = images[comp, a, i] = partition_of(phi_beta_set(beta_set(comp, a), i, charge.e))[0]
+        out.append(got)
+    return tuple(out)
+
+
 @_sweep("phi_involution", "phi_beta_image", "phi_size_shift")
 def check_phi(grid: SweepGrid, involution, beta_image, size_shift):
     for mc in grid.cells():
-        e = mc.e
+        images: dict = {}  # lives for this cell only
         for n in range(grid.max_n + 1):
             for mp in _multis(n, mc.r):
                 h = hub(mp, mc)
-                sources = [beta_set(comp, a) for comp, a in zip(mp, mc.entries)]
-                for i in range(e):
+                for i in range(mc.e):
                     img = phi(mp, mc, i)
                     involution.count(
                         phi(img, mc, i) == mp,
-                        lambda mp=mp, i=i: f"swap at residue {i} is not an involution on {mp}",
+                        "swap at residue {} is not an involution on {}", i, mp,
                     )
-                    size_shift.count(
-                        size(img) == n - h[i],
-                        lambda mp=mp, i=i, img=img: f"size of image of {mp} at i={i} is {size(img)}",
-                    )
+                    k = size(img)
+                    size_shift.count(k == n - h[i], "size of image of {} at i={} is {}", mp, i, k)
                     beta_image.count(
-                        all(
-                            phi_beta_set(bs, i, e) == beta_set(img_comp, a)
-                            for bs, img_comp, a in zip(sources, img, mc.entries)
-                        ),
-                        lambda mp=mp, i=i: f"beta image mismatch for {mp} at i={i}",
+                        _beta_images(mp, mc, i, images) == img,
+                        "beta image mismatch for {} at i={}", mp, i,
                     )
 
 
@@ -729,11 +741,11 @@ def check_branching(grid: SweepGrid, degree_law, well_defined, spectrum, inducti
             for mp in blk.members:
                 no_addable.count(
                     not any(residue(nd, mc) == i for nd in addable_nodes(mp)),
-                    lambda mp=mp, i=i: f"{mp} has an addable {i}-node under the condition",
+                    "{} has an addable {}-node under the condition", mp, i,
                 )
                 no_config.count(
                     not has_forbidden_config(mp, mc, i),
-                    lambda mp=mp, i=i: f"{mp} shows the forbidden bead pattern at i={i}",
+                    "{} shows the forbidden bead pattern at i={}", mp, i,
                 )
                 degrees, idegrees = Counter(), Counter()
                 orders = list(permutations(range(1, delta + 1)))
@@ -751,11 +763,9 @@ def check_branching(grid: SweepGrid, degree_law, well_defined, spectrum, inducti
                     except LemmaViolation as exc:
                         well_defined.count(False, str(exc))
                         continue
+                    want = ell - 2 * inversions(sigma)
                     degree_law.count(
-                        d == ell - 2 * inversions(sigma),
-                        lambda mp=mp, sigma=sigma, d=d, ell=ell: (
-                            f"order {sigma} on {mp} gave degree {d}, expected {ell - 2 * inversions(sigma)}"
-                        ),
+                        d == want, "order {} on {} gave degree {}, expected {}", sigma, mp, d, want
                     )
                     degrees[d] += 1
                     try:
@@ -768,15 +778,11 @@ def check_branching(grid: SweepGrid, degree_law, well_defined, spectrum, inducti
                 poly, ipoly = LaurentPolynomial(degrees), LaurentPolynomial(idegrees)
                 spectrum.count(
                     poly == expected,
-                    lambda mp=mp, i=i, poly=poly, expected=expected: (
-                        f"restriction spectrum of {mp} at i={i} is {poly!r}, expected {expected!r}"
-                    ),
+                    "restriction spectrum of {} at i={} is {!r}, expected {!r}", mp, i, poly, expected,
                 )
                 induction_spectrum.count(
                     ipoly == expected,
-                    lambda mp=mp, i=i, ipoly=ipoly, expected=expected: (
-                        f"induction spectrum of {mp} at i={i} is {ipoly!r}, expected {expected!r}"
-                    ),
+                    "induction spectrum of {} at i={} is {!r}, expected {!r}", mp, i, ipoly, expected,
                 )
 
 
@@ -802,15 +808,11 @@ def check_scopes_maps(grid: SweepGrid, bijection, weight_pres, lex_pres, kle_pre
                     bijection.count(
                         len(set(images)) == len(images)
                         and set(images) == set(target.members),
-                        lambda blk=blk, i=i: (
-                            f"pairing of block of {blk.lex_least} at i={i} is not a bijection"
-                        ),
+                        "pairing of block of {} at i={} is not a bijection", blk.lex_least, i,
                     )
                     weight_pres.count(
                         all(weight(img, mc) == w for (_, img), w in zip(pairs, weights)),
-                        lambda blk=blk, i=i: (
-                            f"weight not preserved on block of {blk.lex_least} at i={i}"
-                        ),
+                        "weight not preserved on block of {} at i={}", blk.lex_least, i,
                     )
         # checked on the pairs directly: the verify_*_preserved reports would
         # recompute the weight condition that _condition_blocks holds already
@@ -818,15 +820,11 @@ def check_scopes_maps(grid: SweepGrid, bijection, weight_pres, lex_pres, kle_pre
             pairs = scopes_pairing(blk, i)
             lex_pres.count(
                 not _lex_violations(pairs),
-                lambda blk=blk, i=i: (
-                    f"lex order broken on block of {blk.lex_least} at i={i}"
-                ),
+                "lex order broken on block of {} at i={}", blk.lex_least, i,
             )
             kle_pres.count(
                 not _kleshchev_mismatches(_kleshchev_flags(pairs, mc)),
-                lambda blk=blk, i=i: (
-                    f"kleshchev flag not preserved on block of {blk.lex_least} at i={i}"
-                ),
+                "kleshchev flag not preserved on block of {} at i={}", blk.lex_least, i,
             )
     for e in grid.es:
         mc = Multicharge(e, (0,))
@@ -836,7 +834,7 @@ def check_scopes_maps(grid: SweepGrid, bijection, weight_pres, lex_pres, kle_pre
                 restricted = all(padded[b] - padded[b + 1] < e for b in range(len(p)))
                 oracle.count(
                     is_kleshchev((p,), mc) == restricted,
-                    lambda p=p, e=e: f"good-node recursion disagrees with e-restriction at {p}, e={e}",
+                    "good-node recursion disagrees with e-restriction at {}, e={}", p, e,
                 )
 
 
@@ -854,13 +852,11 @@ def check_mahonian(grid: SweepGrid, identity, symmetry):
         expected = tuple(prod.coefficient(k) for k in range(delta * (delta - 1) // 2 + 1))
         identity.count(
             counts == expected,
-            lambda delta=delta, counts=counts, expected=expected: (
-                f"mahonian({delta}) = {counts} but the product gives {expected}"
-            ),
+            "mahonian({}) = {} but the product gives {}", delta, counts, expected,
         )
         symmetry.count(
             counts == counts[::-1],
-            lambda delta=delta: f"mahonian({delta}) is not palindromic",
+            "mahonian({}) is not palindromic", delta,
         )
 
 
@@ -888,7 +884,7 @@ def check_enumeration(grid: SweepGrid, complete):
             complete.count(
                 sum(len(b.members) for b in blocks) == level_counts[n]
                 and len({mp for b in blocks for mp in b.members}) == level_counts[n],
-                lambda n=n, mc=mc: f"blocks of n={n}, charge {mc.entries} do not partition",
+                "blocks of n={}, charge {} do not partition", n, mc.entries,
             )
 
 

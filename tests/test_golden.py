@@ -108,6 +108,9 @@ CASES = [
     ["parse-abacus", "--lambda", DRAWING, "--caps", "max_n=3"],
     # exit 2: bad JSON is reported under the option that carried it
     ["residues", *SMALL, "--other", "[[1]]junk"],
+    # exit 2: a repeated level or characteristic would sweep its cells twice
+    ["verify-all", "--max-n", "2", "--r", "1,1", "--e", "2"],
+    ["verify-all", "--max-n", "2", "--r", "1", "--e", "3,3"],
 ]
 
 _CAP_VARIABLES = ("AKBLOCKS_MAX_N", "AKBLOCKS_MAX_R", "AKBLOCKS_MAX_E", "AKBLOCKS_MAX_DELTA")

@@ -49,13 +49,18 @@ from akblocks import (
 from akblocks import blocks, multipartition
 from akblocks.abacus import _WINDOW_SLACK, _exchange
 from akblocks.blocks import _hub_matrix, _level_counts, _level_hub_matrix, _level_weight, _moves
-from akblocks.multipartition import _row_ends, _signature, removable_nodes, residue
+from akblocks.multipartition import _node_of, _row_ends, _signature, removable_nodes, residue
 from akblocks.scopes import good_nodes
+from akblocks import verify
 from akblocks.verify import (
     DEFAULT_GRID,
+    SweepGrid,
+    _beta_images,
     _blocks_grouped,
     _classical_e_weight,
     _columns,
+    _decoded_hub_weight,
+    _grid_multicores,
     _hub_columns,
     _node_hub_matrix,
     _node_residue_counts,
@@ -387,6 +392,53 @@ def test_level_kernels_match_the_decoded_route_exhaustively():
     assert seen > 10_000
 
 
+def test_exchange_reference_sums_row_facts_exactly():
+    """check_smoves sums hub and residue counts over level rows; on every
+    multicore one exchange away from the default grid's multicores, and on
+    those multicores, the sums give hub and weight of the decoded
+    multipartition."""
+    seen = 0
+    for mc in DEFAULT_GRID.cells():
+        facts: dict = {}
+        for m in _grid_multicores(DEFAULT_GRID, mc):
+            for x in [m, *(_exchange(m, *mv) for mv, _ in _moves(m))]:
+                mp = x.to_multipartition()
+                assert _decoded_hub_weight(x, mc.kappa, facts) == (hub(mp, mc), weight(mp, mc)), x
+                seen += 1
+    assert seen > 25_000
+
+
+def test_beta_route_images_match_phi_per_component():
+    """check_phi keeps the beta-set route's image per (component, charge,
+    residue) for a cell; on every grid (multipartition, residue) the kept
+    images are, component by component, phi's image."""
+    for mc in DEFAULT_GRID.cells():
+        images: dict = {}
+        for n in range(DEFAULT_GRID.max_n + 1):
+            for mp in multipartitions_of(n, mc.r):
+                for i in range(mc.e):
+                    assert _beta_images(mp, mc, i, images) == phi(mp, mc, i), (mp, i)
+
+
+def test_reference_routes_stay_off_the_paths_they_check(monkeypatch):
+    """The exchange sweep's reference reads no level kernel, and the beta-set
+    route of the swap sweep never calls phi."""
+
+    def boom(*args):
+        raise AssertionError("a reference route called the code it checks")
+
+    for module, name in [
+        (blocks, "level_hub"), (blocks, "_level_weight"), (blocks, "_level_counts"),
+        (verify, "level_hub"), (verify, "_level_weight"),
+        (akblocks.abacus, "phi"), (verify, "phi"),
+    ]:
+        monkeypatch.setattr(module, name, boom)
+    grid = SweepGrid(max_n=4, levels=(2, 3), es=(2, 3))
+    assert all(res.ok and res.instances for res in verify.check_smoves(grid))
+    mc = Multicharge(3, (0, 1))
+    assert _beta_images(((2, 1), (1,)), mc, 1, {}) == ((1, 1, 1), ())
+
+
 def _reference_good_nodes(mp, mc: Multicharge) -> tuple:
     """Per residue, the i-nodes from the node lists, highest first, with
     adjacent (removable, addable) pairs deleted until none is left; the
@@ -412,7 +464,10 @@ def test_one_residue_signature_and_good_nodes_match_references():
             for mp in multipartitions_of(n, mc.r):
                 ends = _row_ends(mp)
                 for i in range(mc.e):
-                    assert _signature(mp, mc, i) == [(nd, s) for nd, s in ends if residue(nd, mc) == i]
+                    want = [(nd, s) for nd, s in ends if residue(nd, mc) == i]
+                    word = _signature(mp, mc, i)
+                    assert word == [(nd.comp - 1, nd.row - 1, s) for nd, s in want]
+                    assert [(_node_of(mp, entry), entry[2]) for entry in word] == want
                 assert good_nodes(mp, mc) == _reference_good_nodes(mp, mc)
 
 

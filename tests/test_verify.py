@@ -108,15 +108,22 @@ def test_orders_sweep_still_catches_an_intransitive_dominance(monkeypatch):
 
 
 def test_exchange_sweep_still_checks_every_move(monkeypatch):
-    # check_smoves decodes each multicore once per cell; a wrong reference
-    # weight for one exchanged multicore must still fail every move onto it
+    # check_smoves sums each multicore's reference hub and weight from the
+    # facts of its level rows, kept once per cell; a wrong reference weight
+    # for a row that only an exchange reaches must still fail the move
     grid = SweepGrid(max_n=3, levels=(2,), es=(3,))
     mc = next(grid.cells())
     m = verify._grid_multicores(grid, mc)[0]
     (mv, _), *_ = verify._moves(m)
-    target = verify.s_move(m, *mv).to_multipartition()
-    real = verify.weight
-    monkeypatch.setattr(verify, "weight", lambda mp, charge: real(mp, charge) + (mp == target))
+    target = next(row for row in verify.s_move(m, *mv).levels if row not in m.levels)
+    real = verify._row_facts
+
+    def planted(e, row):
+        counts, h = real(e, row)
+        # one more node of every residue, a rim e-hook: the weight grows by r
+        return tuple(c + (row == target) for c in counts), h
+
+    monkeypatch.setattr(verify, "_row_facts", planted)
     results = {res.lemma: res for res in verify.check_smoves(grid)}
     law = results["weight_move_formula"]
     assert not law.ok and f"move {mv} " in law.violations[0]

@@ -12,7 +12,10 @@ median and quartiles per side, and the pairs the change won for each
 end-to-end metric, plus the README ``certify`` wall/peak RSS, the
 tier-1 wall and the start-up cost on both sides: ``import_ms`` holds the
 minimum and median wall of IMPORT_RUNS fresh ``import akblocks.cli``
-processes per export, the two sides alternating.  The header records
+processes per export, the two sides alternating.  One ``--trace 1``
+sweep run per side adds ``traced_sweep``: the self time of each
+``verify.check_*`` sweep and of the kernels in TRACED_KERNELS, so the
+record shows which layer a sweep saving comes from.  The header records
 the bytecode setting, which moves a fresh-process op by about a fifth:
 records made with different settings are not comparable.
 """
@@ -37,6 +40,7 @@ README_CERTIFY = [
 ]
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 IMPORT_RUNS = 15
+TRACED_KERNELS = ("blocks.hub_s", "blocks.weight_s", "abacus.phi_s")
 
 
 def export(rev: str, dest: Path) -> str:
@@ -79,6 +83,16 @@ def bench_run(cwd: Path, workload: str, seed: int, seconds: float) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def traced_sweep(cwd: Path, seed: int, seconds: float) -> dict:
+    """Per-layer self times, in s, of one traced sweep run: each verify.check_* and TRACED_KERNELS."""
+    argv = ["akbench/run.py", "--workload", "sweep", "--seed", str(seed), "--seconds", str(seconds), "--trace", "1"]
+    out, _, _ = child(argv, cwd)
+    metrics = json.loads(out.strip().splitlines()[-1])["metrics"]
+    return {
+        name: m["value"] for name, m in metrics.items() if name.startswith("verify.check_") or name in TRACED_KERNELS
     }
 
 
@@ -158,6 +172,10 @@ def main(argv=None) -> int:
         out, wall, _ = child(TIER1, dirs[side])
         record["tier1"][side] = {"wall_s": wall, "summary": out.strip().splitlines()[-1]}
         print(side, record["readme_certify"][side], record["tier1"][side], flush=True)
+    record["traced_sweep"] = {}
+    for side in ("parent", "change"):
+        record["traced_sweep"][side] = traced_sweep(dirs[side], SEEDS["sweep"], spec["run_seconds"])
+        print(side, "traced sweep", record["traced_sweep"][side], flush=True)
     record["import_ms"] = import_ms(dirs)
     print("import_ms", {side: (v["min"], v["median"]) for side, v in record["import_ms"].items()}, flush=True)
     path = ROOT / f"BENCH_{args.label}.json"
