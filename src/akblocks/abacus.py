@@ -37,7 +37,6 @@ __all__ = [
     "beta_set",
     "partition_of",
     "to_multicore",
-    "as_multicore",
     "s_move",
     "gamma",
     "gamma_diff",
@@ -198,23 +197,6 @@ class AbacusDisplay(NamedTuple("AbacusDisplay", [("e", int), ("components", tupl
             )
         return {"e": self.e, "components": comps}
 
-    @classmethod
-    def from_json(cls, obj) -> "AbacusDisplay":
-        if not isinstance(obj, dict) or "e" not in obj or "components" not in obj:
-            raise InputError("abacus JSON needs keys 'e' and 'components'")
-        comps = []
-        for entry in obj["components"]:
-            try:
-                a = entry["charge"]
-                cutoff = entry["cutoff"]
-                beads = set(entry["beads_above_cutoff"])
-            except (TypeError, KeyError) as exc:
-                raise InputError(f"bad abacus component entry: {entry!r}") from exc
-            if not (_is_int(a) and _is_int(cutoff) and all(_is_int(p) and p >= cutoff for p in beads)):
-                raise InputError("charge, cutoff and beads_above_cutoff must be integers, the beads >= cutoff")
-            comps.append(_beta_from_beads(a, cutoff, beads))
-        return cls(obj["e"], tuple(comps))
-
 
 def _beta_from_beads(charge: int, cutoff: int, beads) -> BetaSet:
     """The beta-set of this charge holding exactly these beads at or above
@@ -293,17 +275,6 @@ def to_multicore(mp: Multipartition, charge: Multicharge):
     if core.charges != charge.entries:
         raise LemmaViolation("multicore_charges", f"sliding {mp} gave charges {core.charges}")
     return core, hooks
-
-
-def as_multicore(mp: Multipartition, charge: Multicharge) -> Multicore:
-    """The multicore encoding of mp; InputError if mp is not a multicore."""
-    disp = AbacusDisplay.from_multipartition(mp, charge)
-    if not disp.is_multicore():
-        raise InputError(f"{mp} is not a multicore for {charge.entries} (mod {charge.e})")
-    core, hooks = to_multicore(mp, charge)
-    if hooks:
-        raise LemmaViolation("multicore_fixpoint", f"multicore {mp} has {hooks} rim hooks")
-    return core
 
 
 def s_move(m: Multicore, i: int, l: int, j: int, k: int) -> Multicore:

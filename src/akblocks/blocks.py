@@ -31,6 +31,7 @@ from .multipartition import (
     _check_level,
     _check_range,
     _is_int,
+    as_multipartition,
     residue_counts,
     size,
 )
@@ -335,6 +336,7 @@ def block_containing(mp: Multipartition, charge: Multicharge, caps: Caps | None 
     multipartitions of the same size.
     """
     caps = caps or default_caps()
+    mp = as_multipartition(mp)
     caps.check(n=size(mp), r=charge.r, e=charge.e)
     members = _members(_split(residue_counts(mp, charge), charge.e, charge.kappa))
     return Block(descriptor=block_of(members[-1], charge), charge=charge, members=members)

@@ -14,6 +14,7 @@ where ell = delta*(delta-1)/2.  Summing v^degree over all orders gives the
 branching polynomial, whose coefficients form the Mahonian distribution.
 """
 
+import math
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -83,13 +84,6 @@ class LaurentPolynomial:
     def __bool__(self):
         return bool(self._c)
 
-    def evaluate_at_one(self) -> int:
-        return sum(self._c.values())
-
-    def is_palindromic(self) -> bool:
-        """Invariant under v -> 1/v."""
-        return all(self.coefficient(-d) == x for d, x in self._c.items())
-
     def __repr__(self):
         if not self._c:
             return "0"
@@ -130,10 +124,14 @@ def mahonian(delta: int) -> tuple:
 
 
 def degree_spectrum(delta: int) -> LaurentPolynomial:
-    """sum_k mahonian(delta)[k] * v^(ell - 2k) with ell = delta*(delta-1)/2."""
-    counts = mahonian(delta)
-    ell = delta * (delta - 1) // 2
-    return LaurentPolynomial({ell - 2 * k: counts[k] for k in range(len(counts))})
+    """The quantum factorial [delta]! = [1][2]...[delta], [m] = v^(m-1) + v^(m-3) + ... + v^(1-m).
+    Its coefficient of v^(ell - 2k), ell = delta*(delta-1)/2, is mahonian(delta)[k]
+    (Rodrigues, 1839; MacMahon, 1916)."""
+    _check_range("degree_spectrum delta", 0, math.inf, delta)
+    out = LaurentPolynomial.one()
+    for m in range(1, delta + 1):
+        out = out * LaurentPolynomial({m - 1 - 2 * j: 1 for j in range(m)})
+    return out
 
 
 _KIND = {-1: "removable", 1: "addable"}

@@ -36,7 +36,6 @@ from .multipartition import (
 
 __all__ = [
     "scopes_pairing",
-    "good_nodes",
     "is_kleshchev",
     "ScopesCertificate",
     "certificate",
@@ -79,12 +78,6 @@ def _good_nodes(mp: Multipartition, charge: Multicharge):
             if entry[2] < 0:
                 yield _node_of(mp, entry)
                 break
-
-
-def good_nodes(mp: Multipartition, charge: Multicharge) -> tuple:
-    """The good node of each residue, where one exists, ordered by residue."""
-    _check_level(mp, charge)
-    return tuple(_good_nodes(mp, charge))
 
 
 @lru_cache(maxsize=CACHE_SIZE)  # sweep 1,344 / 1,559: members and images recur across residues

@@ -7,7 +7,6 @@ from akblocks import (
     InputError,
     Multicharge,
     Multicore,
-    as_multicore,
     as_partition,
     beta_set,
     gamma,
@@ -74,7 +73,6 @@ _BAD_COMPONENTS = [((1, 2),), ((-1,),)]
 _ON_MULTIPARTITIONS = {
     "phi": lambda mp, mc: phi(mp, mc, 0),
     "to_multicore": to_multicore,
-    "as_multicore": as_multicore,
     "has_forbidden_config": lambda mp, mc: has_forbidden_config(mp, mc, 0),
 }
 
@@ -107,12 +105,6 @@ def test_display_roundtrip_and_level_matrix():
     # lowest bead per runner: beads ..., -1, 2, 5 and ..., -5, -3, -1, 0
     levels = [[disp.lowest_level(i, j) for i in range(3)] for j in (1, 2)]
     assert levels == [[-1, -1, 1], [0, -2, -1]]
-
-
-def test_display_json_roundtrip():
-    mc = Multicharge(4, (1, 0, 2))
-    disp = AbacusDisplay.from_multipartition(((1, 1), (2,), (2, 1)), mc)
-    assert AbacusDisplay.from_json(disp.to_json()) == disp
 
 
 def test_render_and_parse_roundtrip():
@@ -162,12 +154,6 @@ def test_to_multicore_strips_hooks():
     core, hooks = to_multicore(((3, 1),), mc)
     assert hooks == 2
     assert core.to_multipartition() == ((),)
-
-
-def test_as_multicore_rejects_non_core():
-    mc = Multicharge(2, (0,))
-    with pytest.raises(InputError):
-        as_multicore(((2,),), mc)
 
 
 def test_multicore_charges_recovered():
@@ -247,8 +233,7 @@ def test_forbidden_config_examples():
         pytest.param(lambda m: Multicore(3, ((0, 0, "1"), (0, 0, 0))), id="Multicore str level"),
         pytest.param(lambda m: Multicore(3, ((0, 0), (0, 0, 0))), id="Multicore short row"),
         pytest.param(lambda m: Multicore(1, ((0,),)), id="Multicore e=1"),
-        pytest.param(lambda m: as_multicore(((1.5,),), Multicharge(3, (0,))), id="as_multicore float part"),
-        pytest.param(lambda m: as_multicore(((3,),), Multicharge(3, (0,))), id="as_multicore non-core"),
+        pytest.param(lambda m: to_multicore(((1.5,),), Multicharge(3, (0,))), id="to_multicore float part"),
     ],
 )
 def test_built_multicores_keep_outside_checks(build):
@@ -257,10 +242,6 @@ def test_built_multicores_keep_outside_checks(build):
     m = Multicore(3, ((0, 0, 0), (0, 0, 0)))
     with pytest.raises(InputError):
         build(m)
-
-
-def _json_display(charge, cutoff, beads):
-    return {"e": 3, "components": [{"charge": charge, "cutoff": cutoff, "beads_above_cutoff": beads}]}
 
 
 _M = Multicore(3, ((1, 0, 0), (0, 0, 0)))
@@ -287,10 +268,6 @@ _VACUUM = AbacusDisplay.from_multipartition(((),), Multicharge(3, (0,)))
             lambda: has_forbidden_config(((1,),), Multicharge(3, (0,)), True), id="forbidden bool residue"
         ),
         pytest.param(lambda: render(_VACUUM, (False, True)), id="render bool window"),
-        pytest.param(lambda: AbacusDisplay.from_json(_json_display(2, "x", [])), id="from_json str cutoff"),
-        pytest.param(lambda: AbacusDisplay.from_json(_json_display(True, 0, [0])), id="from_json bool charge"),
-        pytest.param(lambda: AbacusDisplay.from_json(_json_display(0, False, [])), id="from_json bool cutoff"),
-        pytest.param(lambda: AbacusDisplay.from_json(_json_display(1, 0, [True])), id="from_json bool bead"),
     ],
 )
 def test_abacus_entry_points_reject_values_that_only_look_like_integers(build):

@@ -138,6 +138,9 @@ _M = to_multicore(((2,), (1,)), Multicharge(3, (0, 1)))[0]
         pytest.param(lambda: mahonian("3"), id="mahonian string delta"),
         pytest.param(lambda: degree_spectrum(2.0), id="degree_spectrum float delta"),
         pytest.param(lambda: degree_spectrum(True), id="degree_spectrum bool delta"),
+        pytest.param(lambda: degree_spectrum(-1), id="degree_spectrum negative delta"),
+        pytest.param(lambda: block_containing(((1, 2),), Multicharge(3, (0,))), id="block_containing increasing parts"),
+        pytest.param(lambda: block_containing(((1.5,),), Multicharge(3, (0,))), id="block_containing float part"),
         pytest.param(lambda: enumerate_blocks(2.0, MC), id="enumerate_blocks float size"),
         pytest.param(lambda: enumerate_blocks(True, MC), id="enumerate_blocks bool size"),
     ],
@@ -305,10 +308,9 @@ try:
     core_block_of(((3, 1),), mc)
 except LemmaViolation as exc:
     anchors.append(exc.lemma)
-import akblocks.abacus as abacus
-abacus.AbacusDisplay.is_multicore = lambda self: True
+from akblocks.abacus import BetaSet, partition_of
 try:
-    abacus.as_multicore(((2,),), mc)
+    partition_of(BetaSet._trusted(0, frozenset({-1, -2, 3})))
 except LemmaViolation as exc:
     anchors.append(exc.lemma)
 print(",".join(anchors))
@@ -325,7 +327,7 @@ def test_load_bearing_checks_survive_optimised_mode():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["weight_nonnegative,weight_core_law,multicore_fixpoint"]
+    assert proc.stdout.split() == ["weight_nonnegative,weight_core_law,beta_bead_balance"]
 
 
 def test_exchange_search_is_bounded(monkeypatch, capsys):

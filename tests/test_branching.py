@@ -35,8 +35,7 @@ def test_doctests():
 def test_polynomial_algebra():
     p = LaurentPolynomial({1: 1, -1: 1})
     assert p * p == LaurentPolynomial({2: 1, 0: 2, -2: 1})
-    assert p.evaluate_at_one() == 2
-    assert p.is_palindromic()
+    assert (p.coefficient(1), p.coefficient(0), p.coefficient(-1)) == (1, 0, 1)
     assert p * LaurentPolynomial() == LaurentPolynomial()
     assert p * LaurentPolynomial.one() == p
 
@@ -79,12 +78,27 @@ def test_mahonian_matches_inversion_histogram():
 
 
 def test_degree_spectrum_values():
+    assert degree_spectrum(0) == LaurentPolynomial.one()
     assert degree_spectrum(2) == LaurentPolynomial({1: 1, -1: 1})
     assert degree_spectrum(3) == LaurentPolynomial({3: 1, 1: 2, -1: 2, -3: 1})
-    for d in range(7):
+    # the quantum factorial against the reference that enumerates all d! permutations
+    for d in range(10):
+        ell = d * (d - 1) // 2
+        counts = mahonian(d)
+        assert degree_spectrum(d) == LaurentPolynomial({ell - 2 * k: x for k, x in enumerate(counts)})
+
+
+def test_degree_spectrum_past_the_enumeration_cap():
+    # the enumerated reference stops at 9 letters; the product has no bound of its own
+    with pytest.raises(InputError):
+        mahonian(10)
+    for d in (10, 11, 12):
+        ell = d * (d - 1) // 2
         s = degree_spectrum(d)
-        assert s.evaluate_at_one() == math.factorial(d)
-        assert s.is_palindromic()
+        coeffs = [s.coefficient(ell - 2 * k) for k in range(ell + 1)]
+        assert coeffs == coeffs[::-1]
+        assert sum(coeffs) == math.factorial(d)
+        assert s == LaurentPolynomial({ell - 2 * k: x for k, x in enumerate(coeffs)})
 
 
 # --- degrees -----------------------------------------------------------------

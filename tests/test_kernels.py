@@ -50,7 +50,7 @@ from akblocks import blocks, multipartition
 from akblocks.abacus import _WINDOW_SLACK, _exchange
 from akblocks.blocks import _hub_matrix, _level_counts, _level_hub_matrix, _level_weight, _moves
 from akblocks.multipartition import _node_of, _row_ends, _signature, removable_nodes, residue
-from akblocks.scopes import good_nodes
+from akblocks.scopes import _good_nodes
 from akblocks import verify
 from akblocks.verify import (
     DEFAULT_GRID,
@@ -468,7 +468,7 @@ def test_one_residue_signature_and_good_nodes_match_references():
                     word = _signature(mp, mc, i)
                     assert word == [(nd.comp - 1, nd.row - 1, s) for nd, s in want]
                     assert [(_node_of(mp, entry), entry[2]) for entry in word] == want
-                assert good_nodes(mp, mc) == _reference_good_nodes(mp, mc)
+                assert tuple(_good_nodes(mp, mc)) == _reference_good_nodes(mp, mc)
 
 
 def test_residue_tables_match_tabling_every_partition():

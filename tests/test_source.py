@@ -134,3 +134,53 @@ def test_starting_the_cli_does_not_import_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+REPO = PACKAGE.parents[1]
+
+
+def _public_names() -> dict:
+    """Each module's __all__ entries, and the public methods and properties
+    of its public classes: their qualified names, mapped to their names."""
+    out = {}
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        body = ast.parse(path.read_text()).body
+        declared = next(
+            ast.literal_eval(node.value)
+            for node in body
+            if isinstance(node, ast.Assign) and [_name(t) for t in node.targets] == ["__all__"]
+        )
+        out |= {f"{path.stem}.{name}": name for name in declared}
+        out |= {
+            f"{path.stem}.{cls.name}.{fn.name}": fn.name
+            for cls in body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        }
+    return out
+
+
+def _referenced() -> set:
+    """Names and attributes read in the package, akbench and tools, plus the
+    strings of akbench and tools (the tracer's tables name what it wraps).
+    A definition or an __all__ entry is neither, so it does not count."""
+    found = set()
+    for path in [*PACKAGE.glob("*.py"), *REPO.glob("akbench/*.py"), *REPO.glob("tools/*.py")]:
+        strings = path.parent != PACKAGE
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                found.add(_name(node))
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+    return found
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a public function that only tests call is code the program does not
+    # need: delete it, or make the test reach a path the program uses.
+    # branching.order_degree passes only because akbench's tracer counts it
+    # by name
+    used = _referenced()
+    unused = sorted(qualified for qualified, name in _public_names().items() if name not in used)
+    assert not unused, f"public but referenced only by tests: {unused}"

@@ -9,15 +9,17 @@ seed at a time, for ``run_seconds`` from BENCHMARK.json.  Pair k of a
 workload runs seed base+k on both sides, the parent first on even k and
 the change first on odd k.  The file then holds every raw value, the
 median and quartiles per side, and the pairs the change won for each
-end-to-end metric, plus the README ``certify`` wall/peak RSS, the
-tier-1 wall and the start-up cost on both sides: ``import_ms`` holds the
-minimum and median wall of IMPORT_RUNS fresh ``import akblocks.cli``
-processes per export, the two sides alternating.  One ``--trace 1``
-sweep run per side adds ``traced_sweep``: the self time of each
-``verify.check_*`` sweep and of the kernels in TRACED_KERNELS, so the
-record shows which layer a sweep saving comes from.  The header records
-the bytecode setting, which moves a fresh-process op by about a fifth:
-records made with different settings are not comparable.
+end-to-end metric, plus the tier-1 wall on both sides.  The README
+``certify`` (``readme_certify``, CERTIFY_RUNS processes) and a bare
+``import akblocks.cli`` (``import_ms``, IMPORT_RUNS processes) run as
+fresh processes, the two sides alternating; each records the minimum,
+median and raw walls in ms, the peak RSS and the stdout digest.
+TRACED_RUNS ``--trace 1`` sweep runs per side, alternating, add
+``traced_sweep``: the median and raw self times of each ``verify.check_*``
+sweep and of the kernels in TRACED_KERNELS, so the record shows which
+layer a sweep saving comes from.  The header records the bytecode
+setting, which moves a fresh-process op by about a fifth: records made
+with different settings are not comparable.
 """
 
 import argparse
@@ -40,7 +42,14 @@ README_CERTIFY = [
 ]
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 IMPORT_RUNS = 15
+CERTIFY_RUNS = 9
+TRACED_RUNS = 3
 TRACED_KERNELS = ("blocks.hub_s", "blocks.weight_s", "abacus.phi_s")
+
+
+def sides(k: int) -> tuple:
+    """Run k's order: the parent first on even k, the change first on odd."""
+    return ("parent", "change") if k % 2 == 0 else ("change", "parent")
 
 
 def export(rev: str, dest: Path) -> str:
@@ -86,24 +95,43 @@ def bench_run(cwd: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def traced_sweep(cwd: Path, seed: int, seconds: float) -> dict:
-    """Per-layer self times, in s, of one traced sweep run: each verify.check_* and TRACED_KERNELS."""
+def traced_sweep(dirs: dict, seed: int, seconds: float) -> dict:
+    """Per-layer self times, in s, of TRACED_RUNS traced sweep runs per side,
+    the two sides alternating: the median and every run of each
+    verify.check_* and TRACED_KERNELS."""
     argv = ["akbench/run.py", "--workload", "sweep", "--seed", str(seed), "--seconds", str(seconds), "--trace", "1"]
-    out, _, _ = child(argv, cwd)
-    metrics = json.loads(out.strip().splitlines()[-1])["metrics"]
+    runs = {side: [] for side in dirs}
+    for k in range(TRACED_RUNS):
+        for side in sides(k):
+            metrics = json.loads(child(argv, dirs[side])[0].strip().splitlines()[-1])["metrics"]
+            runs[side].append({
+                name: m["value"] for name, m in metrics.items()
+                if name.startswith("verify.check_") or name in TRACED_KERNELS
+            })
+            print(side, "traced sweep", runs[side][-1], flush=True)
     return {
-        name: m["value"] for name, m in metrics.items() if name.startswith("verify.check_") or name in TRACED_KERNELS
+        side: {name: {"median": statistics.median(r[name] for r in rs), "runs": [r[name] for r in rs]} for name in rs[0]}
+        for side, rs in runs.items()
     }
 
 
-def import_ms(dirs: dict) -> dict:
-    """Min and median wall, in ms, of fresh ``import akblocks.cli`` processes
-    in each export, the parent first on even runs and the change first on odd."""
+def alternating(dirs: dict, argv: list, runs: int) -> dict:
+    """Walls of ``runs`` fresh processes of argv in each export, in ms, in
+    ``sides`` order: min, median and every run, with the largest peak RSS
+    and the last stdout's sha256."""
     walls = {side: [] for side in dirs}
-    for k in range(IMPORT_RUNS):
-        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-            walls[side].append(child(["-c", "import akblocks.cli"], dirs[side])[1] * 1000)
-    return {side: {"min": min(w), "median": statistics.median(w), "runs": w} for side, w in walls.items()}
+    rss, digest = dict.fromkeys(dirs, 0.0), {}
+    for k in range(runs):
+        for side in sides(k):
+            out, wall, mb = child(argv, dirs[side])
+            walls[side].append(wall * 1000)
+            rss[side] = max(rss[side], mb)
+            digest[side] = hashlib.sha256(out.encode()).hexdigest()
+    return {
+        side: {"min": min(w), "median": statistics.median(w), "runs": w, "peak_rss_mb": rss[side],
+               "stdout_sha256": digest[side]}
+        for side, w in walls.items()
+    }
 
 
 def quartiles(values: list) -> dict:
@@ -158,26 +186,20 @@ def main(argv=None) -> int:
     for workload in SEEDS:
         runs = {"parent": [], "change": []}
         for k in range(PAIRS):
-            sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            for side in sides:
+            for side in sides(k):
                 runs[side].append(bench_run(dirs[side], workload, SEEDS[workload] + k, spec["run_seconds"]))
                 print(workload, side, runs[side][-1], flush=True)
         record["workloads"][workload] = {"runs": runs, "summary": summarise(runs, spec["end_to_end"])}
-    record["readme_certify"] = {}
     record["tier1"] = {}
     for side in ("parent", "change"):
-        out, wall, rss = child(README_CERTIFY, dirs[side])
-        digest = hashlib.sha256(out.encode()).hexdigest()
-        record["readme_certify"][side] = {"wall_s": wall, "peak_rss_mb": rss, "stdout_sha256": digest}
         out, wall, _ = child(TIER1, dirs[side])
         record["tier1"][side] = {"wall_s": wall, "summary": out.strip().splitlines()[-1]}
-        print(side, record["readme_certify"][side], record["tier1"][side], flush=True)
-    record["traced_sweep"] = {}
-    for side in ("parent", "change"):
-        record["traced_sweep"][side] = traced_sweep(dirs[side], SEEDS["sweep"], spec["run_seconds"])
-        print(side, "traced sweep", record["traced_sweep"][side], flush=True)
-    record["import_ms"] = import_ms(dirs)
-    print("import_ms", {side: (v["min"], v["median"]) for side, v in record["import_ms"].items()}, flush=True)
+        print(side, record["tier1"][side], flush=True)
+    record["traced_sweep"] = traced_sweep(dirs, SEEDS["sweep"], spec["run_seconds"])
+    for key, argv, runs in (("readme_certify", README_CERTIFY, CERTIFY_RUNS),
+                            ("import_ms", ["-c", "import akblocks.cli"], IMPORT_RUNS)):
+        record[key] = alternating(dirs, argv, runs)
+        print(key, {side: (v["min"], v["median"]) for side, v in record[key].items()}, flush=True)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path}")
