@@ -21,6 +21,7 @@ from akblocks import (
     s_move,
     to_multicore,
 )
+from akblocks.abacus import _beta_from_beads
 
 
 # --- beta sets ------------------------------------------------------------
@@ -73,6 +74,7 @@ _BAD_COMPONENTS = [((1, 2),), ((-1,),)]
 _ON_MULTIPARTITIONS = {
     "phi": lambda mp, mc: phi(mp, mc, 0),
     "to_multicore": to_multicore,
+    "from_multipartition": AbacusDisplay.from_multipartition,
     "has_forbidden_config": lambda mp, mc: has_forbidden_config(mp, mc, 0),
 }
 
@@ -105,6 +107,17 @@ def test_display_roundtrip_and_level_matrix():
     # lowest bead per runner: beads ..., -1, 2, 5 and ..., -5, -3, -1, 0
     levels = [[disp.lowest_level(i, j) for i in range(3)] for j in (1, 2)]
     assert levels == [[-1, -1, 1], [0, -2, -1]]
+
+
+def test_display_json_roundtrip():
+    # each JSON component rebuilds through the bead decoder parse_abacus uses
+    mc = Multicharge(4, (1, 0, 2))
+    disp = AbacusDisplay.from_multipartition(((1, 1), (2,), (2, 1)), mc)
+    obj = disp.to_json()
+    comps = tuple(
+        _beta_from_beads(c["charge"], c["cutoff"], set(c["beads_above_cutoff"])) for c in obj["components"]
+    )
+    assert AbacusDisplay(obj["e"], comps) == disp
 
 
 def test_render_and_parse_roundtrip():
