@@ -85,9 +85,9 @@ class BetaSet(NamedTuple("BetaSet", [("charge", int), ("delta", frozenset)])):
 
     def min_gap(self) -> int:
         """Smallest position that is NOT a bead."""
-        below = [p for p in self.delta if p < self.charge]
-        if below:
-            return min(below)
+        low = min(self.delta, default=self.charge)
+        if low < self.charge:
+            return low
         p = self.charge
         while p in self.delta:
             p += 1
@@ -95,9 +95,9 @@ class BetaSet(NamedTuple("BetaSet", [("charge", int), ("delta", frozenset)])):
 
     def max_bead(self) -> int:
         """Largest position that IS a bead."""
-        above = [p for p in self.delta if p >= self.charge]
-        if above:
-            return max(above)
+        high = max(self.delta, default=self.charge - 1)
+        if high >= self.charge:
+            return high
         p = self.charge - 1
         while p in self.delta:
             p -= 1
@@ -390,8 +390,8 @@ def render(display: AbacusDisplay, window: tuple | None = None) -> str:
     included.  A window that hides an irregular row is an error, so the
     drawing always determines the display, and so is one reaching past the
     default by more than _WINDOW_SLACK levels.  Each component's window is
-    filled once and cut into level rows, so the cost is O(size of the
-    drawing).
+    filled once, and each of its runner columns is copied into the output
+    with one strided slice, so per level only the label is formatted.
     """
     e = display.e
     lo0 = min(bs.min_gap() // e for bs in display.components) - 1
@@ -399,7 +399,7 @@ def render(display: AbacusDisplay, window: tuple | None = None) -> str:
     if window is None:
         lo, hi = lo0, hi0
     else:
-        lo, hi = window
+        lo, hi = window if isinstance(window, (tuple, list)) and len(window) == 2 else (None, None)
         if not (_is_int(lo) and _is_int(hi) and lo <= hi):
             raise InputError(f"window must be a pair of levels lo <= hi, got {window!r}")
         if lo > lo0 + 1 or hi < hi0 - 1:
@@ -410,12 +410,18 @@ def render(display: AbacusDisplay, window: tuple | None = None) -> str:
             raise InputError(f"window {window!r} reaches over {_WINDOW_SLACK} levels past {lo0},{hi0}")
     width = max(len("level"), len(str(lo)), len(str(hi)))
     runners = "".join(str(i % 10) for i in range(e))
-    lines = [
-        "e=%d charges=%s" % (e, ",".join(str(bs.charge) for bs in display.components)),
-        "%*s  %s" % (width, "level", "  ".join([runners] * display.r)),
-    ]
-    base, span = lo * e, (hi + 1 - lo) * e
-    levels = []
+    head = "e=%d charges=%s\n%*s  %s\n" % (
+        e, ",".join(str(bs.charge) for bs in display.components),
+        width, "level", "  ".join([runners] * display.r),
+    )
+    # one output line is the label, then two spaces and e cells per component, then a newline
+    n, stride = hi + 1 - lo, width + display.r * (e + 2) + 1
+    out = bytearray(b" " * (n * stride))
+    out[stride - 1 :: stride] = b"\n" * n
+    labels = "".join(map(("%" + str(width) + "d").__mod__, range(lo, hi + 1))).encode()
+    for c in range(width):
+        out[c::stride] = labels[c::width]
+    base, span, off = lo * e, n * e, width + 2
     for bs in display.components:
         # the vacuum's beads below the charge, then each perturbation flipped
         filled = min(max(bs.charge - base, 0), span)
@@ -423,11 +429,10 @@ def render(display: AbacusDisplay, window: tuple | None = None) -> str:
         for p in bs.delta:
             if base <= p < base + span:
                 row[p - base] ^= _FLIP
-        drawn = row.decode()
-        levels.append([drawn[k : k + e] for k in range(0, span, e)])
-    groups = map("  ".join, zip(*levels))
-    lines += [str(lv).rjust(width) + "  " + g for lv, g in zip(range(lo, hi + 1), groups)]
-    return "\n".join(lines) + "\n"
+        for c in range(e):
+            out[off + c :: stride] = row[c::e]
+        off += e + 2
+    return head + out.decode()
 
 
 def parse_abacus(text: str) -> AbacusDisplay:

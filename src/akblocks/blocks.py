@@ -498,6 +498,8 @@ def _moves(m: Multicore, minimum: int | None = None):
     lv, e = m.levels, m.e
     for j, k in combinations(range(len(lv)), 2):
         g = [x - y for x, y in zip(lv[j], lv[k])]
+        if minimum is not None and max(g) - min(g) < minimum:
+            continue  # no move of this pair reaches the minimum
         for i in range(e):
             for l in range(e):
                 if l != i and (minimum is None or g[i] - g[l] >= minimum):
@@ -513,7 +515,8 @@ SEARCH_STATES = 5000
 
 
 def _core_search(m: Multicore) -> tuple:
-    """A hub-preserving, weight-non-increasing move sequence into a core block.
+    """A hub-preserving, weight-non-increasing move sequence into a core block,
+    as (move, multicore it reaches) pairs.
 
     Phase one greedily takes any exchange with gamma difference >= 3
     (each strictly lowers the weight).  If the result is not yet in a
@@ -527,8 +530,8 @@ def _core_search(m: Multicore) -> tuple:
         mv = next((mv for mv, _ in _moves(cur, 3)), None)
         if mv is None:
             break
-        moves.append(mv)
         cur = _exchange(cur, *mv)
+        moves.append((mv, cur))
     if witness_offsets(cur):
         return tuple(moves)
     prev = {cur: None}
@@ -545,7 +548,7 @@ def _core_search(m: Multicore) -> tuple:
                 walk = nxt
                 while prev[walk] is not None:
                     parent, step = prev[walk]
-                    back.append(step)
+                    back.append((step, walk))
                     walk = parent
                 return tuple(moves) + tuple(reversed(back))
             if len(prev) > SEARCH_STATES:
@@ -559,7 +562,6 @@ def _core_search(m: Multicore) -> tuple:
     )
 
 
-@lru_cache(maxsize=CACHE_SIZE)  # sweep 4,530 / 1,837, point queries 600 / 300
 def core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
     """Strip rim hooks, then walk bead exchanges down to the core block.
 
@@ -567,26 +569,37 @@ def core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
     weight; both facts are checked step by step, along with the exchange
     weight law w(next) = w(cur) - r*(gamma_difference - 2).  A failed
     check raises LemmaViolation under the anchor of the law it broke.
-    The steps are checked on level matrices (``level_hub``,
-    ``_level_weight``), and the core's size is read off its level matrix
-    too (``_level_counts``): no multicore is decoded.
+    The steps are checked on level matrices: each state the search
+    reached is checked once, and its residue counts (``_level_counts``)
+    give its weight and, for the core, its size.  No multicore is decoded.
+    A multipartition given as lists is made tuples only when the cache
+    cannot hash it, so a cache hit pays nothing for that.
     """
+    try:
+        return _core_block_of(mp, charge)
+    except TypeError:  # the list form is unhashable
+        return _core_block_of(as_multipartition(mp), charge)
+
+
+@lru_cache(maxsize=CACHE_SIZE)  # sweep 4,530 / 1,837, point queries 600 / 300
+def _core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
+    """``core_block_of`` of a hashable multipartition."""
     m0, hooks = to_multicore(mp, charge)
     h0 = hub(mp, charge)
     r, kappa = charge.r, charge.kappa
-    cur = m0
-    cur_w = _level_weight(cur, kappa)
+    cur, counts = m0, _level_counts(m0)
+    cur_w = _counts_weight(counts, kappa, cur.levels, "levels ")
     if cur_w != weight(mp, charge) - r * hooks:
         raise LemmaViolation(
             "weight_core_law", f"the {hooks} rim hooks of {mp} do not carry weight {r} each"
         )
     chain = []
-    for mv in _core_search(m0):
+    for mv, nxt in _core_search(m0):
         i, l, j, k = mv
         lj, lk = cur.levels[j - 1], cur.levels[k - 1]
         g = lj[i] - lk[i] - (lj[l] - lk[l])  # gamma(i;j,k) - gamma(l;j,k)
-        nxt = _exchange(cur, *mv)
-        nxt_w = _level_weight(nxt, kappa)
+        counts = _level_counts(nxt)
+        nxt_w = _counts_weight(counts, kappa, nxt.levels, "levels ")
         if level_hub(nxt) != h0:
             raise LemmaViolation("hub_invariance", f"exchange {mv} changed the hub of levels {cur.levels}")
         if nxt_w != cur_w - r * (g - 2):
@@ -603,7 +616,7 @@ def core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
             "core_block_reachability", f"the exchange chain from {mp} ends outside a core block"
         )
     descriptor = BlockDescriptor(
-        n=sum(_level_counts(cur)),
+        n=sum(counts),
         r=r,
         e=charge.e,
         kappa=kappa,

@@ -281,6 +281,9 @@ _VACUUM = AbacusDisplay.from_multipartition(((),), Multicharge(3, (0,)))
             lambda: has_forbidden_config(((1,),), Multicharge(3, (0,)), True), id="forbidden bool residue"
         ),
         pytest.param(lambda: render(_VACUUM, (False, True)), id="render bool window"),
+        pytest.param(lambda: render(_VACUUM, (1,)), id="render one-level window"),
+        pytest.param(lambda: render(_VACUUM, (1, 2, 3)), id="render three-level window"),
+        pytest.param(lambda: render(_VACUUM, 5), id="render int window"),
     ],
 )
 def test_abacus_entry_points_reject_values_that_only_look_like_integers(build):

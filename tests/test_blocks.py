@@ -75,6 +75,17 @@ def test_block_of_roundtrip():
     }
 
 
+def test_cached_entry_points_accept_the_list_form():
+    # weight, phi and block_containing take lists of parts; so do the
+    # queries behind the core-block cache
+    for mp, mc in ((((2, 1), (1,)), Multicharge(3, (0, 1))), (LAM, MC)):
+        for listed in ([list(c) for c in mp], tuple(list(c) for c in mp)):
+            assert core_block_of(listed, mc) == core_block_of(mp, mc)
+            assert block_of(listed, mc) == block_of(mp, mc)
+            for i in range(mc.e):
+                assert scopes_condition(listed, mc, i) == scopes_condition(mp, mc, i)
+
+
 def test_block_of_and_scopes_condition_read_the_hub_of_the_core_block():
     # both take the hub from core_block_of, which keeps hub(mp) for its core,
     # and the weight from its chain, which starts r per rim hook below w(mp)
@@ -286,7 +297,7 @@ def test_negative_weight_message_is_formatted_only_on_failure(monkeypatch):
     with pytest.raises(LemmaViolation) as exc:
         blocks._level_weight(m, (1,))
     assert str(exc.value) == f"weight_nonnegative: negative weight -25 for levels {m.levels}"
-    blocks.core_block_of.cache_clear()
+    blocks._core_block_of.cache_clear()
     with pytest.raises(LemmaViolation, match=r"negative weight -25 for levels \(\("):
         core_block_of(((1,),), Multicharge(2, (1,)))
 
@@ -336,7 +347,7 @@ def test_exchange_search_is_bounded(monkeypatch, capsys):
     mc = Multicharge(3, (1, 0, 2))
     mp = ((1,), (1,), (1,))
     monkeypatch.setattr(blocks, "SEARCH_STATES", 1)
-    for cached in (blocks.core_block_of,):
+    for cached in (blocks._core_block_of,):
         cached.cache_clear()
     with pytest.raises(CapExceeded, match="visited over 1 states"):
         core_block_of(mp, mc)

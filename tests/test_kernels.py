@@ -24,6 +24,7 @@ import pytest
 import akblocks
 from akblocks import (
     AbacusDisplay,
+    BetaSet,
     Caps,
     InputError,
     Multicharge,
@@ -31,6 +32,7 @@ from akblocks import (
     beta_set,
     block_containing,
     block_of,
+    core_block_of,
     d_min,
     delta_ij,
     enumerate_blocks,
@@ -206,6 +208,38 @@ def test_render_matches_cell_by_cell_drawing():
     assert min(charges) < 0
 
 
+def _wide_displays(seed: int):
+    """3,000 displays with e = 2..13 (runner labels wrap at 10) and r = 1..4,
+    of 10 to 10^3 nodes, with charges near 0 or shifted together down to
+    -120,000 (labels wider than "level")."""
+    rng = random.Random(seed)
+    for _ in range(3000):
+        e, r = rng.randint(2, 13), rng.randint(1, 4)
+        n = round(10 * 100 ** rng.random())
+        cuts = sorted(rng.randint(0, n) for _ in range(r - 1))
+        mp = tuple(_random_partition(rng, b - a) for a, b in zip([0, *cuts], [*cuts, n]))
+        shift = rng.choice((0, rng.randint(-120_000, 0)))
+        yield mp, Multicharge(e, tuple(shift + rng.randint(-9, 4) for _ in range(r)))
+
+
+def test_render_matches_cell_by_cell_drawing_on_wide_labels():
+    """The default window, and on every third display a random window within
+    the slack, drawn cell by cell."""
+    rng = random.Random(1104)
+    widths = set()
+    for k, (mp, mc) in enumerate(_wide_displays(1103)):
+        disp = AbacusDisplay.from_multipartition(mp, mc)
+        lo0, hi0 = _default_window(mp, mc)
+        drawn = render(disp)
+        assert drawn == _reference_render(disp, lo0, hi0)
+        widths.add(drawn.splitlines()[1].index("level") + len("level"))
+        if k % 3 == 0:
+            lo = rng.randint(lo0 - _WINDOW_SLACK, lo0 + 1)
+            hi = rng.randint(max(lo, hi0 - 1), hi0 + _WINDOW_SLACK)
+            assert render(disp, window=(lo, hi)) == _reference_render(disp, lo, hi)
+    assert min(widths) == len("level") and max(widths) > len("level")
+
+
 def test_render_windows_at_their_limits():
     """Windows exactly at the limits draw cell by cell; one level past any
     limit is an InputError."""
@@ -293,6 +327,27 @@ def test_block_containing_never_lists_all_multipartitions(monkeypatch):
     image = phi(lam, mc, 1)
     target = block_containing(image, mc, caps)
     assert set(target.members) == {phi(mp, mc, 1) for mp in blk.members}
+
+
+def test_core_block_of_checks_each_exchange_state_once(monkeypatch):
+    """The exchange search hands core_block_of the states it reached: on an
+    all-greedy chain of 8 steps it makes one exchange per step, and reads
+    residue counts once per state, the start and the core included."""
+    calls = dict.fromkeys(("_exchange", "_level_counts"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(blocks, name, counted(name, getattr(blocks, name)))
+    blocks._core_block_of.cache_clear()
+    mc = Multicharge(3, (-2, -2, 1))
+    res = core_block_of(((2, 1, 1), (8, 6, 4, 2, 1, 1), (7, 5, 3, 1, 1)), mc)
+    assert len(res.chain) >= 8
+    assert calls == {"_exchange": len(res.chain), "_level_counts": len(res.chain) + 1}
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -390,6 +445,45 @@ def test_level_kernels_match_the_decoded_route_exhaustively():
             assert m == validated and hash(m) == hash(validated)
             seen += 1
     assert seen > 10_000
+
+
+def _reference_moves(m: Multicore, minimum: int) -> list:
+    """Every exchange of gamma difference >= minimum, from the definition."""
+    lv = m.levels
+    out = []
+    for j in range(m.r):
+        for k in range(j + 1, m.r):
+            for i in range(m.e):
+                for l in range(m.e):
+                    g = (lv[j][i] - lv[k][i]) - (lv[j][l] - lv[k][l])
+                    if i != l and g >= minimum:
+                        out.append(((i, l, j + 1, k + 1), g))
+    return out
+
+
+def test_pruned_moves_match_the_definition():
+    """_moves skips a component pair whose level differences span less than
+    the minimum; the moves left, and their order, are those of the definition."""
+    rng = random.Random(2001)
+    grid = [m for mc in DEFAULT_GRID.cells() for m in _grid_multicores(DEFAULT_GRID, mc)]
+    drawn = []
+    for _ in range(2000):
+        e, r = rng.randint(2, 8), rng.randint(1, 4)
+        drawn.append(Multicore(e, [[rng.randint(-30, 30) for _ in range(e)] for _ in range(r)]))
+    for m in grid + drawn:
+        for minimum in (2, 3):
+            assert list(_moves(m, minimum)) == _reference_moves(m, minimum), (m, minimum)
+    assert len(grid) > 1000
+
+
+def test_min_gap_and_max_bead_match_a_scan():
+    rng = random.Random(2002)
+    for _ in range(20_000):
+        a, k = rng.randint(-40, 40), rng.randint(0, 6)
+        bs = BetaSet(a, frozenset(rng.sample(range(a - 12, a), k) + rng.sample(range(a, a + 12), k)))
+        cells = range(a - 14, a + 14)
+        assert bs.min_gap() == min(p for p in cells if p not in bs)
+        assert bs.max_bead() == max(p for p in cells if p in bs)
 
 
 def test_exchange_reference_sums_row_facts_exactly():

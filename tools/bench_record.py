@@ -17,9 +17,11 @@ median and raw walls in ms, the peak RSS and the stdout digest.
 TRACED_RUNS ``--trace 1`` sweep runs per side, alternating, add
 ``traced_sweep``: the median and raw self times of each ``verify.check_*``
 sweep and of the kernels in TRACED_KERNELS, so the record shows which
-layer a sweep saving comes from.  The header records the bytecode
-setting, which moves a fresh-process op by about a fifth: records made
-with different settings are not comparable.
+layer a sweep saving comes from.  As many invariants runs add
+``traced_invariants``, the same for the point queries in TRACED_QUERIES.
+The header records the bytecode setting, which moves a fresh-process op
+by about a fifth: records made with different settings are not
+comparable.
 """
 
 import argparse
@@ -45,6 +47,10 @@ IMPORT_RUNS = 15
 CERTIFY_RUNS = 9
 TRACED_RUNS = 3
 TRACED_KERNELS = ("blocks.hub_s", "blocks.weight_s", "abacus.phi_s")
+TRACED_QUERIES = (
+    "abacus.render_s", "blocks.core_block_of_s", "abacus.to_multicore_s",
+    *TRACED_KERNELS, "multipartition.residue_multiset_s",
+)
 
 
 def sides(k: int) -> tuple:
@@ -95,20 +101,17 @@ def bench_run(cwd: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def traced_sweep(dirs: dict, seed: int, seconds: float) -> dict:
-    """Per-layer self times, in s, of TRACED_RUNS traced sweep runs per side,
-    the two sides alternating: the median and every run of each
-    verify.check_* and TRACED_KERNELS."""
-    argv = ["akbench/run.py", "--workload", "sweep", "--seed", str(seed), "--seconds", str(seconds), "--trace", "1"]
+def traced(dirs: dict, workload: str, seed: int, seconds: float, keep) -> dict:
+    """Per-layer self times, in s, of TRACED_RUNS traced runs of workload per
+    side, the two sides alternating: the median and every run of each
+    metric whose name ``keep`` accepts."""
+    argv = ["akbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "1"]
     runs = {side: [] for side in dirs}
     for k in range(TRACED_RUNS):
         for side in sides(k):
             metrics = json.loads(child(argv, dirs[side])[0].strip().splitlines()[-1])["metrics"]
-            runs[side].append({
-                name: m["value"] for name, m in metrics.items()
-                if name.startswith("verify.check_") or name in TRACED_KERNELS
-            })
-            print(side, "traced sweep", runs[side][-1], flush=True)
+            runs[side].append({name: m["value"] for name, m in metrics.items() if keep(name)})
+            print(side, "traced", workload, runs[side][-1], flush=True)
     return {
         side: {name: {"median": statistics.median(r[name] for r in rs), "runs": [r[name] for r in rs]} for name in rs[0]}
         for side, rs in runs.items()
@@ -195,7 +198,13 @@ def main(argv=None) -> int:
         out, wall, _ = child(TIER1, dirs[side])
         record["tier1"][side] = {"wall_s": wall, "summary": out.strip().splitlines()[-1]}
         print(side, record["tier1"][side], flush=True)
-    record["traced_sweep"] = traced_sweep(dirs, SEEDS["sweep"], spec["run_seconds"])
+    record["traced_sweep"] = traced(
+        dirs, "sweep", SEEDS["sweep"], spec["run_seconds"],
+        lambda name: name.startswith("verify.check_") or name in TRACED_KERNELS,
+    )
+    record["traced_invariants"] = traced(
+        dirs, "invariants", SEEDS["invariants"], spec["run_seconds"], TRACED_QUERIES.__contains__
+    )
     for key, argv, runs in (("readme_certify", README_CERTIFY, CERTIFY_RUNS),
                             ("import_ms", ["-c", "import akblocks.cli"], IMPORT_RUNS)):
         record[key] = alternating(dirs, argv, runs)
