@@ -14,7 +14,8 @@ counts, weight, per-component hub) are checked against its decoded
 multipartition.  The one-residue signature is checked against the row
 ends, and good nodes against cancelling node lists one pair at a time.
 ``render`` is checked against drawing every cell of the window by bead
-membership.
+membership, ``BetaSet.min_gap`` and ``max_bead`` against a scan, and the
+pruned exchange enumeration against the definition of gamma difference.
 """
 
 import random
