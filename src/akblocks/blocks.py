@@ -79,9 +79,14 @@ def weight(mp: Multipartition, charge: Multicharge) -> int:
     Computed in integer arithmetic.  The quadratic term is always even
     (the cyclic differences c_i - c_{i+1} sum to zero, and x^2 has the
     parity of x), so the halving is exact; a negative result means the
-    counts are not those of a multipartition and raises LemmaViolation.
+    counts are not those of a multipartition and raises LemmaViolation,
+    unless mp is no multipartition: that raises InputError.
     """
-    return _counts_weight(residue_counts(mp, charge), charge.kappa, mp)
+    try:
+        return _counts_weight(residue_counts(mp, charge), charge.kappa, mp)
+    except LemmaViolation:
+        as_multipartition(mp)
+        raise
 
 
 def _counts_weight(c: tuple, kappa: tuple, subject, label: str = "") -> int:
@@ -303,13 +308,7 @@ def enumerate_blocks(n: int, charge: Multicharge, caps: Caps | None = None) -> t
     if not _is_int(n) or n < 0:
         raise InputError("block enumeration needs n >= 0")
     caps.check(n=n, r=charge.r, e=charge.e)
-    return _blocks(n, charge)
-
-
-@lru_cache(maxsize=CACHE_SIZE)  # sweep 315 / 135: several sweeps list each cell's blocks
-def _blocks(n: int, charge: Multicharge) -> tuple:
-    """``enumerate_blocks`` past its caps checks: the table entries of every
-    composition of n grouped by summed key, each descriptor built once."""
+    # the table entries of every composition of n, grouped by summed key
     e, kappa = charge.e, charge.kappa
     sums: dict = {(0,) * e: [()]}
     last = len(kappa) - 1
@@ -346,7 +345,7 @@ def block_containing(mp: Multipartition, charge: Multicharge, caps: Caps | None 
 # core blocks: witnesses, base tuples, K
 
 
-@lru_cache(maxsize=CACHE_SIZE)  # sweep 12,789 / 1,052, point queries 905 / 309
+@lru_cache(maxsize=CACHE_SIZE)  # sweep 12,239 / 1,052, point queries 905 / 309
 def witness_offsets(m: Multicore) -> tuple:
     """All offset vectors t (t_1 = 0) adjusting component charges by t_j * e
     so that every runner's levels pairwise differ by at most 1.
@@ -581,7 +580,7 @@ def core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
         return _core_block_of(as_multipartition(mp), charge)
 
 
-@lru_cache(maxsize=CACHE_SIZE)  # sweep 4,530 / 1,837, point queries 600 / 300
+@lru_cache(maxsize=CACHE_SIZE)  # sweep 4,805 / 1,562, point queries 600 / 300
 def _core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
     """``core_block_of`` of a hashable multipartition."""
     m0, hooks = to_multicore(mp, charge)

@@ -8,8 +8,7 @@ counting), never from the code path under test.
 """
 
 from collections import Counter
-from functools import lru_cache
-from itertools import combinations, permutations, takewhile
+from itertools import chain, combinations, permutations, takewhile
 from typing import NamedTuple
 
 from .abacus import (
@@ -153,22 +152,29 @@ class _Recorder:
         return LemmaResult(self.lemma, self.instances, tuple(self.violations))
 
 
-_SWEEPS: dict = {}  # sweep name -> lemma anchors; definition order is run order
+_SWEEPS: dict = {}  # sweep name -> lemma anchors; definition order is output order
+_CELL_SWEEPS: list = []  # the sweeps run_all calls once per cell, in definition order
 
 
-def _sweep(*lemmas: str):
-    """Declare a sweep by its lemma anchors, in output order: the body takes
-    the grid and one _Recorder per anchor, the sweep takes the grid alone
-    and returns the recorders' LemmaResults in that order."""
+def _sweep(*lemmas: str, per_cell: bool = False):
+    """Declare a sweep by its lemma anchors, in output order; its body takes
+    one _Recorder per anchor after its first argument.  A cell sweep is its
+    body, which run_all calls on each _Cell with recorders kept across
+    cells; any other sweep takes the grid alone and returns its recorders'
+    LemmaResults in anchor order."""
 
     def declare(body):
+        _SWEEPS[body.__name__] = lemmas
+        if per_cell:
+            _CELL_SWEEPS.append(body.__name__)
+            return body
+
         def sweep(grid: SweepGrid) -> list:
             recorders = [_Recorder(lemma) for lemma in lemmas]
             body(grid, *recorders)
             return [rec.result() for rec in recorders]
 
         sweep.__name__ = sweep.__qualname__ = body.__name__
-        _SWEEPS[body.__name__] = lemmas
         return sweep
 
     return declare
@@ -184,22 +190,34 @@ def _caps_for(grid: SweepGrid) -> Caps:
     )
 
 
-@lru_cache(maxsize=64)  # sweep 435 / 21: the default grid reads 21 (n, r) pairs
-def _multis(n: int, r: int) -> tuple:
-    return tuple(multipartitions_of(n, r))
+class _Cell(NamedTuple):
+    """What the cell sweeps read of one (r, e, charge) cell of the grid."""
+
+    grid: SweepGrid
+    caps: Caps
+    charge: Multicharge
+    multis: tuple  # the multipartitions of each n <= max_n, shared by the cells of one level
+    blocks: tuple  # the blocks of each n <= max(max_n, branch_n)
+    multicores: tuple  # sorted by levels
+    condition: tuple  # (block, i, report) for each block with the weight condition and delta_i >= 0
 
 
-def _blocks_grouped(n: int, e: int, kappa: tuple) -> tuple:
-    """Reference block enumeration: every multipartition of n grouped by
-    residue counts, as (key, lex-descending members) sorted by lex-least
-    member.  The per-component join in ``akblocks.blocks`` is checked
-    against it."""
-    charge = Multicharge(e, kappa)
-    groups: dict = {}
-    for mp in multipartitions_of(n, len(kappa)):
-        groups.setdefault(residue_counts(mp, charge), []).append(mp)
-    out = [(key, tuple(sorted(members, reverse=True))) for key, members in groups.items()]
-    return tuple(sorted(out, key=lambda item: item[1][-1]))
+def _cells(grid: SweepGrid):
+    """Each cell's _Cell in grid order, built when it is reached."""
+    caps = _caps_for(grid)
+    level = multis = None
+    for mc in grid.cells():
+        if mc.r != level:
+            level, multis = mc.r, tuple(tuple(multipartitions_of(n, mc.r)) for n in range(grid.max_n + 1))
+        blocks = tuple(enumerate_blocks(n, mc, caps) for n in range(max(grid.max_n, grid.branch_n) + 1))
+        decoded = (to_multicore(mp, mc) for mp in chain.from_iterable(multis))
+        cores = {core.levels: core for core, hooks in decoded if hooks == 0}
+        found = (
+            (blk, i, scopes_condition(blk.lex_least, mc, i))
+            for blist in blocks[: grid.branch_n + 1] for blk in blist for i in range(mc.e)
+        )
+        condition = tuple((blk, i, rep) for blk, i, rep in found if rep.holds and rep.delta >= 0)
+        yield _Cell(grid, caps, mc, multis, blocks, tuple(cores[k] for k in sorted(cores)), condition)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +229,7 @@ def _blocks_grouped(n: int, e: int, kappa: tuple) -> tuple:
 def check_orders(grid: SweepGrid, counts, lex_total, dom_partial, dom_lex, node_order):
     for r in grid.levels:
         for n in range(grid.max_n + 1):
-            multis = _multis(n, r)
+            multis = tuple(multipartitions_of(n, r))
             # dominates once per ordered pair; the checks below read the table
             dom = [[dominates(a, b) for b in multis] for a in multis]
             for x, mp in enumerate(multis):
@@ -250,76 +268,56 @@ def check_orders(grid: SweepGrid, counts, lex_total, dom_partial, dom_lex, node_
                                 row[z],
                                 "transitivity fails at {},{},{}", multis[x], multis[y], multis[z],
                             )
-        for n in range(min(grid.max_n, 4) + 1):
-            for mp in _multis(n, r):
-                nds = nodes(mp)
-                for x in nds:
-                    node_order.count(not node_above(x, x), "irreflexivity at {}", x)
-                for x, y in combinations(nds, 2):
-                    node_order.count(
-                        not (node_above(x, y) and node_above(y, x)),
-                        "antisymmetry at {},{}", x, y,
-                    )
-                    for z in nds:
-                        if node_above(x, y) and node_above(y, z):
-                            node_order.count(
-                                node_above(x, z),
-                                "transitivity at {},{},{}", x, y, z,
-                            )
+                for nds in map(nodes, multis):
+                    for x in nds:
+                        node_order.count(not node_above(x, x), "irreflexivity at {}", x)
+                    for x, y in combinations(nds, 2):
+                        node_order.count(
+                            not (node_above(x, y) and node_above(y, x)),
+                            "antisymmetry at {},{}", x, y,
+                        )
+                        for z in nds:
+                            if node_above(x, y) and node_above(y, z):
+                                node_order.count(
+                                    node_above(x, z),
+                                    "transitivity at {},{},{}", x, y, z,
+                                )
 
 
 # ---------------------------------------------------------------------------
 # residues, hubs, block criterion
 
 
-def _node_residue_counts(mp, charge: Multicharge) -> tuple:
-    """Reference residue counts: the residue of every node, one by one."""
-    out = [0] * charge.e
-    for nd in nodes(mp):
-        out[residue(nd, charge)] += 1
-    return tuple(out)
-
-
-def _node_hub_matrix(mp, charge: Multicharge) -> tuple:
-    """Reference per-component hub from the removable and addable node lists."""
-    out = [[0] * charge.e for _ in mp]
-    for nd in removable_nodes(mp):
-        out[nd.comp - 1][residue(nd, charge)] += 1
-    for nd in addable_nodes(mp):
-        out[nd.comp - 1][residue(nd, charge)] -= 1
-    return tuple(map(tuple, out))
-
-
-@_sweep("residue_count_shift", "hub_sum_law", "residue_block_criterion")
-def check_residues(grid: SweepGrid, shift, hub_sum, criterion):
-    for mc in grid.cells():
-        e = mc.e
-        bumped = Multicharge(e, tuple(a + 1 for a in mc.entries))
-        for n in range(grid.max_n + 1):
-            hub_to_counts: dict = {}
-            counts_to_hub: dict = {}
-            for mp in _multis(n, mc.r):
-                c = residue_counts(mp, mc)
-                c2 = residue_counts(mp, bumped)
-                shift.count(
-                    c2 == tuple(c[(i - 1) % e] for i in range(e)),
-                    "shift law fails for {}: {} -> {}", mp, c, c2,
-                )
-                h = hub(mp, mc)
-                total = sum(h)
-                hub_sum.count(total == -mc.r, "hub of {} sums to {}", mp, total)
-                hub_to_counts.setdefault(h, set()).add(c)
-                counts_to_hub.setdefault(c, set()).add(h)
-            for h, cs in hub_to_counts.items():
-                criterion.count(
-                    len(cs) == 1,
-                    "hub {} has several residue-count vectors {}", h, sorted(cs),
-                )
-            for c, hs in counts_to_hub.items():
-                criterion.count(
-                    len(hs) == 1,
-                    "counts {} have several hubs {}", c, sorted(hs),
-                )
+@_sweep("residue_count_shift", "hub_sum_law", "residue_block_criterion", per_cell=True)
+def check_residues(cell: _Cell, shift, hub_sum, criterion):
+    mc = cell.charge
+    e = mc.e
+    bumped = Multicharge(e, tuple(a + 1 for a in mc.entries))
+    for multis in cell.multis:
+        hub_to_counts: dict = {}
+        counts_to_hub: dict = {}
+        for mp in multis:
+            c = residue_counts(mp, mc)
+            c2 = residue_counts(mp, bumped)
+            shift.count(
+                c2 == tuple(c[(i - 1) % e] for i in range(e)),
+                "shift law fails for {}: {} -> {}", mp, c, c2,
+            )
+            h = hub(mp, mc)
+            total = sum(h)
+            hub_sum.count(total == -mc.r, "hub of {} sums to {}", mp, total)
+            hub_to_counts.setdefault(h, set()).add(c)
+            counts_to_hub.setdefault(c, set()).add(h)
+        for h, cs in hub_to_counts.items():
+            criterion.count(
+                len(cs) == 1,
+                "hub {} has several residue-count vectors {}", h, sorted(cs),
+            )
+        for c, hs in counts_to_hub.items():
+            criterion.count(
+                len(hs) == 1,
+                "counts {} have several hubs {}", c, sorted(hs),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -398,65 +396,54 @@ def _classical_e_weight(p, e: int) -> int:
 
 
 @_sweep("weight_core_law", "multicore_fixpoint", "level_hub_bridge", "same_hub_weight_law",
-        "classical_e_weight")
-def check_weights(grid: SweepGrid, core_law, fixpoint, bridge, same_hub, classical):
-    for mc in grid.cells():
-        e, r = mc.e, mc.r
-        hub_index: dict = {}
-        cores: dict = {}  # core levels -> (weight, fixed point?); a third of a cell's multipartitions
-        for n in range(grid.max_n + 1):
-            for mp in _multis(n, r):
-                core, hooks = to_multicore(mp, mc)
-                if core.levels not in cores:
-                    core_mp = core.to_multipartition()
-                    again, hooks2 = to_multicore(core_mp, mc)
-                    disp = AbacusDisplay.from_multipartition(core_mp, mc)
-                    cores[core.levels] = (weight(core_mp, mc), hooks2 == 0 and again == core and disp.is_multicore())
-                wc, fixed = cores[core.levels]
-                w = weight(mp, mc)
-                core_law.count(
-                    w == wc + r * hooks,
-                    "{}: w={}, core w={}, hooks={}", mp, w, wc, hooks,
+        "classical_e_weight", per_cell=True)
+def check_weights(cell: _Cell, core_law, fixpoint, bridge, same_hub, classical):
+    mc = cell.charge
+    e, r = mc.e, mc.r
+    hub_index: dict = {}
+    cores: dict = {}  # core levels -> (weight, fixed point?); a third of a cell's multipartitions
+    for n, multis in enumerate(cell.multis):
+        for mp in multis:
+            core, hooks = to_multicore(mp, mc)
+            if core.levels not in cores:
+                core_mp = core.to_multipartition()
+                again, hooks2 = to_multicore(core_mp, mc)
+                disp = AbacusDisplay.from_multipartition(core_mp, mc)
+                cores[core.levels] = (weight(core_mp, mc), hooks2 == 0 and again == core and disp.is_multicore())
+            wc, fixed = cores[core.levels]
+            w = weight(mp, mc)
+            core_law.count(
+                w == wc + r * hooks,
+                "{}: w={}, core w={}, hooks={}", mp, w, wc, hooks,
+            )
+            fixpoint.count(fixed, "core of {} is not a fixed point", mp)
+            h = hub(mp, mc)
+            if hooks == 0:
+                ok = level_hub(core) == h and all(
+                    delta_ij(mp, mc, i, j)
+                    == core.levels[j - 1][i] - core.levels[j - 1][i - 1] - (1 if i == 0 else 0)
+                    for j in range(1, r + 1)
+                    for i in range(e)
                 )
-                fixpoint.count(fixed, "core of {} is not a fixed point", mp)
-                h = hub(mp, mc)
-                if hooks == 0:
-                    ok = level_hub(core) == h and all(
-                        delta_ij(mp, mc, i, j)
-                        == core.levels[j - 1][i] - core.levels[j - 1][i - 1] - (1 if i == 0 else 0)
-                        for j in range(1, r + 1)
-                        for i in range(e)
-                    )
-                    bridge.count(ok, "level/hub bridge fails for multicore {}", mp)
-                hub_index.setdefault(h, set()).add((n, w))
-        for h, pairs in hub_index.items():
-            for (n1, w1), (n2, w2) in combinations(sorted(pairs), 2):
-                same_hub.count(
-                    (n1 - n2) % e == 0 and e * (w1 - w2) == r * (n1 - n2),
-                    "hub {}: sizes {},{} carry weights {},{}", h, n1, n2, w1, w2,
+                bridge.count(ok, "level/hub bridge fails for multicore {}", mp)
+            hub_index.setdefault(h, set()).add((n, w))
+    for h, pairs in hub_index.items():
+        for (n1, w1), (n2, w2) in combinations(sorted(pairs), 2):
+            same_hub.count(
+                (n1 - n2) % e == 0 and e * (w1 - w2) == r * (n1 - n2),
+                "hub {}: sizes {},{} carry weights {},{}", h, n1, n2, w1, w2,
+            )
+    if r == 1:
+        for n in range(cell.grid.max_n + 1):
+            for p in partitions_of(n):
+                classical.count(
+                    weight((p,), mc) == _classical_e_weight(p, e),
+                    "weight of {} differs from stripping e={} rim hooks", p, e,
                 )
-        if r == 1:
-            for n in range(grid.max_n + 1):
-                for p in partitions_of(n):
-                    classical.count(
-                        weight((p,), mc) == _classical_e_weight(p, e),
-                        "weight of {} differs from stripping e={} rim hooks", p, e,
-                    )
 
 
 # ---------------------------------------------------------------------------
 # bead exchanges
-
-
-@lru_cache(maxsize=64)  # sweep 12 / 15: the exchange and d-bound sweeps share one per cell
-def _grid_multicores(grid: SweepGrid, mc: Multicharge) -> tuple:
-    found = {}
-    for n in range(grid.max_n + 1):
-        for mp in _multis(n, mc.r):
-            core, hooks = to_multicore(mp, mc)
-            if hooks == 0:
-                found[core.levels] = core
-    return tuple(found[k] for k in sorted(found))
 
 
 def _hub_columns(mp, charge: Multicharge) -> list:
@@ -496,41 +483,41 @@ def _decoded_hub_weight(x: Multicore, kappa: tuple, facts: dict) -> tuple:
 
 
 @_sweep("hub_invariance", "weight_move_formula", "smove_symmetry", "smove_inverse",
-        "gamma_shift_invariance")
-def check_smoves(grid: SweepGrid, hub_inv, w_move, symmetry, inverse, g_shift):
-    for mc in grid.cells():
-        if mc.r == 1:
-            continue
-        kappa, facts = mc.kappa, {}  # facts lives for this cell only
-        for m in _grid_multicores(grid, mc):
-            h0, w0 = _decoded_hub_weight(m, kappa, facts)
-            shifted = Multicore(
-                m.e, (tuple(x + 1 for x in m.levels[0]),) + m.levels[1:]
+        "gamma_shift_invariance", per_cell=True)
+def check_smoves(cell: _Cell, hub_inv, w_move, symmetry, inverse, g_shift):
+    mc = cell.charge
+    if mc.r == 1:
+        return
+    kappa, facts = mc.kappa, {}  # facts lives for this cell only
+    for m in cell.multicores:
+        h0, w0 = _decoded_hub_weight(m, kappa, facts)
+        shifted = Multicore(
+            m.e, (tuple(x + 1 for x in m.levels[0]),) + m.levels[1:]
+        )
+        for mv, g in _moves(m):
+            nxt = s_move(m, *mv)
+            h, w = _decoded_hub_weight(nxt, kappa, facts)
+            hub_inv.count(
+                h == h0,
+                "hub changed by move {} at levels {}", mv, m.levels,
             )
-            for mv, g in _moves(m):
-                nxt = s_move(m, *mv)
-                h, w = _decoded_hub_weight(nxt, kappa, facts)
-                hub_inv.count(
-                    h == h0,
-                    "hub changed by move {} at levels {}", mv, m.levels,
-                )
-                w_move.count(
-                    w == w0 - mc.r * (g - 2),
-                    "weight law fails for move {} (gamma {}) at {}", mv, g, m.levels,
-                )
-                i, l, j, k = mv
-                symmetry.count(
-                    nxt == s_move(m, l, i, k, j),
-                    "s_il^jk != s_li^kj at {}", mv,
-                )
-                inverse.count(
-                    s_move(nxt, l, i, j, k) == m,
-                    "move {} is not undone by its inverse", mv,
-                )
-                g_shift.count(
-                    gamma_diff(shifted, *mv) == g,
-                    "gamma difference not shift-invariant at {}", mv,
-                )
+            w_move.count(
+                w == w0 - mc.r * (g - 2),
+                "weight law fails for move {} (gamma {}) at {}", mv, g, m.levels,
+            )
+            i, l, j, k = mv
+            symmetry.count(
+                nxt == s_move(m, l, i, k, j),
+                "s_il^jk != s_li^kj at {}", mv,
+            )
+            inverse.count(
+                s_move(nxt, l, i, j, k) == m,
+                "move {} is not undone by its inverse", mv,
+            )
+            g_shift.count(
+                gamma_diff(shifted, *mv) == g,
+                "gamma difference not shift-invariant at {}", mv,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -538,139 +525,135 @@ def check_smoves(grid: SweepGrid, hub_inv, w_move, symmetry, inverse, g_shift):
 
 
 @_sweep("core_block_equivalence", "core_chain_validity", "core_delta_spread",
-        "base_tuple_consistency", "k_block_invariant", "k_below_delta")
-def check_core_blocks(grid: SweepGrid, equivalence, chain_ok, spread, tuple_inv, k_inv, k_below):
-    caps = _caps_for(grid)
-    for mc in grid.cells():
-        e = mc.e
-        hub_blocks: dict = {}
-        per_n = {}
-        for n in range(grid.max_n + 1):
-            blist = enumerate_blocks(n, mc, caps)
-            per_n[n] = blist
-            for blk in blist:
-                hub_blocks.setdefault(blk.descriptor.hub, []).append(
-                    (n, blk.descriptor.weight)
-                )
-        for n, blist in per_n.items():
-            for blk in blist:
-                rep = blk.lex_least
-                members_cores = all(
-                    to_multicore(mp, mc)[1] == 0 for mp in blk.members
-                )
-                witness_def = is_core_block(rep, mc)
-                minimal_def = not any(
-                    w2 < blk.descriptor.weight
-                    for (n2, w2) in hub_blocks[blk.descriptor.hub]
-                    if n2 < n
-                )
-                equivalence.count(
-                    witness_def == minimal_def == members_cores,
-                    "block of {}: witness={} minimal={} all-cores={}",
-                    blk.lex_least, witness_def, minimal_def, members_cores,
-                )
-                res = core_block_of(rep, mc)
-                weights = [weight(rep, mc)] + [st.weight_after for st in res.chain]
-                chain_ok.count(
-                    res.core.hub == blk.descriptor.hub
-                    and res.core.weight <= blk.descriptor.weight
-                    and (res.core.weight == blk.descriptor.weight) == witness_def
-                    and all(a >= b for a, b in zip(weights, weights[1:]))
-                    and is_core_block(res.core_multicore),
-                    "bad core chain for block of {}", blk.lex_least,
-                )
-                if not witness_def:
-                    continue
-                ks = None
-                tuples_seen = set()
-                for mp in blk.members:
-                    m = to_multicore(mp, mc)[0]
-                    for i, (lo, hi) in enumerate(_hub_columns(mp, mc)):
-                        spread.count(
-                            hi - lo <= 2,
-                            "delta spread over components exceeds 2 at {}, i={}", mp, i,
-                        )
-                    tuples_seen.add(base_tuples(m))
-                    kv = tuple(k_value(m, i) for i in range(e))
-                    if ks is None:
-                        ks = kv
-                    k_inv.count(
-                        kv == ks,
-                        "K varies across members: {} vs {} at {}", kv, ks, mp,
+        "base_tuple_consistency", "k_block_invariant", "k_below_delta", per_cell=True)
+def check_core_blocks(cell: _Cell, equivalence, chain_ok, spread, tuple_inv, k_inv, k_below):
+    mc = cell.charge
+    e = mc.e
+    hub_blocks: dict = {}
+    per_n = cell.blocks[: cell.grid.max_n + 1]
+    for n, blist in enumerate(per_n):
+        for blk in blist:
+            hub_blocks.setdefault(blk.descriptor.hub, []).append(
+                (n, blk.descriptor.weight)
+            )
+    for n, blist in enumerate(per_n):
+        for blk in blist:
+            rep = blk.lex_least
+            members_cores = all(
+                to_multicore(mp, mc)[1] == 0 for mp in blk.members
+            )
+            witness_def = is_core_block(rep, mc)
+            minimal_def = not any(
+                w2 < blk.descriptor.weight
+                for (n2, w2) in hub_blocks[blk.descriptor.hub]
+                if n2 < n
+            )
+            equivalence.count(
+                witness_def == minimal_def == members_cores,
+                "block of {}: witness={} minimal={} all-cores={}",
+                blk.lex_least, witness_def, minimal_def, members_cores,
+            )
+            res = core_block_of(rep, mc)
+            weights = [weight(rep, mc)] + [st.weight_after for st in res.chain]
+            chain_ok.count(
+                res.core.hub == blk.descriptor.hub
+                and res.core.weight <= blk.descriptor.weight
+                and (res.core.weight == blk.descriptor.weight) == witness_def
+                and all(a >= b for a, b in zip(weights, weights[1:]))
+                and is_core_block(res.core_multicore),
+                "bad core chain for block of {}", blk.lex_least,
+            )
+            if not witness_def:
+                continue
+            ks = None
+            tuples_seen = set()
+            for mp in blk.members:
+                m = to_multicore(mp, mc)[0]
+                for i, (lo, hi) in enumerate(_hub_columns(mp, mc)):
+                    spread.count(
+                        hi - lo <= 2,
+                        "delta spread over components exceeds 2 at {}, i={}", mp, i,
                     )
-                    for i in range(e):
-                        k_below.count(
-                            kv[i] <= d_min(mp, mc, i),
-                            "K_{}={} exceeds d_min at {}", i, kv[i], mp,
-                        )
-                tuple_inv.count(
-                    len(tuples_seen) == 1,
-                    "base tuples differ across members of block of {}", blk.lex_least,
+                tuples_seen.add(base_tuples(m))
+                kv = tuple(k_value(m, i) for i in range(e))
+                if ks is None:
+                    ks = kv
+                k_inv.count(
+                    kv == ks,
+                    "K varies across members: {} vs {} at {}", kv, ks, mp,
                 )
+                for i in range(e):
+                    k_below.count(
+                        kv[i] <= d_min(mp, mc, i),
+                        "K_{}={} exceeds d_min at {}", i, kv[i], mp,
+                    )
+            tuple_inv.count(
+                len(tuples_seen) == 1,
+                "base tuples differ across members of block of {}", blk.lex_least,
+            )
 
 
 # ---------------------------------------------------------------------------
 # d-bounds
 
 
-@_sweep("master_d_bound", "d_drop_bound", "chain_d_bound", "delta_interval", "core_d_plus_one")
-def check_d_bounds(grid: SweepGrid, master, drop, chain_bound, interval, plus_one):
-    caps = _caps_for(grid)
-    for mc in grid.cells():
-        e, r = mc.e, mc.r
-        for m in _grid_multicores(grid, mc):
-            mp = m.to_multipartition()
-            res = core_block_of(mp, mc)
-            kv = tuple(k_value(res.core_multicore, i) for i in range(e))
-            w = weight(mp, mc)
-            h, rem = divmod(w - res.core.weight, r)
-            if rem:
-                raise LemmaViolation("core_weight_drop", f"{mp} is {w - res.core.weight} over its core")
-            cols = _hub_columns(mp, mc)
-            ds = tuple(lo for lo, _ in cols)
-            for i in range(e):
-                if 0 <= h <= kv[i]:
-                    master.count(
-                        ds[i] >= kv[i] - h,
-                        "d_min={} < K-h={} at {}, i={}", ds[i], kv[i] - h, mp, i,
+@_sweep("master_d_bound", "d_drop_bound", "chain_d_bound", "delta_interval", "core_d_plus_one", per_cell=True)
+def check_d_bounds(cell: _Cell, master, drop, chain_bound, interval, plus_one):
+    mc = cell.charge
+    e, r = mc.e, mc.r
+    for m in cell.multicores:
+        mp = m.to_multipartition()
+        res = core_block_of(mp, mc)
+        kv = tuple(k_value(res.core_multicore, i) for i in range(e))
+        w = weight(mp, mc)
+        h, rem = divmod(w - res.core.weight, r)
+        if rem:
+            raise LemmaViolation("core_weight_drop", f"{mp} is {w - res.core.weight} over its core")
+        cols = _hub_columns(mp, mc)
+        ds = tuple(lo for lo, _ in cols)
+        for i in range(e):
+            if 0 <= h <= kv[i]:
+                master.count(
+                    ds[i] >= kv[i] - h,
+                    "d_min={} < K-h={} at {}, i={}", ds[i], kv[i] - h, mp, i,
+                )
+        if r >= 2:
+            tame = True
+            for mv, g in _moves(m):
+                if abs(g) > 2:
+                    tame = False
+                for i, (d2, _) in enumerate(_columns(_level_hub_matrix(_exchange(m, *mv)))):
+                    drop.count(
+                        d2 >= ds[i] - 2 and (g != 1 or d2 >= ds[i] - 1),
+                        "d drop too large for move {} (gamma {}) at {}, i={}", mv, g, mp, i,
                     )
-            if r >= 2:
-                tame = True
-                for mv, g in _moves(m):
-                    if abs(g) > 2:
-                        tame = False
-                    for i, (d2, _) in enumerate(_columns(_level_hub_matrix(_exchange(m, *mv)))):
-                        drop.count(
-                            d2 >= ds[i] - 2 and (g != 1 or d2 >= ds[i] - 1),
-                            "d drop too large for move {} (gamma {}) at {}, i={}", mv, g, mp, i,
-                        )
-                if tame:
-                    for i, (lo, hi) in enumerate(cols):
-                        interval.count(
-                            hi - lo <= 2,
-                            "delta interval exceeded at {}, i={}", mp, i,
-                        )
-                    core_mp0 = res.core_multicore.to_multipartition()
-                    if size(core_mp0) <= grid.max_n:
-                        for mu in block_containing(core_mp0, mc, caps).members:
-                            for i, (d_mu, _) in enumerate(_hub_columns(mu, mc)):
-                                plus_one.count(
-                                    d_mu <= ds[i] + 1,
-                                    "core member {} has d_min more than d({})+1 at i={}", mu, mp, i,
-                                )
-            strict = list(takewhile(lambda st: st.gamma_difference >= 3, res.chain))
-            if strict:
-                cur = m
-                for st in strict:
-                    cur = _exchange(cur, st.i, st.l, st.j, st.k)
-                h2, rem2 = divmod(w - _level_weight(cur, mc.kappa), r)
-                if rem2:
-                    raise LemmaViolation("core_weight_drop", f"strict exchanges from {mp}, r={r}")
-                for i, (d_end, _) in enumerate(_columns(_level_hub_matrix(cur))):
-                    chain_bound.count(
-                        ds[i] >= d_end - h2,
-                        "chain bound fails from {} after {} strict steps, i={}", mp, h2, i,
+            if tame:
+                for i, (lo, hi) in enumerate(cols):
+                    interval.count(
+                        hi - lo <= 2,
+                        "delta interval exceeded at {}, i={}", mp, i,
                     )
+                core_mp0 = res.core_multicore.to_multipartition()
+                if size(core_mp0) <= cell.grid.max_n:
+                    for mu in block_containing(core_mp0, mc, cell.caps).members:
+                        for i, (d_mu, _) in enumerate(_hub_columns(mu, mc)):
+                            plus_one.count(
+                                d_mu <= ds[i] + 1,
+                                "core member {} has d_min more than d({})+1 at i={}", mu, mp, i,
+                            )
+        strict = list(takewhile(lambda st: st.gamma_difference >= 3, res.chain))
+        if strict:
+            cur = m
+            for st in strict:
+                cur = _exchange(cur, st.i, st.l, st.j, st.k)
+            h2, rem2 = divmod(w - _level_weight(cur, mc.kappa), r)
+            if rem2:
+                raise LemmaViolation("core_weight_drop", f"strict exchanges from {mp}, r={r}")
+            for i, (d_end, _) in enumerate(_columns(_level_hub_matrix(cur))):
+                chain_bound.count(
+                    ds[i] >= d_end - h2,
+                    "chain bound fails from {} after {} strict steps, i={}", mp, h2, i,
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -691,140 +674,131 @@ def _beta_images(mp, charge: Multicharge, i: int, images: dict) -> tuple:
     return tuple(out)
 
 
-@_sweep("phi_involution", "phi_beta_image", "phi_size_shift")
-def check_phi(grid: SweepGrid, involution, beta_image, size_shift):
-    for mc in grid.cells():
-        images: dict = {}  # lives for this cell only
-        for n in range(grid.max_n + 1):
-            for mp in _multis(n, mc.r):
-                h = hub(mp, mc)
-                for i in range(mc.e):
-                    img = phi(mp, mc, i)
-                    involution.count(
-                        phi(img, mc, i) == mp,
-                        "swap at residue {} is not an involution on {}", i, mp,
-                    )
-                    k = size(img)
-                    size_shift.count(k == n - h[i], "size of image of {} at i={} is {}", mp, i, k)
-                    beta_image.count(
-                        _beta_images(mp, mc, i, images) == img,
-                        "beta image mismatch for {} at i={}", mp, i,
-                    )
+@_sweep("phi_involution", "phi_beta_image", "phi_size_shift", per_cell=True)
+def check_phi(cell: _Cell, involution, beta_image, size_shift):
+    mc = cell.charge
+    images: dict = {}  # lives for this cell only
+    for n, multis in enumerate(cell.multis):
+        for mp in multis:
+            h = hub(mp, mc)
+            for i in range(mc.e):
+                img = phi(mp, mc, i)
+                involution.count(
+                    phi(img, mc, i) == mp,
+                    "swap at residue {} is not an involution on {}", i, mp,
+                )
+                k = size(img)
+                size_shift.count(k == n - h[i], "size of image of {} at i={} is {}", mp, i, k)
+                beta_image.count(
+                    _beta_images(mp, mc, i, images) == img,
+                    "beta image mismatch for {} at i={}", mp, i,
+                )
 
 
 # ---------------------------------------------------------------------------
 # branching under the weight condition
 
 
-@lru_cache(maxsize=64)  # sweep 15 / 15: the branching and pairing sweeps share one per cell
-def _condition_blocks(grid: SweepGrid, mc: Multicharge) -> tuple:
-    """(block, i, report) for each block with the weight condition and delta_i >= 0."""
-    found = (
-        (blk, i, scopes_condition(blk.lex_least, mc, i))
-        for n in range(grid.branch_n + 1) for blk in enumerate_blocks(n, mc, _caps_for(grid)) for i in range(mc.e)
-    )
-    return tuple((blk, i, rep) for blk, i, rep in found if rep.holds and rep.delta >= 0)
-
-
 @_sweep("branching_degree_law", "branching_well_defined", "branching_spectrum",
-        "branching_induction_spectrum", "no_addable_under_condition", "no_forbidden_config")
-def check_branching(grid: SweepGrid, degree_law, well_defined, spectrum, induction_spectrum,
+        "branching_induction_spectrum", "no_addable_under_condition", "no_forbidden_config", per_cell=True)
+def check_branching(cell: _Cell, degree_law, well_defined, spectrum, induction_spectrum,
                     no_addable, no_config):
-    caps = _caps_for(grid)
-    for mc in grid.cells():
-        for blk, i, report in _condition_blocks(grid, mc):
-            delta = report.delta
-            if delta > _MAX_DELTA:
-                continue
-            ell = delta * (delta - 1) // 2
-            expected = degree_spectrum(delta)
-            for mp in blk.members:
-                no_addable.count(
-                    not any(residue(nd, mc) == i for nd in addable_nodes(mp)),
-                    "{} has an addable {}-node under the condition", mp, i,
-                )
-                no_config.count(
-                    not has_forbidden_config(mp, mc, i),
-                    "{} shows the forbidden bead pattern at i={}", mp, i,
-                )
-                degrees, idegrees = Counter(), Counter()
-                orders = list(permutations(range(1, delta + 1)))
-                down, up = {}, {}  # steps shared by the orders of (mp, i), as in branching_polynomial
+    mc = cell.charge
+    for blk, i, report in cell.condition:
+        delta = report.delta
+        if delta > _MAX_DELTA:
+            continue
+        ell = delta * (delta - 1) // 2
+        expected = degree_spectrum(delta)
+        for mp in blk.members:
+            no_addable.count(
+                not any(residue(nd, mc) == i for nd in addable_nodes(mp)),
+                "{} has an addable {}-node under the condition", mp, i,
+            )
+            no_config.count(
+                not has_forbidden_config(mp, mc, i),
+                "{} shows the forbidden bead pattern at i={}", mp, i,
+            )
+            degrees, idegrees = Counter(), Counter()
+            orders = list(permutations(range(1, delta + 1)))
+            down, up = {}, {}  # steps shared by the orders of (mp, i), as in branching_polynomial
+            try:
+                ascending, image, adds = _swap_context(mp, mc, i, cell.caps, report)
+            except LemmaViolation as exc:  # fails every order: count each one
+                for _ in orders:
+                    well_defined.count(False, str(exc))
+                orders = []
+            for sigma in orders:
                 try:
-                    ascending, image, adds = _swap_context(mp, mc, i, caps, report)
-                except LemmaViolation as exc:  # fails every order: count each one
-                    for _ in orders:
-                        well_defined.count(False, str(exc))
-                    orders = []
-                for sigma in orders:
-                    try:
-                        d = _walk(mc, mp, ascending, -1, sigma, image, f"stripping {mp}", down)
-                        well_defined.count(True)
-                    except LemmaViolation as exc:
-                        well_defined.count(False, str(exc))
-                        continue
-                    want = ell - 2 * inversions(sigma)
-                    degree_law.count(
-                        d == want, "order {} on {} gave degree {}, expected {}", sigma, mp, d, want
-                    )
-                    degrees[d] += 1
-                    try:
-                        di = _walk(mc, image, adds, 1, sigma, mp, f"rebuilding {mp}", up)
-                        well_defined.count(True)
-                    except LemmaViolation as exc:
-                        well_defined.count(False, str(exc))
-                        continue
-                    idegrees[di] += 1
-                poly, ipoly = LaurentPolynomial(degrees), LaurentPolynomial(idegrees)
-                spectrum.count(
-                    poly == expected,
-                    "restriction spectrum of {} at i={} is {!r}, expected {!r}", mp, i, poly, expected,
+                    d = _walk(mc, mp, ascending, -1, sigma, image, f"stripping {mp}", down)
+                    well_defined.count(True)
+                except LemmaViolation as exc:
+                    well_defined.count(False, str(exc))
+                    continue
+                want = ell - 2 * inversions(sigma)
+                degree_law.count(
+                    d == want, "order {} on {} gave degree {}, expected {}", sigma, mp, d, want
                 )
-                induction_spectrum.count(
-                    ipoly == expected,
-                    "induction spectrum of {} at i={} is {!r}, expected {!r}", mp, i, ipoly, expected,
-                )
+                degrees[d] += 1
+                try:
+                    di = _walk(mc, image, adds, 1, sigma, mp, f"rebuilding {mp}", up)
+                    well_defined.count(True)
+                except LemmaViolation as exc:
+                    well_defined.count(False, str(exc))
+                    continue
+                idegrees[di] += 1
+            poly, ipoly = LaurentPolynomial(degrees), LaurentPolynomial(idegrees)
+            spectrum.count(
+                poly == expected,
+                "restriction spectrum of {} at i={} is {!r}, expected {!r}", mp, i, poly, expected,
+            )
+            induction_spectrum.count(
+                ipoly == expected,
+                "induction spectrum of {} at i={} is {!r}, expected {!r}", mp, i, ipoly, expected,
+            )
 
 
 # ---------------------------------------------------------------------------
 # block pairing, lex and Kleshchev preservation
 
 
-@_sweep("block_bijection", "weight_preserved", "lex_order_preserved", "kleshchev_preserved",
-        "kleshchev_restricted_oracle")
-def check_scopes_maps(grid: SweepGrid, bijection, weight_pres, lex_pres, kle_pres, oracle):
-    caps = _caps_for(grid)
+@_sweep("block_bijection", "weight_preserved", "lex_order_preserved", "kleshchev_preserved", per_cell=True)
+def check_scopes_maps(cell: _Cell, bijection, weight_pres, lex_pres, kle_pres):
+    mc, grid = cell.charge, cell.grid
     # an image gains at most the n + r addable nodes of its source (a component of size s has s + 1)
-    wide = caps._replace(max_n=2 * grid.max_n + max(grid.levels))
-    for mc in grid.cells():
-        for n in range(grid.max_n + 1):
-            for blk in enumerate_blocks(n, mc, caps):
-                weights = [weight(mp, mc) for mp in blk.members]
-                for i in range(mc.e):
-                    pairs = scopes_pairing(blk, i)
-                    images = [img for _, img in pairs]
-                    target = block_containing(images[0], mc, wide)
-                    bijection.count(
-                        len(set(images)) == len(images)
-                        and set(images) == set(target.members),
-                        "pairing of block of {} at i={} is not a bijection", blk.lex_least, i,
-                    )
-                    weight_pres.count(
-                        all(weight(img, mc) == w for (_, img), w in zip(pairs, weights)),
-                        "weight not preserved on block of {} at i={}", blk.lex_least, i,
-                    )
-        # checked on the pairs directly: the verify_*_preserved reports would
-        # recompute the weight condition that _condition_blocks holds already
-        for blk, i, _ in _condition_blocks(grid, mc):
-            pairs = scopes_pairing(blk, i)
-            lex_pres.count(
-                not _lex_violations(pairs),
-                "lex order broken on block of {} at i={}", blk.lex_least, i,
-            )
-            kle_pres.count(
-                not _kleshchev_mismatches(_kleshchev_flags(pairs, mc)),
-                "kleshchev flag not preserved on block of {} at i={}", blk.lex_least, i,
-            )
+    wide = cell.caps._replace(max_n=2 * grid.max_n + max(grid.levels))
+    for blist in cell.blocks[: grid.max_n + 1]:
+        for blk in blist:
+            weights = [weight(mp, mc) for mp in blk.members]
+            for i in range(mc.e):
+                pairs = scopes_pairing(blk, i)
+                images = [img for _, img in pairs]
+                target = block_containing(images[0], mc, wide)
+                bijection.count(
+                    len(set(images)) == len(images)
+                    and set(images) == set(target.members),
+                    "pairing of block of {} at i={} is not a bijection", blk.lex_least, i,
+                )
+                weight_pres.count(
+                    all(weight(img, mc) == w for (_, img), w in zip(pairs, weights)),
+                    "weight not preserved on block of {} at i={}", blk.lex_least, i,
+                )
+    # checked on the pairs directly: the verify_*_preserved reports would
+    # recompute the weight condition that the cell holds already
+    for blk, i, _ in cell.condition:
+        pairs = scopes_pairing(blk, i)
+        lex_pres.count(
+            not _lex_violations(pairs),
+            "lex order broken on block of {} at i={}", blk.lex_least, i,
+        )
+        kle_pres.count(
+            not _kleshchev_mismatches(_kleshchev_flags(pairs, mc)),
+            "kleshchev flag not preserved on block of {} at i={}", blk.lex_least, i,
+        )
+
+
+@_sweep("kleshchev_restricted_oracle")
+def check_kleshchev_oracle(grid: SweepGrid, oracle):
     for e in grid.es:
         mc = Multicharge(e, (0,))
         for n in range(grid.branch_n + 1):
@@ -866,24 +840,22 @@ def _partition_counts(top: int) -> list:
     return dp
 
 
-@_sweep("block_partition_complete")
-def check_enumeration(grid: SweepGrid, complete):
-    caps = _caps_for(grid)
-    single = _partition_counts(grid.max_n)
-    for mc in grid.cells():
-        level_counts = [1] + [0] * grid.max_n
-        for _ in range(mc.r):
-            level_counts = [
-                sum(level_counts[m] * single[t - m] for m in range(t + 1))
-                for t in range(grid.max_n + 1)
-            ]
-        for n in range(grid.max_n + 1):
-            blocks = enumerate_blocks(n, mc, caps)
-            complete.count(
-                sum(len(b.members) for b in blocks) == level_counts[n]
-                and len({mp for b in blocks for mp in b.members}) == level_counts[n],
-                "blocks of n={}, charge {} do not partition", n, mc.entries,
-            )
+@_sweep("block_partition_complete", per_cell=True)
+def check_enumeration(cell: _Cell, complete):
+    mc, top = cell.charge, cell.grid.max_n
+    single = _partition_counts(top)
+    level_counts = [1] + [0] * top
+    for _ in range(mc.r):
+        level_counts = [
+            sum(level_counts[m] * single[t - m] for m in range(t + 1))
+            for t in range(top + 1)
+        ]
+    for n, blocks in enumerate(cell.blocks[: top + 1]):
+        complete.count(
+            sum(len(b.members) for b in blocks) == level_counts[n]
+            and len({mp for b in blocks for mp in b.members}) == level_counts[n],
+            "blocks of n={}, charge {} do not partition", n, mc.entries,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -891,10 +863,16 @@ def check_enumeration(grid: SweepGrid, complete):
 
 
 def run_all(grid: SweepGrid = DEFAULT_GRID):
-    """Run every sweep in definition order.  Each is looked up by name as it
-    runs, not captured at import, so a wrapper installed on the module
-    attribute (akbench's tracer) sees the call."""
-    return tuple(res for name in _SWEEPS for res in globals()[name](grid))
+    """Run the cell sweeps on each cell in turn, then the grid sweeps, and
+    report every lemma in definition order.  Each sweep is looked up by name
+    as it runs, not captured at import, so a wrapper installed on the module
+    attribute (akbench's tracer) sees every call."""
+    recorders = {name: [_Recorder(lemma) for lemma in _SWEEPS[name]] for name in _CELL_SWEEPS}
+    for cell in _cells(grid):
+        for name, recs in recorders.items():
+            globals()[name](cell, *recs)
+    done = {name: [rec.result() for rec in recs] for name, recs in recorders.items()}
+    return tuple(res for name in _SWEEPS for res in (done[name] if name in done else globals()[name](grid)))
 
 
 def format_results(results) -> str:

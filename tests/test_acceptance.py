@@ -26,18 +26,9 @@ from akblocks import (
     weight,
     witness_offsets,
 )
+from akblocks import verify
 from akblocks.cli import main
-from akblocks.verify import (
-    DEFAULT_GRID,
-    SweepGrid,
-    check_branching,
-    check_core_blocks,
-    check_d_bounds,
-    check_mahonian,
-    check_scopes_maps,
-    check_smoves,
-    check_weights,
-)
+from akblocks.verify import DEFAULT_GRID, SweepGrid, check_mahonian, run_all
 
 EXK_MC = Multicharge(5, (0, -2, 1))
 EXK = ((4, 3, 1), (4, 2, 2, 2), (3, 2))
@@ -56,13 +47,16 @@ def _assert_all_ok(results, wanted):
 
 
 @lru_cache(maxsize=None)
-def _branching_results():
-    return check_branching(DEFAULT_GRID)
+def _default_results():
+    return run_all(DEFAULT_GRID)
 
 
-@lru_cache(maxsize=None)
-def _scopes_results():
-    return check_scopes_maps(DEFAULT_GRID)
+def _cell_sweep(name: str, grid: SweepGrid) -> list:
+    """One cell sweep on every cell of grid, as run_all calls it."""
+    recorders = [verify._Recorder(lemma) for lemma in verify._SWEEPS[name]]
+    for cell in verify._cells(grid):
+        getattr(verify, name)(cell, *recorders)
+    return [rec.result() for rec in recorders]
 
 
 def test_c01_residue_reproduction():
@@ -126,7 +120,7 @@ def test_c04_weight_laws():
     t0 = time.monotonic()
     grid = SweepGrid(max_n=7, levels=(1, 2, 3), es=(2, 3, 4), branch_n=7)
     _assert_all_ok(
-        check_weights(grid),
+        _cell_sweep("check_weights", grid),
         ["weight_core_law", "same_hub_weight_law", "classical_e_weight"],
     )
     slides = 0
@@ -138,14 +132,14 @@ def test_c04_weight_laws():
 
 def test_c05_bead_exchange_laws():
     _assert_all_ok(
-        check_smoves(DEFAULT_GRID),
+        _default_results(),
         ["hub_invariance", "weight_move_formula", "smove_symmetry", "smove_inverse"],
     )
 
 
 def test_c06_core_block_equivalence():
     _assert_all_ok(
-        check_core_blocks(DEFAULT_GRID),
+        _default_results(),
         [
             "core_block_equivalence",
             "core_chain_validity",
@@ -157,7 +151,7 @@ def test_c06_core_block_equivalence():
 
 def test_c07_d_bounds():
     t0 = time.monotonic()
-    results = check_d_bounds(DEFAULT_GRID)
+    results = _cell_sweep("check_d_bounds", DEFAULT_GRID)  # timed alone, not read from the cache
     _assert_all_ok(
         results,
         [
@@ -175,14 +169,14 @@ def test_c07_d_bounds():
 
 def test_c08_no_forbidden_configuration():
     _assert_all_ok(
-        _branching_results(),
+        _default_results(),
         ["no_forbidden_config", "no_addable_under_condition"],
     )
 
 
 def test_c09_removal_order_degrees():
     _assert_all_ok(
-        _branching_results(),
+        _default_results(),
         [
             "branching_degree_law",
             "branching_well_defined",
@@ -194,7 +188,7 @@ def test_c09_removal_order_degrees():
 
 def test_c10_swap_bijections():
     _assert_all_ok(
-        _scopes_results(),
+        _default_results(),
         [
             "block_bijection",
             "weight_preserved",

@@ -302,6 +302,13 @@ def test_negative_weight_message_is_formatted_only_on_failure(monkeypatch):
         core_block_of(((1,),), Multicharge(2, (1,)))
 
 
+def test_weight_of_bad_input_is_an_input_error():
+    # (1, 2) is no partition, and its counts give a negative weight: that is
+    # bad input (exit 2), not a failed law (exit 1)
+    with pytest.raises(InputError, match="weakly decreasing"):
+        weight(((1, 2),), Multicharge(3, (0,)))
+
+
 _OPTIMISED_CHECKS = """
 import akblocks.blocks as blocks
 from akblocks import LemmaViolation, Multicharge, core_block_of, weight

@@ -1,7 +1,7 @@
 """The row-wise kernels against independent references.
 
-The residue and hub references in ``akblocks.verify`` visit every node (or
-every removable and addable node) one by one; the kernels read the same
+The residue and hub references below visit every node (or every
+removable and addable node) one by one; the kernels read the same
 data off the rows.  The beta-number codec (``phi``, ``to_multicore``,
 ``Multicore.to_multipartition``) is checked against the beta-set route
 (``beta_set``, ``phi_beta_set``, ``partition_of``, ``AbacusDisplay``), the
@@ -52,22 +52,48 @@ from akblocks import (
 from akblocks import blocks, multipartition
 from akblocks.abacus import _WINDOW_SLACK, _exchange
 from akblocks.blocks import _hub_matrix, _level_counts, _level_hub_matrix, _level_weight, _moves
-from akblocks.multipartition import _node_of, _row_ends, _signature, removable_nodes, residue
+from akblocks.multipartition import _node_of, _row_ends, _signature, addable_nodes, nodes, removable_nodes, residue
 from akblocks.scopes import _good_nodes
 from akblocks import verify
 from akblocks.verify import (
     DEFAULT_GRID,
     SweepGrid,
     _beta_images,
-    _blocks_grouped,
     _classical_e_weight,
     _columns,
     _decoded_hub_weight,
-    _grid_multicores,
     _hub_columns,
-    _node_hub_matrix,
-    _node_residue_counts,
 )
+
+
+def _node_residue_counts(mp, charge: Multicharge) -> tuple:
+    """Reference residue counts: the residue of every node, one by one."""
+    out = [0] * charge.e
+    for nd in nodes(mp):
+        out[residue(nd, charge)] += 1
+    return tuple(out)
+
+
+def _node_hub_matrix(mp, charge: Multicharge) -> tuple:
+    """Reference per-component hub from the removable and addable node lists."""
+    out = [[0] * charge.e for _ in mp]
+    for nd in removable_nodes(mp):
+        out[nd.comp - 1][residue(nd, charge)] += 1
+    for nd in addable_nodes(mp):
+        out[nd.comp - 1][residue(nd, charge)] -= 1
+    return tuple(map(tuple, out))
+
+
+def _blocks_grouped(n: int, e: int, kappa: tuple) -> tuple:
+    """Reference block enumeration: every multipartition of n grouped by
+    residue counts, as (key, lex-descending members) sorted by lex-least
+    member."""
+    charge = Multicharge(e, kappa)
+    groups: dict = {}
+    for mp in multipartitions_of(n, len(kappa)):
+        groups.setdefault(residue_counts(mp, charge), []).append(mp)
+    out = [(key, tuple(sorted(members, reverse=True))) for key, members in groups.items()]
+    return tuple(sorted(out, key=lambda item: item[1][-1]))
 
 
 def _charges(r: int):
@@ -466,7 +492,7 @@ def test_pruned_moves_match_the_definition():
     """_moves skips a component pair whose level differences span less than
     the minimum; the moves left, and their order, are those of the definition."""
     rng = random.Random(2001)
-    grid = [m for mc in DEFAULT_GRID.cells() for m in _grid_multicores(DEFAULT_GRID, mc)]
+    grid = [m for cell in verify._cells(DEFAULT_GRID) for m in cell.multicores]
     drawn = []
     for _ in range(2000):
         e, r = rng.randint(2, 8), rng.randint(1, 4)
@@ -493,9 +519,9 @@ def test_exchange_reference_sums_row_facts_exactly():
     those multicores, the sums give hub and weight of the decoded
     multipartition."""
     seen = 0
-    for mc in DEFAULT_GRID.cells():
-        facts: dict = {}
-        for m in _grid_multicores(DEFAULT_GRID, mc):
+    for cell in verify._cells(DEFAULT_GRID):
+        mc, facts = cell.charge, {}
+        for m in cell.multicores:
             for x in [m, *(_exchange(m, *mv) for mv, _ in _moves(m))]:
                 mp = x.to_multipartition()
                 assert _decoded_hub_weight(x, mc.kappa, facts) == (hub(mp, mc), weight(mp, mc)), x
@@ -517,19 +543,23 @@ def test_beta_route_images_match_phi_per_component():
 
 def test_reference_routes_stay_off_the_paths_they_check(monkeypatch):
     """The exchange sweep's reference reads no level kernel, and the beta-set
-    route of the swap sweep never calls phi."""
+    route of the swap sweep never calls phi.  The cells are built before the
+    kernels are patched, since building one reads them."""
 
     def boom(*args):
         raise AssertionError("a reference route called the code it checks")
 
+    cells = list(verify._cells(SweepGrid(max_n=4, levels=(2, 3), es=(2, 3))))
     for module, name in [
         (blocks, "level_hub"), (blocks, "_level_weight"), (blocks, "_level_counts"),
         (verify, "level_hub"), (verify, "_level_weight"),
         (akblocks.abacus, "phi"), (verify, "phi"),
     ]:
         monkeypatch.setattr(module, name, boom)
-    grid = SweepGrid(max_n=4, levels=(2, 3), es=(2, 3))
-    assert all(res.ok and res.instances for res in verify.check_smoves(grid))
+    recorders = [verify._Recorder(lemma) for lemma in verify._SWEEPS["check_smoves"]]
+    for cell in cells:
+        verify.check_smoves(cell, *recorders)
+    assert all(rec.result().ok and rec.instances for rec in recorders)
     mc = Multicharge(3, (0, 1))
     assert _beta_images(((2, 1), (1,)), mc, 1, {}) == ((1, 1, 1), ())
 

@@ -176,11 +176,24 @@ def _referenced() -> set:
     return found
 
 
+def _private_functions() -> dict:
+    """Each module's module-level private functions: qualified name -> name."""
+    return {
+        f"{path.stem}.{node.name}": node.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
+    }
+
+
 def test_every_public_name_is_used_outside_the_tests():
     # a public function that only tests call is code the program does not
     # need: delete it, or make the test reach a path the program uses.
     # branching.order_degree passes only because akbench's tracer counts it
-    # by name
+    # by name.  A module-level private function that only tests read is a
+    # test helper: it belongs in tests/
     used = _referenced()
-    unused = sorted(qualified for qualified, name in _public_names().items() if name not in used)
-    assert not unused, f"public but referenced only by tests: {unused}"
+    names = {**_public_names(), **_private_functions()}
+    unused = sorted(qualified for qualified, name in names.items() if name not in used)
+    assert len(_private_functions()) > 20
+    assert not unused, f"defined in the package but referenced only by tests: {unused}"

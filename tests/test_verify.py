@@ -1,5 +1,6 @@
 """Checks on the sweep harness itself, small enough to run in seconds."""
 
+import hashlib
 from itertools import permutations
 
 from akblocks import branching, verify
@@ -69,6 +70,10 @@ def _declared() -> list:
     return [lemma for lemmas in verify._SWEEPS.values() for lemma in lemmas]
 
 
+def _by_lemma(grid: SweepGrid) -> dict:
+    return {res.lemma: res for res in run_all(grid)}
+
+
 def test_every_anchor_declared_once_and_reported_in_order():
     anchors = _declared()
     assert len(anchors) == len(set(anchors)) == 49
@@ -77,16 +82,36 @@ def test_every_anchor_declared_once_and_reported_in_order():
 
 
 def test_run_all_looks_sweeps_up_by_name_when_it_runs(monkeypatch):
-    # akbench's tracer wraps the module attributes; run_all must call them
+    # akbench's tracer wraps the module attributes; run_all must call them,
+    # a grid sweep once and a cell sweep once per cell
     sentinel = LemmaResult("sentinel", 1, ())
     monkeypatch.setattr(verify, "check_mahonian", lambda grid: [sentinel])
+    cells, real = [], verify.check_enumeration
+    monkeypatch.setattr(verify, "check_enumeration", lambda cell, *recs: cells.append(cell.charge) or real(cell, *recs))
     before = list(verify._SWEEPS).index("check_mahonian")
     at = sum(len(lemmas) for lemmas in list(verify._SWEEPS.values())[:before])
     expected = _declared()
     expected[at : at + len(verify._SWEEPS["check_mahonian"])] = ["sentinel"]
-    results = run_all(TINY)
+    grid = SweepGrid(max_n=1, levels=(1, 2), es=(2, 3), branch_n=1)
+    results = run_all(grid)
     assert results[at] is sentinel
     assert [res.lemma for res in results] == expected
+    assert cells == list(grid.cells()) and len(cells) == 6
+    assert {res.lemma: res.instances for res in results}["block_partition_complete"] == 6 * 2
+
+
+def test_every_lemma_meets_its_instances_in_the_pinned_order(monkeypatch):
+    # with every instance failing and every violation kept, the output lists
+    # each lemma's instances in the order the lemma met them; the digest,
+    # taken when every sweep walked the grid on its own, pins that order
+    real = verify._Recorder.count
+    monkeypatch.setattr(verify._Recorder, "count", lambda self, ok, *text: real(self, False, *text))
+    monkeypatch.setattr(verify._Recorder, "KEEP", float("inf"))
+    text = format_results(run_all(SweepGrid(max_n=2, levels=(1, 2, 3), es=(2, 3), branch_n=3)))
+    assert len(text.splitlines()) == 9842
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "693ad45575a721de1135d17438082fe140df3f64c4d7cf79cdff27cc67e2abd0"
+    )
 
 
 def test_orders_sweep_still_catches_an_intransitive_dominance(monkeypatch):
@@ -112,8 +137,7 @@ def test_exchange_sweep_still_checks_every_move(monkeypatch):
     # facts of its level rows, kept once per cell; a wrong reference weight
     # for a row that only an exchange reaches must still fail the move
     grid = SweepGrid(max_n=3, levels=(2,), es=(3,))
-    mc = next(grid.cells())
-    m = verify._grid_multicores(grid, mc)[0]
+    m = next(verify._cells(grid)).multicores[0]
     (mv, _), *_ = verify._moves(m)
     target = next(row for row in verify.s_move(m, *mv).levels if row not in m.levels)
     real = verify._row_facts
@@ -124,11 +148,10 @@ def test_exchange_sweep_still_checks_every_move(monkeypatch):
         return tuple(c + (row == target) for c in counts), h
 
     monkeypatch.setattr(verify, "_row_facts", planted)
-    results = {res.lemma: res for res in verify.check_smoves(grid)}
-    law = results["weight_move_formula"]
+    law = _by_lemma(grid)["weight_move_formula"]
     assert not law.ok and f"move {mv} " in law.violations[0]
     monkeypatch.undo()
-    assert all(res.ok for res in verify.check_smoves(grid))
+    assert all(res.ok for res in run_all(grid))
 
 
 def test_branching_sweep_still_fails_every_order_through_a_wrong_step(monkeypatch):
@@ -156,14 +179,14 @@ def test_branching_sweep_still_fails_every_order_through_a_wrong_step(monkeypatc
             cur = remove_node(cur, nds[t - 1])
         return False
 
-    results = {res.lemma: res for res in verify.check_branching(grid)}
+    results = _by_lemma(grid)
     law = results["branching_degree_law"]
     failed = {v.split(" on ")[0] for v in law.violations}
     assert failed == {f"order {sigma}" for sigma in permutations((1, 2, 3)) if through(sigma)}
     assert len(failed) == 2 and all(f" on {mp} " in v for v in law.violations)
     assert results["branching_well_defined"].ok
     monkeypatch.undo()
-    assert all(res.ok for res in verify.check_branching(grid))
+    assert all(res.ok for res in run_all(grid))
 
 
 def test_phi_sweep_still_compares_every_image_with_its_beta_sets(monkeypatch):
@@ -176,8 +199,7 @@ def test_phi_sweep_still_compares_every_image_with_its_beta_sets(monkeypatch):
         verify, "phi",
         lambda mp, charge, k: real(mp, charge, (k + 1) % charge.e if (mp, k) == (target, i) else k),
     )
-    results = {res.lemma: res for res in verify.check_phi(grid)}
-    law = results["phi_beta_image"]
+    law = _by_lemma(grid)["phi_beta_image"]
     assert law.violations == tuple(f"beta image mismatch for {target} at i={i}" for _ in grid.cells())
     monkeypatch.undo()
-    assert all(res.ok for res in verify.check_phi(grid))
+    assert all(res.ok for res in run_all(grid))

@@ -9,7 +9,9 @@ seed at a time, for ``run_seconds`` from BENCHMARK.json.  Pair k of a
 workload runs seed base+k on both sides, the parent first on even k and
 the change first on odd k.  The file then holds every raw value, the
 median and quartiles per side, and the pairs the change won for each
-end-to-end metric, plus the tier-1 wall on both sides.  The README
+end-to-end metric with the exact one-sided sign-test p-value of that
+many wins.  Tier-1 runs TIER1_RUNS times per side, the two sides
+alternating, and every wall is kept with the median.  The README
 ``certify`` (``readme_certify``, CERTIFY_RUNS processes) and a bare
 ``import akblocks.cli`` (``import_ms``, IMPORT_RUNS processes) run as
 fresh processes, the two sides alternating; each records the minimum,
@@ -27,6 +29,7 @@ comparable.
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -44,6 +47,7 @@ README_CERTIFY = [
 ]
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 IMPORT_RUNS = 15
+TIER1_RUNS = 3
 CERTIFY_RUNS = 9
 TRACED_RUNS = 3
 TRACED_KERNELS = ("blocks.hub_s", "blocks.weight_s", "abacus.phi_s")
@@ -142,6 +146,13 @@ def quartiles(values: list) -> dict:
     return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def sign_test_p(wins: int, pairs: int) -> float:
+    """The chance of at least ``wins`` wins in ``pairs`` fair coin flips:
+    the one-sided sign test of no change (8 of 10 gives 0.055, 9 of 10
+    0.011)."""
+    return sum(math.comb(pairs, k) for k in range(wins, pairs + 1)) / 2**pairs
+
+
 def summarise(runs: dict, metrics: list) -> dict:
     out = {}
     for m in metrics:
@@ -156,6 +167,7 @@ def summarise(runs: dict, metrics: list) -> dict:
             "parent": quartiles(parent),
             "change": quartiles(change),
             "change_won_pairs": wins,
+            "sign_test_p": sign_test_p(wins, len(parent)),
             "pairs": len(parent),
         }
     return out
@@ -193,11 +205,15 @@ def main(argv=None) -> int:
                 runs[side].append(bench_run(dirs[side], workload, SEEDS[workload] + k, spec["run_seconds"]))
                 print(workload, side, runs[side][-1], flush=True)
         record["workloads"][workload] = {"runs": runs, "summary": summarise(runs, spec["end_to_end"])}
-    record["tier1"] = {}
-    for side in ("parent", "change"):
-        out, wall, _ = child(TIER1, dirs[side])
-        record["tier1"][side] = {"wall_s": wall, "summary": out.strip().splitlines()[-1]}
-        print(side, record["tier1"][side], flush=True)
+    record["tier1"] = {side: {"runs_s": [], "summaries": []} for side in dirs}
+    for k in range(TIER1_RUNS):
+        for side in sides(k):
+            out, wall, _ = child(TIER1, dirs[side])
+            record["tier1"][side]["runs_s"].append(wall)
+            record["tier1"][side]["summaries"].append(out.strip().splitlines()[-1])
+            print(side, "tier-1", wall, record["tier1"][side]["summaries"][-1], flush=True)
+    for side in record["tier1"].values():
+        side["median_s"] = statistics.median(side["runs_s"])
     record["traced_sweep"] = traced(
         dirs, "sweep", SEEDS["sweep"], spec["run_seconds"],
         lambda name: name.startswith("verify.check_") or name in TRACED_KERNELS,
