@@ -345,7 +345,7 @@ def block_containing(mp: Multipartition, charge: Multicharge, caps: Caps | None 
 # core blocks: witnesses, base tuples, K
 
 
-@lru_cache(maxsize=CACHE_SIZE)  # sweep 12,239 / 1,052, point queries 905 / 309
+@lru_cache(maxsize=CACHE_SIZE)  # sweep 12,789 / 1,052, point queries 905 / 309
 def witness_offsets(m: Multicore) -> tuple:
     """All offset vectors t (t_1 = 0) adjusting component charges by t_j * e
     so that every runner's levels pairwise differ by at most 1.
@@ -580,7 +580,7 @@ def core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
         return _core_block_of(as_multipartition(mp), charge)
 
 
-@lru_cache(maxsize=CACHE_SIZE)  # sweep 4,805 / 1,562, point queries 600 / 300
+@lru_cache(maxsize=CACHE_SIZE)  # sweep 4,530 / 1,837, point queries 600 / 300
 def _core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
     """``core_block_of`` of a hashable multipartition."""
     m0, hooks = to_multicore(mp, charge)

@@ -8,6 +8,7 @@ counting), never from the code path under test.
 """
 
 from collections import Counter
+from functools import cached_property
 from itertools import chain, combinations, permutations, takewhile
 from typing import NamedTuple
 
@@ -153,25 +154,23 @@ class _Recorder:
 
 
 _SWEEPS: dict = {}  # sweep name -> lemma anchors; definition order is output order
-_CELL_SWEEPS: list = []  # the sweeps run_all calls once per cell, in definition order
 
 
 def _sweep(*lemmas: str, per_cell: bool = False):
     """Declare a sweep by its lemma anchors, in output order; its body takes
-    one _Recorder per anchor after its first argument.  A cell sweep is its
-    body, which run_all calls on each _Cell with recorders kept across
-    cells; any other sweep takes the grid alone and returns its recorders'
-    LemmaResults in anchor order."""
+    one _Recorder per anchor after its first argument, a _Cell for a cell
+    sweep and the grid for any other.  The sweep takes the grid, and the
+    grid's cells when the caller has built them, runs a cell sweep's body
+    on each cell in grid order, and returns its LemmaResults in anchor
+    order."""
 
     def declare(body):
         _SWEEPS[body.__name__] = lemmas
-        if per_cell:
-            _CELL_SWEEPS.append(body.__name__)
-            return body
 
-        def sweep(grid: SweepGrid) -> list:
+        def sweep(grid: SweepGrid, cells: tuple | None = None) -> list:
             recorders = [_Recorder(lemma) for lemma in lemmas]
-            body(grid, *recorders)
+            for arg in (_cells(grid) if cells is None else cells) if per_cell else (grid,):
+                body(arg, *recorders)
             return [rec.result() for rec in recorders]
 
         sweep.__name__ = sweep.__qualname__ = body.__name__
@@ -190,16 +189,37 @@ def _caps_for(grid: SweepGrid) -> Caps:
     )
 
 
-class _Cell(NamedTuple):
-    """What the cell sweeps read of one (r, e, charge) cell of the grid."""
+class _Cell:
+    """What the cell sweeps read of one (r, e, charge) cell of the grid: the
+    multipartitions of each n <= max_n, shared by the cells of one level,
+    and what is built from them when a sweep first reads it."""
 
-    grid: SweepGrid
-    caps: Caps
-    charge: Multicharge
-    multis: tuple  # the multipartitions of each n <= max_n, shared by the cells of one level
-    blocks: tuple  # the blocks of each n <= max(max_n, branch_n)
-    multicores: tuple  # sorted by levels
-    condition: tuple  # (block, i, report) for each block with the weight condition and delta_i >= 0
+    def __init__(self, grid: SweepGrid, caps: Caps, charge: Multicharge, multis: tuple):
+        self.grid, self.caps, self.charge, self.multis = grid, caps, charge, multis
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The blocks of each n <= max_n."""
+        return tuple(enumerate_blocks(n, self.charge, self.caps) for n in range(self.grid.max_n + 1))
+
+    @cached_property
+    def multicores(self) -> tuple:
+        """The multicores among the multipartitions, sorted by levels."""
+        decoded = (to_multicore(mp, self.charge) for mp in chain.from_iterable(self.multis))
+        cores = {core.levels: core for core, hooks in decoded if hooks == 0}
+        return tuple(cores[k] for k in sorted(cores))
+
+    @cached_property
+    def condition(self) -> tuple:
+        """(block, i, report) for each block of n <= branch_n with the weight
+        condition and delta_i >= 0."""
+        grid, mc = self.grid, self.charge
+        more = (enumerate_blocks(n, mc, self.caps) for n in range(grid.max_n + 1, grid.branch_n + 1))
+        found = (
+            (blk, i, scopes_condition(blk.lex_least, mc, i))
+            for blist in chain(self.blocks[: grid.branch_n + 1], more) for blk in blist for i in range(mc.e)
+        )
+        return tuple((blk, i, rep) for blk, i, rep in found if rep.holds and rep.delta >= 0)
 
 
 def _cells(grid: SweepGrid):
@@ -209,15 +229,7 @@ def _cells(grid: SweepGrid):
     for mc in grid.cells():
         if mc.r != level:
             level, multis = mc.r, tuple(tuple(multipartitions_of(n, mc.r)) for n in range(grid.max_n + 1))
-        blocks = tuple(enumerate_blocks(n, mc, caps) for n in range(max(grid.max_n, grid.branch_n) + 1))
-        decoded = (to_multicore(mp, mc) for mp in chain.from_iterable(multis))
-        cores = {core.levels: core for core, hooks in decoded if hooks == 0}
-        found = (
-            (blk, i, scopes_condition(blk.lex_least, mc, i))
-            for blist in blocks[: grid.branch_n + 1] for blk in blist for i in range(mc.e)
-        )
-        condition = tuple((blk, i, rep) for blk, i, rep in found if rep.holds and rep.delta >= 0)
-        yield _Cell(grid, caps, mc, multis, blocks, tuple(cores[k] for k in sorted(cores)), condition)
+        yield _Cell(grid, caps, mc, multis)
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +542,12 @@ def check_core_blocks(cell: _Cell, equivalence, chain_ok, spread, tuple_inv, k_i
     mc = cell.charge
     e = mc.e
     hub_blocks: dict = {}
-    per_n = cell.blocks[: cell.grid.max_n + 1]
-    for n, blist in enumerate(per_n):
+    for n, blist in enumerate(cell.blocks):
         for blk in blist:
             hub_blocks.setdefault(blk.descriptor.hub, []).append(
                 (n, blk.descriptor.weight)
             )
-    for n, blist in enumerate(per_n):
+    for n, blist in enumerate(cell.blocks):
         for blk in blist:
             rep = blk.lex_least
             members_cores = all(
@@ -767,7 +778,7 @@ def check_scopes_maps(cell: _Cell, bijection, weight_pres, lex_pres, kle_pres):
     mc, grid = cell.charge, cell.grid
     # an image gains at most the n + r addable nodes of its source (a component of size s has s + 1)
     wide = cell.caps._replace(max_n=2 * grid.max_n + max(grid.levels))
-    for blist in cell.blocks[: grid.max_n + 1]:
+    for blist in cell.blocks:
         for blk in blist:
             weights = [weight(mp, mc) for mp in blk.members]
             for i in range(mc.e):
@@ -850,7 +861,7 @@ def check_enumeration(cell: _Cell, complete):
             sum(level_counts[m] * single[t - m] for m in range(t + 1))
             for t in range(top + 1)
         ]
-    for n, blocks in enumerate(cell.blocks[: top + 1]):
+    for n, blocks in enumerate(cell.blocks):
         complete.count(
             sum(len(b.members) for b in blocks) == level_counts[n]
             and len({mp for b in blocks for mp in b.members}) == level_counts[n],
@@ -863,16 +874,12 @@ def check_enumeration(cell: _Cell, complete):
 
 
 def run_all(grid: SweepGrid = DEFAULT_GRID):
-    """Run the cell sweeps on each cell in turn, then the grid sweeps, and
-    report every lemma in definition order.  Each sweep is looked up by name
-    as it runs, not captured at import, so a wrapper installed on the module
-    attribute (akbench's tracer) sees every call."""
-    recorders = {name: [_Recorder(lemma) for lemma in _SWEEPS[name]] for name in _CELL_SWEEPS}
-    for cell in _cells(grid):
-        for name, recs in recorders.items():
-            globals()[name](cell, *recs)
-    done = {name: [rec.result() for rec in recs] for name, recs in recorders.items()}
-    return tuple(res for name in _SWEEPS for res in (done[name] if name in done else globals()[name](grid)))
+    """Build each cell's record once, in one walk of the grid, then run every
+    sweep in definition order on the grid and those records.  Each sweep is
+    looked up by name as it runs, not captured at import, so a wrapper
+    installed on the module attribute (akbench's tracer) sees its one call."""
+    cells = tuple(_cells(grid))
+    return tuple(res for name in _SWEEPS for res in globals()[name](grid, cells))
 
 
 def format_results(results) -> str:

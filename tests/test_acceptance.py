@@ -26,9 +26,8 @@ from akblocks import (
     weight,
     witness_offsets,
 )
-from akblocks import verify
 from akblocks.cli import main
-from akblocks.verify import DEFAULT_GRID, SweepGrid, check_mahonian, run_all
+from akblocks.verify import DEFAULT_GRID, SweepGrid, check_d_bounds, check_mahonian, check_weights, run_all
 
 EXK_MC = Multicharge(5, (0, -2, 1))
 EXK = ((4, 3, 1), (4, 2, 2, 2), (3, 2))
@@ -49,14 +48,6 @@ def _assert_all_ok(results, wanted):
 @lru_cache(maxsize=None)
 def _default_results():
     return run_all(DEFAULT_GRID)
-
-
-def _cell_sweep(name: str, grid: SweepGrid) -> list:
-    """One cell sweep on every cell of grid, as run_all calls it."""
-    recorders = [verify._Recorder(lemma) for lemma in verify._SWEEPS[name]]
-    for cell in verify._cells(grid):
-        getattr(verify, name)(cell, *recorders)
-    return [rec.result() for rec in recorders]
 
 
 def test_c01_residue_reproduction():
@@ -120,7 +111,7 @@ def test_c04_weight_laws():
     t0 = time.monotonic()
     grid = SweepGrid(max_n=7, levels=(1, 2, 3), es=(2, 3, 4), branch_n=7)
     _assert_all_ok(
-        _cell_sweep("check_weights", grid),
+        check_weights(grid),
         ["weight_core_law", "same_hub_weight_law", "classical_e_weight"],
     )
     slides = 0
@@ -151,7 +142,7 @@ def test_c06_core_block_equivalence():
 
 def test_c07_d_bounds():
     t0 = time.monotonic()
-    results = _cell_sweep("check_d_bounds", DEFAULT_GRID)  # timed alone, not read from the cache
+    results = check_d_bounds(DEFAULT_GRID)  # timed alone, its cells built afresh
     _assert_all_ok(
         results,
         [

@@ -24,7 +24,6 @@ from akblocks import (
 )
 from akblocks.blocks import SMoveStep
 from akblocks.cli import _COMMANDS
-from akblocks.verify import _cells
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "akblocks"
 MC = Multicharge(3, (0, 1))
@@ -47,7 +46,6 @@ SAMPLES = {
     "SweepGrid": SweepGrid(),
     "LemmaResult": LemmaResult("lemma", 2, ("one violation",)),
     "_Command": _COMMANDS[0],
-    "_Cell": next(_cells(SweepGrid(max_n=1, levels=(1,), es=(2,), branch_n=1))),
 }
 
 

@@ -70,10 +70,6 @@ def _declared() -> list:
     return [lemma for lemmas in verify._SWEEPS.values() for lemma in lemmas]
 
 
-def _by_lemma(grid: SweepGrid) -> dict:
-    return {res.lemma: res for res in run_all(grid)}
-
-
 def test_every_anchor_declared_once_and_reported_in_order():
     anchors = _declared()
     assert len(anchors) == len(set(anchors)) == 49
@@ -82,12 +78,15 @@ def test_every_anchor_declared_once_and_reported_in_order():
 
 
 def test_run_all_looks_sweeps_up_by_name_when_it_runs(monkeypatch):
-    # akbench's tracer wraps the module attributes; run_all must call them,
-    # a grid sweep once and a cell sweep once per cell
+    # akbench's tracer wraps the module attributes and records one span per
+    # sweep; run_all must call each once, a cell sweep with the cells it
+    # built in its one walk of the grid
     sentinel = LemmaResult("sentinel", 1, ())
-    monkeypatch.setattr(verify, "check_mahonian", lambda grid: [sentinel])
-    cells, real = [], verify.check_enumeration
-    monkeypatch.setattr(verify, "check_enumeration", lambda cell, *recs: cells.append(cell.charge) or real(cell, *recs))
+    monkeypatch.setattr(verify, "check_mahonian", lambda grid, cells=None: [sentinel])
+    calls, real = [], verify.check_enumeration
+    monkeypatch.setattr(verify, "check_enumeration", lambda grid, cells: calls.append(cells) or real(grid, cells))
+    walks, cells_of = [], SweepGrid.cells
+    monkeypatch.setattr(SweepGrid, "cells", lambda grid: walks.append(grid) or cells_of(grid))
     before = list(verify._SWEEPS).index("check_mahonian")
     at = sum(len(lemmas) for lemmas in list(verify._SWEEPS.values())[:before])
     expected = _declared()
@@ -96,7 +95,8 @@ def test_run_all_looks_sweeps_up_by_name_when_it_runs(monkeypatch):
     results = run_all(grid)
     assert results[at] is sentinel
     assert [res.lemma for res in results] == expected
-    assert cells == list(grid.cells()) and len(cells) == 6
+    assert walks == [grid]
+    assert len(calls) == 1 and [cell.charge for cell in calls[0]] == list(cells_of(grid)) and len(calls[0]) == 6
     assert {res.lemma: res.instances for res in results}["block_partition_complete"] == 6 * 2
 
 
@@ -148,10 +148,11 @@ def test_exchange_sweep_still_checks_every_move(monkeypatch):
         return tuple(c + (row == target) for c in counts), h
 
     monkeypatch.setattr(verify, "_row_facts", planted)
-    law = _by_lemma(grid)["weight_move_formula"]
+    results = {res.lemma: res for res in verify.check_smoves(grid)}
+    law = results["weight_move_formula"]
     assert not law.ok and f"move {mv} " in law.violations[0]
     monkeypatch.undo()
-    assert all(res.ok for res in run_all(grid))
+    assert all(res.ok for res in verify.check_smoves(grid))
 
 
 def test_branching_sweep_still_fails_every_order_through_a_wrong_step(monkeypatch):
@@ -179,14 +180,14 @@ def test_branching_sweep_still_fails_every_order_through_a_wrong_step(monkeypatc
             cur = remove_node(cur, nds[t - 1])
         return False
 
-    results = _by_lemma(grid)
+    results = {res.lemma: res for res in verify.check_branching(grid)}
     law = results["branching_degree_law"]
     failed = {v.split(" on ")[0] for v in law.violations}
     assert failed == {f"order {sigma}" for sigma in permutations((1, 2, 3)) if through(sigma)}
     assert len(failed) == 2 and all(f" on {mp} " in v for v in law.violations)
     assert results["branching_well_defined"].ok
     monkeypatch.undo()
-    assert all(res.ok for res in run_all(grid))
+    assert all(res.ok for res in verify.check_branching(grid))
 
 
 def test_phi_sweep_still_compares_every_image_with_its_beta_sets(monkeypatch):
@@ -199,7 +200,8 @@ def test_phi_sweep_still_compares_every_image_with_its_beta_sets(monkeypatch):
         verify, "phi",
         lambda mp, charge, k: real(mp, charge, (k + 1) % charge.e if (mp, k) == (target, i) else k),
     )
-    law = _by_lemma(grid)["phi_beta_image"]
+    results = {res.lemma: res for res in verify.check_phi(grid)}
+    law = results["phi_beta_image"]
     assert law.violations == tuple(f"beta image mismatch for {target} at i={i}" for _ in grid.cells())
     monkeypatch.undo()
-    assert all(res.ok for res in run_all(grid))
+    assert all(res.ok for res in verify.check_phi(grid))
