@@ -27,7 +27,18 @@ from akblocks import (
     witness_offsets,
 )
 from akblocks.cli import main
-from akblocks.verify import DEFAULT_GRID, SweepGrid, check_d_bounds, check_mahonian, check_weights, run_all
+from akblocks.verify import (
+    DEFAULT_GRID,
+    SweepGrid,
+    check_branching,
+    check_core_blocks,
+    check_d_bounds,
+    check_kleshchev_oracle,
+    check_mahonian,
+    check_scopes_maps,
+    check_smoves,
+    check_weights,
+)
 
 EXK_MC = Multicharge(5, (0, -2, 1))
 EXK = ((4, 3, 1), (4, 2, 2, 2), (3, 2))
@@ -46,8 +57,13 @@ def _assert_all_ok(results, wanted):
 
 
 @lru_cache(maxsize=None)
-def _default_results():
-    return run_all(DEFAULT_GRID)
+def _branching_results():
+    return check_branching(DEFAULT_GRID)
+
+
+@lru_cache(maxsize=None)
+def _scopes_results():
+    return check_scopes_maps(DEFAULT_GRID) + check_kleshchev_oracle(DEFAULT_GRID)
 
 
 def test_c01_residue_reproduction():
@@ -123,14 +139,14 @@ def test_c04_weight_laws():
 
 def test_c05_bead_exchange_laws():
     _assert_all_ok(
-        _default_results(),
+        check_smoves(DEFAULT_GRID),
         ["hub_invariance", "weight_move_formula", "smove_symmetry", "smove_inverse"],
     )
 
 
 def test_c06_core_block_equivalence():
     _assert_all_ok(
-        _default_results(),
+        check_core_blocks(DEFAULT_GRID),
         [
             "core_block_equivalence",
             "core_chain_validity",
@@ -142,7 +158,7 @@ def test_c06_core_block_equivalence():
 
 def test_c07_d_bounds():
     t0 = time.monotonic()
-    results = check_d_bounds(DEFAULT_GRID)  # timed alone, its cells built afresh
+    results = check_d_bounds(DEFAULT_GRID)
     _assert_all_ok(
         results,
         [
@@ -160,14 +176,14 @@ def test_c07_d_bounds():
 
 def test_c08_no_forbidden_configuration():
     _assert_all_ok(
-        _default_results(),
+        _branching_results(),
         ["no_forbidden_config", "no_addable_under_condition"],
     )
 
 
 def test_c09_removal_order_degrees():
     _assert_all_ok(
-        _default_results(),
+        _branching_results(),
         [
             "branching_degree_law",
             "branching_well_defined",
@@ -179,7 +195,7 @@ def test_c09_removal_order_degrees():
 
 def test_c10_swap_bijections():
     _assert_all_ok(
-        _default_results(),
+        _scopes_results(),
         [
             "block_bijection",
             "weight_preserved",
