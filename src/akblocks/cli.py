@@ -207,7 +207,9 @@ def _verify_all(args, mc, mp, caps):
         raise InputError(f"--max-n must be >= 0, got {args.max_n}")
     levels = _ints(args.r, _INT_LIST) if args.r else DEFAULT_GRID.levels
     es = _ints(args.e_list, _INT_LIST) if args.e_list else DEFAULT_GRID.es
-    for flag, text, values in (("--r", args.r, levels), ("--e", args.e_list, es)):
+    for flag, text, values, least in (("--r", args.r, levels, 1), ("--e", args.e_list, es, 2)):
+        if text == "" or min(values) < least:  # checked before any cell is built or worker forked
+            raise InputError(f"{flag} must list integers >= {least}, got {text!r}")
         if len(set(values)) < len(values):  # a repeated entry would sweep its cells twice
             raise InputError(f"{flag} must not repeat an entry, got {text!r}")
     grid = SweepGrid(levels=levels, es=es)

@@ -8,8 +8,8 @@ counting), never from the code path under test.
 """
 
 from collections import Counter
-from functools import cached_property
-from itertools import chain, combinations, permutations, takewhile
+from functools import cached_property, partial
+from itertools import chain, combinations, permutations, takewhile, zip_longest
 from typing import NamedTuple
 
 from .abacus import (
@@ -154,6 +154,7 @@ class _Recorder:
 
 
 _SWEEPS: dict = {}  # sweep name -> lemma anchors; definition order is output order
+_UNITS: dict = {}  # cell sweep name -> its units runner, which a forked worker calls on its cells
 
 
 def _sweep(*lemmas: str, per_cell: bool = False):
@@ -161,18 +162,37 @@ def _sweep(*lemmas: str, per_cell: bool = False):
     one _Recorder per anchor after its first argument, a _Cell for a cell
     sweep and the grid for any other.  The sweep takes the grid, and the
     grid's cells when the caller has built them, runs a cell sweep's body
-    on each cell in grid order, and returns its LemmaResults in anchor
-    order."""
+    on each cell that ``run_all`` gave no worker, and returns its
+    LemmaResults in anchor order, merged over the cells in grid order."""
 
     def declare(body):
-        _SWEEPS[body.__name__] = lemmas
+        def units(args) -> list:  # per unit, fresh recorders' (instances, kept); a raise ends it with the exception
+            out = []
+            for arg in args:
+                recorders = [_Recorder(lemma) for lemma in lemmas]
+                try:
+                    body(arg, *recorders)
+                except Exception as exc:
+                    return out + [exc]
+                out.append([(rec.instances, rec.violations) for rec in recorders])
+            return out
 
         def sweep(grid: SweepGrid, cells: tuple | None = None) -> list:
+            readers = getattr(cells, "readers", ()) if per_cell else ()  # unit k ran in process k % (1 + len(readers))
+            mine = units((grid,) if not per_cell else _cells(grid) if cells is None else cells[:: 1 + len(readers)])
             recorders = [_Recorder(lemma) for lemma in lemmas]
-            for arg in (_cells(grid) if cells is None else cells) if per_cell else (grid,):
-                body(arg, *recorders)
+            for part in chain.from_iterable(zip_longest(mine, *(read() for read in readers))):
+                if isinstance(part, Exception):
+                    raise part
+                for rec, (instances, kept) in zip(recorders, part or ()):
+                    rec.instances += instances - len(kept)
+                    for text in kept:  # kept again by count's own rule
+                        rec.count(False, text)
             return [rec.result() for rec in recorders]
 
+        _SWEEPS[body.__name__] = lemmas
+        if per_cell:
+            _UNITS[body.__name__] = units
         sweep.__name__ = sweep.__qualname__ = body.__name__
         return sweep
 
@@ -873,13 +893,50 @@ def check_enumeration(cell: _Cell, complete):
 # driver
 
 
+class _Share(tuple):
+    readers = ()  # per forked worker, what reads its next message from its pipe
+
+
 def run_all(grid: SweepGrid = DEFAULT_GRID):
     """Build each cell's record once, in one walk of the grid, then run every
     sweep in definition order on the grid and those records.  Each sweep is
     looked up by name as it runs, not captured at import, so a wrapper
-    installed on the module attribute (akbench's tracer) sees its one call."""
-    cells = tuple(_cells(grid))
-    return tuple(res for name in _SWEEPS for res in globals()[name](grid, cells))
+    installed on the module attribute (akbench's tracer) sees its one call.
+    Cell k runs in process k % jobs, one per CPU this one may use: 0 is this
+    one, the rest forked workers (none without os.fork or with other threads)."""
+    import os
+    import pickle
+    import signal
+    import threading
+    from contextlib import ExitStack, suppress
+
+    def work(cells, read, write):  # a worker ends here, skipping the exit handlers and buffers it inherited
+        try:
+            read.close()
+            for units in _UNITS.values():  # one message per cell sweep
+                write.write(pickle.dumps(units(cells)))
+                write.flush()
+        finally:
+            os._exit(0)
+
+    cells = _Share(_cells(grid))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    jobs = min(cpus, len(cells)) if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    readers = []
+    with ExitStack() as ends:  # closes each pipe and ends each worker, however the run ends
+        with suppress(OSError):  # if a fork fails, every cell runs here
+            for w in range(1, jobs):
+                read, write = map(open, os.pipe(), ("rb", "wb"))
+                ends.enter_context(read)
+                with write:
+                    pid = os.fork()
+                    if not pid:
+                        work(cells[w::jobs], read, write)
+                ends.callback(os.waitpid, pid, 0)
+                ends.callback(os.kill, pid, signal.SIGKILL)  # first: one may not have sent all it had
+                readers.append(partial(pickle.load, read))
+            cells.readers = readers
+        return tuple(res for name in _SWEEPS for res in globals()[name](grid, cells))
 
 
 def format_results(results) -> str:

@@ -114,6 +114,9 @@ CASES = [
     # exit 2: a 23-node block with delta=10 is bounded by max_delta alone, as in branch
     ["certify", "--e", "2", "--charge", "0,0,0", "--lambda", "[[4,3,2,1],[4,3,2,1],[2,1]]", "--i", "1",
      "--caps", "max_n=24"],
+    # exit 2: an empty or non-positive level list names its flag
+    ["verify-all", "--max-n", "1", "--r", ""],
+    ["verify-all", "--max-n", "1", "--r", "0"],
 ]
 
 _CAP_VARIABLES = ("AKBLOCKS_MAX_N", "AKBLOCKS_MAX_R", "AKBLOCKS_MAX_E", "AKBLOCKS_MAX_DELTA")

@@ -124,16 +124,15 @@ def test_starting_the_cli_does_not_import_dataclasses():
     # every process pays for what ``import akblocks.cli`` loads, and building
     # dataclasses (plus the inspect/ast/dis chain behind the module) costs
     # more than the rest of the imported standard library: the records are
-    # NamedTuples
+    # NamedTuples.  verify-all's workers are forked and their results
+    # pickled, so neither pickle nor multiprocessing is loaded at start-up
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
     ))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, akblocks.cli; print('dataclasses' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    code = "import sys, akblocks.cli; print(*(m in sys.modules for m in ('dataclasses', 'pickle', 'multiprocessing')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split() == ["False", "False", "False"]
 
 
 REPO = PACKAGE.parents[1]

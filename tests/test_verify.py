@@ -1,10 +1,19 @@
 """Checks on the sweep harness itself, small enough to run in seconds."""
 
 import hashlib
+import json
+import os
+import signal
+import threading
 from itertools import permutations
+from pathlib import Path
+
+import pytest
 
 from akblocks import branching, verify
-from akblocks.multipartition import remove_node, removable_nodes, residue
+from akblocks.cli import main
+from akblocks.errors import LemmaViolation
+from akblocks.multipartition import remove_node, removable_nodes, residue, size
 from akblocks.verify import (
     LemmaResult,
     SweepGrid,
@@ -100,18 +109,131 @@ def test_run_all_looks_sweeps_up_by_name_when_it_runs(monkeypatch):
     assert {res.lemma: res.instances for res in results}["block_partition_complete"] == 6 * 2
 
 
+def _every_instance_failing(monkeypatch) -> str:
+    real = verify._Recorder.count
+    monkeypatch.setattr(verify._Recorder, "count", lambda self, ok, *text: real(self, False, *text))
+    monkeypatch.setattr(verify._Recorder, "KEEP", float("inf"))
+    return format_results(run_all(SweepGrid(max_n=2, levels=(1, 2, 3), es=(2, 3), branch_n=3)))
+
+
+FORCED_SHA256 = "693ad45575a721de1135d17438082fe140df3f64c4d7cf79cdff27cc67e2abd0"
+
+
 def test_every_lemma_meets_its_instances_in_the_pinned_order(monkeypatch):
     # with every instance failing and every violation kept, the output lists
     # each lemma's instances in the order the lemma met them; the digest,
     # taken when every sweep walked the grid on its own, pins that order
-    real = verify._Recorder.count
-    monkeypatch.setattr(verify._Recorder, "count", lambda self, ok, *text: real(self, False, *text))
-    monkeypatch.setattr(verify._Recorder, "KEEP", float("inf"))
-    text = format_results(run_all(SweepGrid(max_n=2, levels=(1, 2, 3), es=(2, 3), branch_n=3)))
+    text = _every_instance_failing(monkeypatch)
     assert len(text.splitlines()) == 9842
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "693ad45575a721de1135d17438082fe140df3f64c4d7cf79cdff27cc67e2abd0"
-    )
+    assert hashlib.sha256(text.encode()).hexdigest() == FORCED_SHA256
+
+
+# the grid of the golden case ``verify-all --max-n 3 --r 1,2 --e 2,3``: six cells
+SMALL = SweepGrid(max_n=3, levels=(1, 2), es=(2, 3), branch_n=3)
+SMALL_ARGV = ["verify-all", "--max-n", "3", "--r", "1,2", "--e", "2,3"]
+
+
+def _small_golden() -> str:
+    cases = json.loads((Path(__file__).with_name("golden") / "cli.json").read_text())
+    return next(case["stdout"] for case in cases if case["argv"] == SMALL_ARGV)
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_output_is_the_same_at_any_process_count(monkeypatch, cpus):
+    # run_all gives cell k to process k % cpus and each sweep merges what
+    # the processes found in grid order, so every count, kept violation and
+    # their order is the one-process output; no worker outlives its run
+    _cpus(monkeypatch, cpus)
+    assert format_results(run_all(SMALL)) == _small_golden()
+    _no_child_left()
+    text = _every_instance_failing(monkeypatch)  # ten cells: shares of 4, 3 and 3 at three processes
+    assert hashlib.sha256(text.encode()).hexdigest() == FORCED_SHA256
+    _no_child_left()
+
+
+def _refused():
+    raise OSError("fork refused")
+
+
+@pytest.mark.parametrize("fork", [None, _refused], ids=["no fork", "fork fails"])
+def test_without_a_working_fork_every_cell_runs_here(monkeypatch, fork):
+    _cpus(monkeypatch, 2)
+    if fork is None:
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    assert format_results(run_all(SMALL)) == _small_golden()
+    _no_child_left()
+
+
+def test_the_cpu_count_stands_in_for_a_missing_affinity(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    assert format_results(run_all(SMALL)) == _small_golden()
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_no_worker_is_forked_while_another_thread_runs(monkeypatch):
+    # a forked worker would hold only the forking thread, and a lock another
+    # thread held at that moment would stay locked in it
+    _cpus(monkeypatch, 2)
+    forks, fork, release = [], os.fork, threading.Event()
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        assert format_results(run_all(SMALL)) == _small_golden()
+    finally:
+        release.set()
+        waiter.join(60)
+    assert not waiter.is_alive() and forks == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failure_in_a_workers_cell_reaches_the_cli_unchanged(monkeypatch, capsys, cpus):
+    # the grid's cells are (0,) at e=2, then (0, 0) and (0, 1) at r=2: at two
+    # processes the second is the worker's and the third this process's; both
+    # fail, and the first in grid order is reported whichever process ran it
+    _cpus(monkeypatch, cpus)
+    real = verify.hub
+
+    def planted(mp, charge):
+        if charge.entries != (0,) and size(mp) == 1:
+            raise LemmaViolation("planted_law", f"at charge {charge.entries}")
+        return real(mp, charge)
+
+    monkeypatch.setattr(verify, "hub", planted)
+    code = main(["verify-all", "--max-n", "2", "--r", "1,2", "--e", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "verification failed [planted_law]: at charge (0, 0)\n")
+    _no_child_left()
+
+
+def test_a_worker_killed_mid_sweep_fails_the_run_and_is_reaped(monkeypatch):
+    _cpus(monkeypatch, 2)
+    parent, real = os.getpid(), verify.hub
+
+    def planted(mp, charge):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(mp, charge)
+
+    monkeypatch.setattr(verify, "hub", planted)
+    with pytest.raises(EOFError):
+        run_all(SweepGrid(max_n=2, levels=(1, 2), es=(2,), branch_n=2))
+    _no_child_left()
 
 
 def test_orders_sweep_still_catches_an_intransitive_dominance(monkeypatch):

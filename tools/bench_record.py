@@ -23,7 +23,17 @@ layer a sweep saving comes from.  As many invariants runs add
 ``traced_invariants``, the same for the point queries in TRACED_QUERIES.
 The header records the bytecode setting, which moves a fresh-process op
 by about a fifth: records made with different settings are not
-comparable.
+comparable.  It also records the CPUs this process may use, which
+``verify-all`` spreads its cells over.
+
+The shared machine changes speed for minutes at a time, so the record
+carries a ``calibration`` that runs no akblocks code: a fixed pure-Python
+loop (``cpu_loop``) timed in this process before and after every
+``akbench/run.py`` call, and the walls of ``python -c pass`` alternated
+with the ``import_ms`` processes.  Each end-to-end metric lists every
+pair's change/parent ratio raw and calibrated: a time divided by the
+pair's ratio of loop times (change/parent), a rate multiplied by it.
+Memory is not calibrated.
 """
 
 import argparse
@@ -50,6 +60,7 @@ IMPORT_RUNS = 15
 TIER1_RUNS = 3
 CERTIFY_RUNS = 9
 TRACED_RUNS = 3
+CALIBRATION_LOOP = 2_000_000
 TRACED_KERNELS = ("blocks.hub_s", "blocks.weight_s", "abacus.phi_s")
 TRACED_QUERIES = (
     "abacus.render_s", "blocks.core_block_of_s", "abacus.to_multicore_s",
@@ -92,29 +103,49 @@ def child(argv: list, cwd: Path) -> tuple:
     return out, wall, usage.ru_maxrss / 1024
 
 
-def bench_run(cwd: Path, workload: str, seed: int, seconds: float) -> dict:
-    argv = ["akbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def cpu_loop() -> float:
+    """Seconds of a fixed pure-Python loop in this process: the machine's
+    speed at that moment, measured without any akblocks code."""
+    start = time.perf_counter()
+    total = 0
+    for k in range(CALIBRATION_LOOP):
+        total += k * k % 7
+    return time.perf_counter() - start
+
+
+def akbench(cwd: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
+    """One akbench/run.py call in cwd: its result line, and the cpu_loop
+    seconds timed just before and just after it."""
+    argv = ["akbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+            "--trace", str(trace)]
+    before = cpu_loop()
     out, _, _ = child(argv, cwd)
-    result = json.loads(out.strip().splitlines()[-1])
+    return json.loads(out.strip().splitlines()[-1]), [before, cpu_loop()]
+
+
+def bench_run(cwd: Path, workload: str, seed: int, seconds: float) -> dict:
+    result, calibration = akbench(cwd, workload, seed, seconds, 0)
     return {
         "seed": seed,
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "calibration_s": calibration,
     }
 
 
 def traced(dirs: dict, workload: str, seed: int, seconds: float, keep) -> dict:
     """Per-layer self times, in s, of TRACED_RUNS traced runs of workload per
     side, the two sides alternating: the median and every run of each
-    metric whose name ``keep`` accepts."""
-    argv = ["akbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "1"]
+    metric whose name ``keep`` accepts, and of the run's mean cpu_loop
+    seconds (``calibration.cpu_loop_s``)."""
     runs = {side: [] for side in dirs}
     for k in range(TRACED_RUNS):
         for side in sides(k):
-            metrics = json.loads(child(argv, dirs[side])[0].strip().splitlines()[-1])["metrics"]
-            runs[side].append({name: m["value"] for name, m in metrics.items() if keep(name)})
+            result, calibration = akbench(dirs[side], workload, seed, seconds, 1)
+            runs[side].append({name: m["value"] for name, m in result["metrics"].items() if keep(name)})
+            runs[side][-1]["calibration.cpu_loop_s"] = statistics.mean(calibration)
             print(side, "traced", workload, runs[side][-1], flush=True)
     return {
         side: {name: {"median": statistics.median(r[name] for r in rs), "runs": [r[name] for r in rs]} for name in rs[0]}
@@ -122,23 +153,31 @@ def traced(dirs: dict, workload: str, seed: int, seconds: float, keep) -> dict:
     }
 
 
-def alternating(dirs: dict, argv: list, runs: int) -> dict:
+def walls_ms(walls: list) -> dict:
+    return {"min": min(walls), "median": statistics.median(walls), "runs": walls}
+
+
+def alternating(dirs: dict, argv: list, runs: int, bare: bool = False) -> tuple:
     """Walls of ``runs`` fresh processes of argv in each export, in ms, in
     ``sides`` order: min, median and every run, with the largest peak RSS
-    and the last stdout's sha256."""
-    walls = {side: [] for side in dirs}
+    and the last stdout's sha256.  With ``bare``, a ``python -c pass``
+    process runs just before each one, and the second item holds its walls
+    the same way (else None)."""
+    walls, passes = {side: [] for side in dirs}, {side: [] for side in dirs}
     rss, digest = dict.fromkeys(dirs, 0.0), {}
     for k in range(runs):
         for side in sides(k):
+            if bare:
+                passes[side].append(child(["-c", "pass"], dirs[side])[1] * 1000)
             out, wall, mb = child(argv, dirs[side])
             walls[side].append(wall * 1000)
             rss[side] = max(rss[side], mb)
             digest[side] = hashlib.sha256(out.encode()).hexdigest()
-    return {
-        side: {"min": min(w), "median": statistics.median(w), "runs": w, "peak_rss_mb": rss[side],
-               "stdout_sha256": digest[side]}
+    result = {
+        side: {**walls_ms(w), "peak_rss_mb": rss[side], "stdout_sha256": digest[side]}
         for side, w in walls.items()
     }
+    return result, {side: walls_ms(w) for side, w in passes.items()} if bare else None
 
 
 def quartiles(values: list) -> dict:
@@ -153,6 +192,24 @@ def sign_test_p(wins: int, pairs: int) -> float:
     return sum(math.comb(pairs, k) for k in range(wins, pairs + 1)) / 2**pairs
 
 
+# how a metric of each unit scales with the machine's speed: a time with
+# the loop's time, a rate against it; memory and counts do not
+CALIBRATED = {"s": 1, "ms": 1, "1/s": -1}
+
+
+def calibrated_ratios(runs: dict, name: str, unit: str) -> tuple:
+    """Each pair's change/parent ratio of metric name, raw and calibrated
+    by the pair's ratio of mean cpu_loop seconds (None for a unit that is
+    not calibrated)."""
+    raw, calibrated, power = [], [], CALIBRATED.get(unit)
+    for p, c in zip(runs["parent"], runs["change"]):
+        ratio = c["metrics"][name] / p["metrics"][name] if p["metrics"][name] else None
+        speed = statistics.mean(c["calibration_s"]) / statistics.mean(p["calibration_s"])
+        raw.append(ratio)
+        calibrated.append(None if ratio is None or power is None else ratio / speed**power)
+    return raw, calibrated
+
+
 def summarise(runs: dict, metrics: list) -> dict:
     out = {}
     for m in metrics:
@@ -160,6 +217,7 @@ def summarise(runs: dict, metrics: list) -> dict:
         parent = [r["metrics"][name] for r in runs["parent"]]
         change = [r["metrics"][name] for r in runs["change"]]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        raw, calibrated = calibrated_ratios(runs, name, m["unit"])
         out[name] = {
             "unit": m["unit"],
             "better": m["better"],
@@ -169,6 +227,8 @@ def summarise(runs: dict, metrics: list) -> dict:
             "change_won_pairs": wins,
             "sign_test_p": sign_test_p(wins, len(parent)),
             "pairs": len(parent),
+            "pair_ratios": raw,
+            "pair_ratios_calibrated": calibrated,
         }
     return out
 
@@ -187,6 +247,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "commits": commits,
         "nproc": os.cpu_count(),
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "python": platform.python_version(),
         "bytecode": {
             # every child inherits the variable, which sets its sys.flags
@@ -197,6 +258,7 @@ def main(argv=None) -> int:
         "command": "python3 akbench/run.py --workload W --seed S --seconds run_seconds --trace 0",
         "order": "pair k runs seed base+k on both sides, parent first on even k",
         "workloads": {},
+        "calibration": {"loop_iterations": CALIBRATION_LOOP, "cpu_loop_s": {}},
     }
     for workload in SEEDS:
         runs = {"parent": [], "change": []}
@@ -205,6 +267,9 @@ def main(argv=None) -> int:
                 runs[side].append(bench_run(dirs[side], workload, SEEDS[workload] + k, spec["run_seconds"]))
                 print(workload, side, runs[side][-1], flush=True)
         record["workloads"][workload] = {"runs": runs, "summary": summarise(runs, spec["end_to_end"])}
+        record["calibration"]["cpu_loop_s"][workload] = {
+            side: [r["calibration_s"] for r in rs] for side, rs in runs.items()
+        }
     record["tier1"] = {side: {"runs_s": [], "summaries": []} for side in dirs}
     for k in range(TIER1_RUNS):
         for side in sides(k):
@@ -221,9 +286,11 @@ def main(argv=None) -> int:
     record["traced_invariants"] = traced(
         dirs, "invariants", SEEDS["invariants"], spec["run_seconds"], TRACED_QUERIES.__contains__
     )
-    for key, argv, runs in (("readme_certify", README_CERTIFY, CERTIFY_RUNS),
-                            ("import_ms", ["-c", "import akblocks.cli"], IMPORT_RUNS)):
-        record[key] = alternating(dirs, argv, runs)
+    record["readme_certify"], _ = alternating(dirs, README_CERTIFY, CERTIFY_RUNS)
+    record["import_ms"], record["calibration"]["python_pass_ms"] = alternating(
+        dirs, ["-c", "import akblocks.cli"], IMPORT_RUNS, bare=True
+    )
+    for key in ("readme_certify", "import_ms"):
         print(key, {side: (v["min"], v["median"]) for side, v in record[key].items()}, flush=True)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
