@@ -20,6 +20,7 @@ from .multipartition import (
     Multicharge,
     Multipartition,
     Partition,
+    _check_e,
     _check_level,
     _check_range,
     _is_int,
@@ -48,6 +49,12 @@ __all__ = [
 ]
 
 
+def _check_charge(charge) -> None:
+    """InputError unless a beta-set's charge is an int (not a bool)."""
+    if not _is_int(charge):
+        raise InputError(f"charge must be an integer, got {charge!r}")
+
+
 class BetaSet(NamedTuple("BetaSet", [("charge", int), ("delta", frozenset)])):
     """An infinite down-closed bead set, stored as (charge, delta).
 
@@ -61,8 +68,7 @@ class BetaSet(NamedTuple("BetaSet", [("charge", int), ("delta", frozenset)])):
     __slots__ = ()
 
     def __new__(cls, charge: int, delta: frozenset):
-        if not _is_int(charge):
-            raise InputError(f"charge must be an integer, got {charge!r}")
+        _check_charge(charge)
         d = frozenset(delta)
         if not all(_is_int(p) for p in d):
             raise InputError("beta-set perturbation must contain integers")
@@ -111,8 +117,7 @@ class BetaSet(NamedTuple("BetaSet", [("charge", int), ("delta", frozenset)])):
 
 def beta_set(partition: Partition, charge: int) -> BetaSet:
     """Beta-set of a partition: {part_k + charge - k} padded by the vacuum."""
-    if type(charge) is not int:
-        raise InputError(f"charge must be an integer, got {charge!r}")
+    _check_charge(charge)
     parts = as_partition(partition)
     top = {w + charge - k for k, w in enumerate(parts, 1)}
     vac = set(range(charge - len(parts), charge))
@@ -143,8 +148,7 @@ class AbacusDisplay(NamedTuple("AbacusDisplay", [("e", int), ("components", tupl
     __slots__ = ()
 
     def __new__(cls, e: int, components: tuple):
-        if not _is_int(e) or e < 2:
-            raise InputError(f"e must be an integer >= 2, got {e!r}")
+        _check_e(e)
         comps = tuple(components)
         if not comps or not all(isinstance(c, BetaSet) for c in comps):
             raise InputError("components must be a nonempty tuple of BetaSet")
@@ -216,8 +220,7 @@ class Multicore(NamedTuple("Multicore", [("e", int), ("levels", tuple)])):
     __slots__ = ()
 
     def __new__(cls, e: int, levels: tuple):
-        if not _is_int(e) or e < 2:
-            raise InputError(f"e must be an integer >= 2, got {e!r}")
+        _check_e(e)
         rows = tuple(tuple(row) for row in levels)
         if not rows or any(len(row) != e for row in rows):
             raise InputError(f"levels must be rows of length e={e}")
@@ -375,9 +378,7 @@ def has_forbidden_config(mp: Multipartition, charge: Multicharge, i: int) -> boo
         for b in range(bs.min_gap() - 1, bs.max_bead() + 1):
             if b % e != target or b not in bs or (b + 1) in bs:
                 continue
-            if i != 0:
-                return True
-            if (b + e + 1) not in bs:
+            if i != 0 or (b + e + 1) not in bs:
                 return True
     return False
 

@@ -437,16 +437,11 @@ def k_value(m: Multicore, i: int) -> int:
     ws = witness_offsets(m)
     if not ws:
         raise InputError("K is only defined on core blocks")
-    lv = m.levels
-    prev = (i - 1) % m.e
-    best = None
-    for t in ws:
-        lo_i = min(lv[j][i] + t[j] for j in range(m.r))
-        hi_prev = max(lv[j][prev] + t[j] for j in range(m.r))
-        k = lo_i - hi_prev - (1 if i == 0 else 0)
-        if best is None or k > best:
-            best = k
-    return best
+    lv, prev, comps = m.levels, (i - 1) % m.e, range(m.r)
+    return max(
+        min(lv[j][i] + t[j] for j in comps) - max(lv[j][prev] + t[j] for j in comps) - (1 if i == 0 else 0)
+        for t in ws
+    )
 
 
 def d_min(mp: Multipartition, charge: Multicharge, i: int) -> int:

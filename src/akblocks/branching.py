@@ -195,7 +195,7 @@ def _swap_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps, r
     return ascending, image, [_node_of(image, entry) for entry in _signature(image, charge, i) if entry[2] > 0]
 
 
-def _walk(charge: Multicharge, start, nds, sign: int, sigma, end, what: str, steps=None) -> int:
+def _walk(charge: Multicharge, start, nds, sign: int, sigma, end, what: str, steps: dict) -> int:
     """Move nds[t-1] for t in sigma, starting at start: removing them
     (sign -1, each step adds the node's n_below) or adding them (sign +1,
     each step adds its n_above), as ``_degree`` counts them.  Every node
@@ -215,7 +215,7 @@ def _walk(charge: Multicharge, start, nds, sign: int, sigma, end, what: str, ste
     total = 0
     for t in sigma:
         nd = nds[t - 1]
-        step = None if steps is None else steps.get((cur, nd))
+        step = steps.get((cur, nd))
         if step is None:
             try:
                 d = _degree(cur, charge, nd, sign)
@@ -225,8 +225,7 @@ def _walk(charge: Multicharge, start, nds, sign: int, sigma, end, what: str, ste
                     f"node {nd} stopped being {_KIND[sign]} while {what} in order {sigma}",
                 ) from None
             step = (d, remove_node(cur, nd) if sign < 0 else add_node(cur, nd))
-            if steps is not None:
-                steps[cur, nd] = step
+            steps[cur, nd] = step
         total += step[0]
         cur = step[1]
     if cur != end:
@@ -253,7 +252,7 @@ def order_degree(
     facts are checked and a failure raises LemmaViolation.
     """
     ascending = _removal_context(mp, charge, i, caps or default_caps())
-    return _walk(charge, mp, ascending, -1, sigma, phi(mp, charge, i), f"stripping {mp}")
+    return _walk(charge, mp, ascending, -1, sigma, phi(mp, charge, i), f"stripping {mp}", {})
 
 
 def branching_polynomial(

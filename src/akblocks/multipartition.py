@@ -57,8 +57,7 @@ class Multicharge(NamedTuple("Multicharge", [("e", int), ("entries", tuple)])):
     __slots__ = ()
 
     def __new__(cls, e: int, entries: tuple):
-        if not _is_int(e) or e < 2:
-            raise InputError(f"e must be an integer >= 2, got {e!r}")
+        _check_e(e)
         ent = tuple(entries)
         if not ent or not all(_is_int(a) for a in ent):
             raise InputError(f"charge must be a nonempty tuple of integers, got {entries!r}")
@@ -80,6 +79,12 @@ class Multicharge(NamedTuple("Multicharge", [("e", int), ("entries", tuple)])):
 def _is_int(x) -> bool:
     """An int that is not a bool: JSON ``true`` must not pass as 1."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_e(e) -> None:
+    """InputError unless e is an int >= 2 (not a bool): every e the package takes."""
+    if not _is_int(e) or e < 2:
+        raise InputError(f"e must be an integer >= 2, got {e!r}")
 
 
 def _check_range(what: str, lo: int, hi: int, *values) -> None:

@@ -49,13 +49,11 @@ def scopes_pairing(block: Block, i: int) -> tuple:
 
 def _lex_violations(pairs) -> tuple:
     """Adjacent (member, image) pairs whose images are not lex-descending."""
-    violations = []
-    for (src_a, img_a), (src_b, img_b) in zip(pairs, pairs[1:]):
-        if not img_a > img_b:
-            violations.append(
-                f"{src_a} > {src_b} but images order as {img_a} vs {img_b}"
-            )
-    return tuple(violations)
+    return tuple(
+        f"{src_a} > {src_b} but images order as {img_a} vs {img_b}"
+        for (src_a, img_a), (src_b, img_b) in zip(pairs, pairs[1:])
+        if not img_a > img_b
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +145,11 @@ class ScopesCertificate(NamedTuple):
         }
 
 
+# the anchors certificate stamps, sorted; one that fails raises, so a certificate carries all
+_CHECKS = ("block_bijection", "branching_spectrum", "kleshchev_preserved", "lex_order_preserved",
+           "no_addable_under_condition", "no_forbidden_config", "weight_preserved")
+
+
 def certificate(block: Block, i: int, caps: Caps | None = None) -> ScopesCertificate:
     """Re-run every preservation law on one block and stamp the results.
 
@@ -164,13 +167,10 @@ def certificate(block: Block, i: int, caps: Caps | None = None) -> ScopesCertifi
             f"certificate needs the weight condition; w(B)={cond.w_b} exceeds "
             f"w(C)+K*r={cond.w_c}+{cond.k}*{charge.r}"
         )
-    checks = []
 
     def stamp(anchor: str, ok: bool, detail: str):
         if not ok:
             raise LemmaViolation(anchor, detail)
-        if anchor not in checks:
-            checks.append(anchor)
 
     for mp in block.members:
         stamp(
@@ -225,5 +225,5 @@ def certificate(block: Block, i: int, caps: Caps | None = None) -> ScopesCertifi
         condition=cond,
         pairs=flagged,
         polynomial=expected,
-        checks=tuple(sorted(checks)),
+        checks=_CHECKS,
     )

@@ -8,8 +8,9 @@ counting), never from the code path under test.
 """
 
 from collections import Counter
+from contextlib import ExitStack, suppress
 from functools import cached_property, partial
-from itertools import chain, combinations, permutations, takewhile, zip_longest
+from itertools import chain, combinations, permutations, takewhile
 from typing import NamedTuple
 
 from .abacus import (
@@ -160,31 +161,35 @@ _UNITS: dict = {}  # cell sweep name -> its units runner, which a forked worker 
 def _sweep(*lemmas: str, per_cell: bool = False):
     """Declare a sweep by its lemma anchors, in output order; its body takes
     one _Recorder per anchor after its first argument, a _Cell for a cell
-    sweep and the grid for any other.  The sweep takes the grid, and the
-    grid's cells when the caller has built them, runs a cell sweep's body
-    on each cell that ``run_all`` gave no worker, and returns its
-    LemmaResults in anchor order, merged over the cells in grid order."""
+    sweep and the grid for any other.  The sweep takes the grid, and from
+    ``run_all`` its cells and a reader per forked worker that returns the
+    results of the worker's cells; it returns its LemmaResults in anchor
+    order, merged in grid order, and runs here each cell whose result did
+    not arrive, in its turn."""
 
     def declare(body):
-        def units(args) -> list:  # per unit, fresh recorders' (instances, kept); a raise ends it with the exception
+        def unit(arg) -> list:  # fresh recorders' (instances, kept) for one cell, or the grid
+            recorders = [_Recorder(lemma) for lemma in lemmas]
+            body(arg, *recorders)
+            return [(rec.instances, rec.violations) for rec in recorders]
+
+        def units(args) -> list:  # each unit's result, up to the first that raises: the sweep reruns that one
             out = []
-            for arg in args:
-                recorders = [_Recorder(lemma) for lemma in lemmas]
-                try:
-                    body(arg, *recorders)
-                except Exception as exc:
-                    return out + [exc]
-                out.append([(rec.instances, rec.violations) for rec in recorders])
+            with suppress(Exception):
+                for arg in args:
+                    out.append(unit(arg))
             return out
 
-        def sweep(grid: SweepGrid, cells: tuple | None = None) -> list:
-            readers = getattr(cells, "readers", ()) if per_cell else ()  # unit k ran in process k % (1 + len(readers))
-            mine = units((grid,) if not per_cell else _cells(grid) if cells is None else cells[:: 1 + len(readers)])
+        def sweep(grid: SweepGrid, cells: tuple | None = None, readers=()) -> list:
+            if not per_cell:  # the grid is the one unit: workers send messages for cell sweeps only
+                cells, readers = (grid,), ()
+            args = tuple(_cells(grid)) if cells is None else cells
+            jobs = 1 + len(readers)
+            shares = [units(args[::jobs]), *(read() for read in readers)]  # this process's share first
             recorders = [_Recorder(lemma) for lemma in lemmas]
-            for part in chain.from_iterable(zip_longest(mine, *(read() for read in readers))):
-                if isinstance(part, Exception):
-                    raise part
-                for rec, (instances, kept) in zip(recorders, part or ()):
+            for k, arg in enumerate(args):
+                i, share = k // jobs, shares[k % jobs]  # unit k is item i of process k % jobs's share
+                for rec, (instances, kept) in zip(recorders, share[i] if i < len(share) else unit(arg)):
                     rec.instances += instances - len(kept)
                     for text in kept:  # kept again by count's own rule
                         rec.count(False, text)
@@ -478,13 +483,8 @@ def check_weights(cell: _Cell, core_law, fixpoint, bridge, same_hub, classical):
 # bead exchanges
 
 
-def _hub_columns(mp, charge: Multicharge) -> list:
-    """(min_j, max_j) of delta_i^j over the components, for each residue i,
-    from one read of the per-component hub."""
-    return _columns(_hub_matrix(mp, charge))
-
-
 def _columns(matrix) -> list:
+    """(min_j, max_j) of a hub matrix's delta_i^j over the components, for each residue i."""
     return [(min(col), max(col)) for col in zip(*matrix)]
 
 
@@ -600,15 +600,14 @@ def check_core_blocks(cell: _Cell, equivalence, chain_ok, spread, tuple_inv, k_i
             tuples_seen = set()
             for mp in blk.members:
                 m = to_multicore(mp, mc)[0]
-                for i, (lo, hi) in enumerate(_hub_columns(mp, mc)):
+                for i, (lo, hi) in enumerate(_columns(_hub_matrix(mp, mc))):
                     spread.count(
                         hi - lo <= 2,
                         "delta spread over components exceeds 2 at {}, i={}", mp, i,
                     )
                 tuples_seen.add(base_tuples(m))
                 kv = tuple(k_value(m, i) for i in range(e))
-                if ks is None:
-                    ks = kv
+                ks = kv if ks is None else ks
                 k_inv.count(
                     kv == ks,
                     "K varies across members: {} vs {} at {}", kv, ks, mp,
@@ -640,7 +639,7 @@ def check_d_bounds(cell: _Cell, master, drop, chain_bound, interval, plus_one):
         h, rem = divmod(w - res.core.weight, r)
         if rem:
             raise LemmaViolation("core_weight_drop", f"{mp} is {w - res.core.weight} over its core")
-        cols = _hub_columns(mp, mc)
+        cols = _columns(_hub_matrix(mp, mc))
         ds = tuple(lo for lo, _ in cols)
         for i in range(e):
             if 0 <= h <= kv[i]:
@@ -667,7 +666,7 @@ def check_d_bounds(cell: _Cell, master, drop, chain_bound, interval, plus_one):
                 core_mp0 = res.core_multicore.to_multipartition()
                 if size(core_mp0) <= cell.grid.max_n:
                     for mu in block_containing(core_mp0, mc, cell.caps).members:
-                        for i, (d_mu, _) in enumerate(_hub_columns(mu, mc)):
+                        for i, (d_mu, _) in enumerate(_columns(_hub_matrix(mu, mc))):
                             plus_one.count(
                                 d_mu <= ds[i] + 1,
                                 "core member {} has d_min more than d({})+1 at i={}", mu, mp, i,
@@ -893,22 +892,17 @@ def check_enumeration(cell: _Cell, complete):
 # driver
 
 
-class _Share(tuple):
-    readers = ()  # per forked worker, what reads its next message from its pipe
-
-
 def run_all(grid: SweepGrid = DEFAULT_GRID):
     """Build each cell's record once, in one walk of the grid, then run every
     sweep in definition order on the grid and those records.  Each sweep is
     looked up by name as it runs, not captured at import, so a wrapper
     installed on the module attribute (akbench's tracer) sees its one call.
-    Cell k runs in process k % jobs, one per CPU this one may use: 0 is this
-    one, the rest forked workers (none without os.fork or with other threads)."""
+    Cell k runs in process k % jobs: 0 is this one, the rest workers forked
+    one per usable CPU (none without os.fork or with other threads)."""
     import os
     import pickle
     import signal
     import threading
-    from contextlib import ExitStack, suppress
 
     def work(cells, read, write):  # a worker ends here, skipping the exit handlers and buffers it inherited
         try:
@@ -919,12 +913,17 @@ def run_all(grid: SweepGrid = DEFAULT_GRID):
         finally:
             os._exit(0)
 
-    cells = _Share(_cells(grid))
+    def load(read) -> list:  # a worker's next message, or no results if it died before sending it whole
+        with suppress(EOFError, pickle.UnpicklingError):
+            return pickle.load(read)
+        return []
+
+    cells = tuple(_cells(grid))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     jobs = min(cpus, len(cells)) if hasattr(os, "fork") and threading.active_count() == 1 else 1
     readers = []
     with ExitStack() as ends:  # closes each pipe and ends each worker, however the run ends
-        with suppress(OSError):  # if a fork fails, every cell runs here
+        with suppress(OSError):  # once a fork fails, no more are tried
             for w in range(1, jobs):
                 read, write = map(open, os.pipe(), ("rb", "wb"))
                 ends.enter_context(read)
@@ -934,9 +933,9 @@ def run_all(grid: SweepGrid = DEFAULT_GRID):
                         work(cells[w::jobs], read, write)
                 ends.callback(os.waitpid, pid, 0)
                 ends.callback(os.kill, pid, signal.SIGKILL)  # first: one may not have sent all it had
-                readers.append(partial(pickle.load, read))
-            cells.readers = readers
-        return tuple(res for name in _SWEEPS for res in globals()[name](grid, cells))
+                readers.append(partial(load, read))
+        readers += [list] * (jobs - 1 - len(readers))  # a worker never forked reads as one that sent nothing
+        return tuple(res for name in _SWEEPS for res in globals()[name](grid, cells, readers))
 
 
 def format_results(results) -> str:

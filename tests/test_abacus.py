@@ -1,3 +1,5 @@
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +33,21 @@ def test_beta_set_of_empty_is_vacuum():
     bs = beta_set((), 3)
     assert bs.delta == frozenset()
     assert 2 in bs and 3 not in bs and -10 in bs
+
+
+def test_every_charge_check_takes_the_same_integers():
+    # a beta-set's charge is checked by one rule: any int but a bool, as a
+    # multicharge's entries are
+    class Charge(IntEnum):
+        THREE = 3
+
+    drawn = AbacusDisplay.from_multipartition(((1,),), Multicharge(3, (Charge.THREE,)))
+    assert drawn == AbacusDisplay.from_multipartition(((1,),), Multicharge(3, (3,)))
+    assert beta_set((2, 1), Charge.THREE) == BetaSet(Charge.THREE, beta_set((2, 1), 3).delta)
+    for bad in (True, 1.0, "3"):
+        for check in (lambda: beta_set((1,), bad), lambda: BetaSet(bad, frozenset())):
+            with pytest.raises(InputError, match=f"charge must be an integer, got {bad!r}"):
+                check()
 
 
 def test_beta_positions_follow_first_column_hooks():

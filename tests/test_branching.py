@@ -152,7 +152,7 @@ def test_induction_orders_land_back():
                         for mp in blk.members:
                             _, image, adds = _swap_context(mp, mc, i, caps, rep)
                             for sigma in permutations(range(1, rep.delta + 1)):
-                                d = _walk(mc, image, adds, 1, sigma, mp, f"rebuilding {mp}")
+                                d = _walk(mc, image, adds, 1, sigma, mp, f"rebuilding {mp}", {})
                                 assert d == 2 * inversions(sigma) - ell, (mp, i, sigma)
                                 orders += 1
     assert orders > 1000
@@ -160,7 +160,7 @@ def test_induction_orders_land_back():
     _, image, adds = _swap_context(mp, mc, 0, caps)
     for sigma in permutations((1, 2, 3)):
         reverse = order_degree(mp, mc, 0, tuple(reversed(sigma)))
-        assert _walk(mc, image, adds, 1, sigma, mp, f"rebuilding {mp}") == reverse
+        assert _walk(mc, image, adds, 1, sigma, mp, f"rebuilding {mp}", {}) == reverse
 
 
 def test_every_order_reaches_the_swap_image():

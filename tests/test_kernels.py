@@ -60,9 +60,7 @@ from akblocks.verify import (
     SweepGrid,
     _beta_images,
     _classical_e_weight,
-    _columns,
     _decoded_hub_weight,
-    _hub_columns,
 )
 
 
@@ -467,7 +465,6 @@ def test_level_kernels_match_the_decoded_route_exhaustively():
             assert _level_counts(m) == residue_counts(mp, mc)
             assert _level_weight(m, mc.kappa) == weight(mp, mc)
             assert _level_hub_matrix(m) == _hub_matrix(mp, mc)
-            assert _columns(_level_hub_matrix(m)) == _hub_columns(mp, mc)
             validated = Multicore(m.e, m.levels)
             assert m == validated and hash(m) == hash(validated)
             seen += 1

@@ -120,6 +120,14 @@ def test_only_multipartition_formats_out_of_range_messages():
     assert not found, f"an 'out of range' message outside multipartition.py: {found}"
 
 
+def test_the_e_rule_and_the_charge_rule_are_each_written_once():
+    # every e is checked by multipartition._check_e, and every beta-set
+    # charge by abacus._check_charge, so each message is written once
+    text = "".join(path.read_text() for path in sorted(PACKAGE.glob("*.py")))
+    for message in ("e must be an integer >= 2", "charge must be an integer"):
+        assert text.count(message) == 1, message
+
+
 def test_starting_the_cli_does_not_import_dataclasses():
     # every process pays for what ``import akblocks.cli`` loads, and building
     # dataclasses (plus the inspect/ast/dis chain behind the module) costs

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import os
+import pickle
 import signal
+import subprocess
+import sys
 import threading
 from itertools import permutations
 from pathlib import Path
@@ -89,11 +92,12 @@ def test_every_anchor_declared_once_and_reported_in_order():
 def test_run_all_looks_sweeps_up_by_name_when_it_runs(monkeypatch):
     # akbench's tracer wraps the module attributes and records one span per
     # sweep; run_all must call each once, a cell sweep with the cells it
-    # built in its one walk of the grid
+    # built in its one walk of the grid and a reader per forked worker
+    _cpus(monkeypatch, 2)
     sentinel = LemmaResult("sentinel", 1, ())
-    monkeypatch.setattr(verify, "check_mahonian", lambda grid, cells=None: [sentinel])
+    monkeypatch.setattr(verify, "check_mahonian", lambda grid, cells=None, readers=(): [sentinel])
     calls, real = [], verify.check_enumeration
-    monkeypatch.setattr(verify, "check_enumeration", lambda grid, cells: calls.append(cells) or real(grid, cells))
+    monkeypatch.setattr(verify, "check_enumeration", lambda grid, *run: calls.append(run) or real(grid, *run))
     walks, cells_of = [], SweepGrid.cells
     monkeypatch.setattr(SweepGrid, "cells", lambda grid: walks.append(grid) or cells_of(grid))
     before = list(verify._SWEEPS).index("check_mahonian")
@@ -105,7 +109,8 @@ def test_run_all_looks_sweeps_up_by_name_when_it_runs(monkeypatch):
     assert results[at] is sentinel
     assert [res.lemma for res in results] == expected
     assert walks == [grid]
-    assert len(calls) == 1 and [cell.charge for cell in calls[0]] == list(cells_of(grid)) and len(calls[0]) == 6
+    [(cells, readers)] = calls
+    assert [cell.charge for cell in cells] == list(cells_of(grid)) and len(cells) == 6 and len(readers) == 1
     assert {res.lemma: res.instances for res in results}["block_partition_complete"] == 6 * 2
 
 
@@ -201,17 +206,23 @@ def test_no_worker_is_forked_while_another_thread_runs(monkeypatch):
     assert not waiter.is_alive() and forks == []
 
 
+@pytest.mark.parametrize("picklable", [True, False], ids=["pickled", "unpicklable"])
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_a_failure_in_a_workers_cell_reaches_the_cli_unchanged(monkeypatch, capsys, cpus):
+def test_a_failure_in_a_workers_cell_reaches_the_cli_unchanged(monkeypatch, capsys, cpus, picklable):
     # the grid's cells are (0,) at e=2, then (0, 0) and (0, 1) at r=2: at two
     # processes the second is the worker's and the third this process's; both
-    # fail, and the first in grid order is reported whichever process ran it
+    # fail, and the first in grid order is reported whichever process ran it.
+    # No exception crosses a pipe: a cell that raised sends no result, so it
+    # runs again here and raises here, even one pickle cannot carry
     _cpus(monkeypatch, cpus)
     real = verify.hub
 
     def planted(mp, charge):
         if charge.entries != (0,) and size(mp) == 1:
-            raise LemmaViolation("planted_law", f"at charge {charge.entries}")
+            exc = LemmaViolation("planted_law", f"at charge {charge.entries}")
+            if not picklable:
+                exc.hook = lambda: None  # pickle cannot carry a local function
+            raise exc
         return real(mp, charge)
 
     monkeypatch.setattr(verify, "hub", planted)
@@ -221,7 +232,24 @@ def test_a_failure_in_a_workers_cell_reaches_the_cli_unchanged(monkeypatch, caps
     _no_child_left()
 
 
-def test_a_worker_killed_mid_sweep_fails_the_run_and_is_reaped(monkeypatch):
+def _blocks_listed_here(monkeypatch) -> set:
+    """The charges of the cells whose blocks this process lists from now on."""
+    here, parent, real = set(), os.getpid(), verify.enumerate_blocks
+
+    def listed(n, charge, caps):
+        if os.getpid() == parent:
+            here.add(charge)
+        return real(n, charge, caps)
+
+    monkeypatch.setattr(verify, "enumerate_blocks", listed)
+    return here
+
+
+def test_a_worker_killed_mid_sweep_changes_no_result_and_is_reaped(monkeypatch):
+    # the worker's cell (0, 0) runs again here, so the run is the one-process run
+    grid = SweepGrid(max_n=2, levels=(1, 2), es=(2,), branch_n=2)
+    _cpus(monkeypatch, 1)
+    alone = run_all(grid)
     _cpus(monkeypatch, 2)
     parent, real = os.getpid(), verify.hub
 
@@ -231,9 +259,84 @@ def test_a_worker_killed_mid_sweep_fails_the_run_and_is_reaped(monkeypatch):
         return real(mp, charge)
 
     monkeypatch.setattr(verify, "hub", planted)
-    with pytest.raises(EOFError):
-        run_all(SweepGrid(max_n=2, levels=(1, 2), es=(2,), branch_n=2))
+    here = _blocks_listed_here(monkeypatch)
+    assert run_all(grid) == alone
+    assert here == set(grid.cells())
     _no_child_left()
+
+
+def test_a_message_cut_short_reads_as_no_results(monkeypatch):
+    # the worker sends its first message whole and half of its second, then
+    # dies: the second and every later sweep run its cells here
+    _cpus(monkeypatch, 2)
+    parent, sent, real = os.getpid(), [], pickle.dumps
+
+    def planted(obj):
+        if os.getpid() != parent:
+            if len(sent) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            data = real(obj)
+            sent.append(data)
+            return data[: len(data) // 2] if len(sent) == 2 else data
+        return real(obj)
+
+    monkeypatch.setattr(pickle, "dumps", planted)
+    assert format_results(run_all(SMALL)) == _small_golden()
+    _no_child_left()
+
+
+def test_a_fork_that_fails_after_the_first_runs_only_its_cells_here(monkeypatch):
+    # at three processes, cells 1 and 4 go to the one worker forked; cells 2
+    # and 5, whose worker could not be forked, run here with cells 0 and 3
+    _cpus(monkeypatch, 3)
+    forks, fork = [], os.fork
+
+    def once():
+        if forks:
+            raise OSError("fork refused")
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", once)
+    here = _blocks_listed_here(monkeypatch)
+    assert format_results(run_all(SMALL)) == _small_golden()
+    cells = list(SMALL.cells())
+    assert here == {cells[k] for k in (0, 2, 3, 5)}
+    _no_child_left()
+
+
+_KILLED_WORKER = """
+import os, signal
+from akblocks import verify
+from akblocks.verify import SweepGrid, format_results, run_all
+
+os.sched_getaffinity = lambda pid: {0, 1}
+parent, real = os.getpid(), verify.phi
+
+
+def planted(*args):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(*args)
+
+
+verify.phi = planted
+print(format_results(run_all(SweepGrid(max_n=3, levels=(1, 2), es=(2, 3), branch_n=3))), end="")
+"""
+
+
+def test_a_killed_worker_leaves_no_pipe_open():
+    # every pipe end is closed on the path that runs a dead worker's cells
+    # here: an unclosed file would print a ResourceWarning turned error
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(verify.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", _KILLED_WORKER],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == _small_golden()
 
 
 def test_orders_sweep_still_catches_an_intransitive_dominance(monkeypatch):
