@@ -21,8 +21,8 @@ from .multipartition import (
     Multipartition,
     Partition,
     _check_e,
-    _check_level,
     _check_range,
+    _checked,
     _is_int,
     _signature,
     as_partition,
@@ -160,7 +160,7 @@ class AbacusDisplay(NamedTuple("AbacusDisplay", [("e", int), ("components", tupl
 
     @classmethod
     def from_multipartition(cls, mp: Multipartition, charge: Multicharge) -> "AbacusDisplay":
-        _check_level(mp, charge)
+        mp = _checked(mp, charge)
         return cls(charge.e, tuple(beta_set(c, a) for c, a in zip(mp, charge.entries)))
 
     @property
@@ -260,12 +260,11 @@ def to_multicore(mp: Multipartition, charge: Multicharge):
     Level base = (a - len(parts)) // e - 1 lies in the vacuum, so each runner
     keeps c >= 1 beads from it on, which slide up to levels base..base+c-1.
     """
-    _check_level(mp, charge)
+    mp = _checked(mp, charge)
     e = charge.e
     rows = []
     hooks = 0
-    for comp, a in zip(mp, charge.entries):
-        parts = as_partition(comp)
+    for parts, a in zip(mp, charge.entries):
         base = (a - len(parts)) // e - 1
         counts = [0] * e
         for p in [*range(base * e, a - len(parts)), *[w + a - k for k, w in enumerate(parts, 1)]]:
@@ -350,8 +349,7 @@ def phi(mp: Multipartition, charge: Multicharge, i: int) -> Multipartition:
     of runners (i-1) mod e and i.
     """
     _check_range("residue", 0, charge.e - 1, i)
-    _check_level(mp, charge)
-    mp = tuple(as_partition(c) for c in mp)
+    mp = _checked(mp, charge)
     rows = {}  # component -> its rows and an empty one, copied once it changes
     for j, b, sign in _signature(mp, charge, i):
         if j not in rows:

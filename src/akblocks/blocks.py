@@ -26,12 +26,12 @@ from .abacus import Multicore, _exchange, to_multicore
 from .caps import Caps, default_caps
 from .errors import CapExceeded, InputError, LemmaViolation
 from .multipartition import (
+    CACHE_SIZE,
     Multicharge,
     Multipartition,
-    _check_level,
     _check_range,
+    _checked,
     _is_int,
-    as_multipartition,
     residue_counts,
     size,
 )
@@ -60,13 +60,9 @@ __all__ = [
     "scopes_condition",
 ]
 
-# Bound on the caches below (and on is_kleshchev's), so that a long run of
-# distinct queries keeps a fixed footprint instead of one entry per input.
-# A function is cached only where a workload re-reads it.  Each cache's
-# comment gives its hits / misses from cache_info() after verify.run_all on
-# the default grid ("sweep") or after the README point queries on 300
-# seeded inputs ("point queries").
-CACHE_SIZE = 1024
+# A function is cached only where a workload re-reads it, at most CACHE_SIZE entries.  Each
+# cache's comment gives its hits / misses from cache_info() after verify.run_all on the
+# default grid ("sweep") or after the README point queries on 300 seeded inputs.
 
 
 # ---------------------------------------------------------------------------
@@ -78,15 +74,10 @@ def weight(mp: Multipartition, charge: Multicharge) -> int:
 
     Computed in integer arithmetic.  The quadratic term is always even
     (the cyclic differences c_i - c_{i+1} sum to zero, and x^2 has the
-    parity of x), so the halving is exact; a negative result means the
-    counts are not those of a multipartition and raises LemmaViolation,
-    unless mp is no multipartition: that raises InputError.
+    parity of x), so the halving is exact.  mp is checked first (InputError),
+    so a negative result breaks the law and raises LemmaViolation.
     """
-    try:
-        return _counts_weight(residue_counts(mp, charge), charge.kappa, mp)
-    except LemmaViolation:
-        as_multipartition(mp)
-        raise
+    return _counts_weight(residue_counts(mp, charge), charge.kappa, mp)
 
 
 def _counts_weight(c: tuple, kappa: tuple, subject, label: str = "") -> int:
@@ -147,7 +138,7 @@ def _hub_matrix(mp: Multipartition, charge: Multicharge) -> list:
     addable node past the run) and the bottom +1 (its removable node)
     survive.
     """
-    _check_level(mp, charge)
+    mp = _checked(mp, charge)
     e = charge.e
     out = []
     for a, comp in zip(charge.entries, mp):
@@ -243,6 +234,7 @@ def block_of(mp: Multipartition, charge: Multicharge) -> BlockDescriptor:
 
 def same_block(lam: Multipartition, mu: Multipartition, charge: Multicharge) -> bool:
     """Same-block test via residue multisets; sizes must agree."""
+    lam, mu = _checked(lam, charge), _checked(mu, charge)
     if size(lam) != size(mu):
         raise InputError("same_block compares multipartitions of equal size")
     return residue_counts(lam, charge) == residue_counts(mu, charge)
@@ -335,7 +327,7 @@ def block_containing(mp: Multipartition, charge: Multicharge, caps: Caps | None 
     multipartitions of the same size.
     """
     caps = caps or default_caps()
-    mp = as_multipartition(mp)
+    mp = _checked(mp, charge)
     caps.check(n=size(mp), r=charge.r, e=charge.e)
     members = _members(_split(residue_counts(mp, charge), charge.e, charge.kappa))
     return Block(descriptor=block_of(members[-1], charge), charge=charge, members=members)
@@ -566,13 +558,10 @@ def core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
     The steps are checked on level matrices: each state the search
     reached is checked once, and its residue counts (``_level_counts``)
     give its weight and, for the core, its size.  No multicore is decoded.
-    A multipartition given as lists is made tuples only when the cache
-    cannot hash it, so a cache hit pays nothing for that.
+    mp is checked before the cache is read, so an input that only equals a
+    cached one (a True part for a 1) is rejected all the same.
     """
-    try:
-        return _core_block_of(mp, charge)
-    except TypeError:  # the list form is unhashable
-        return _core_block_of(as_multipartition(mp), charge)
+    return _core_block_of(_checked(mp, charge), charge)
 
 
 @lru_cache(maxsize=CACHE_SIZE)  # sweep 4,530 / 1,837, point queries 600 / 300

@@ -26,6 +26,7 @@ from .multipartition import (
     Multipartition,
     Node,
     _check_range,
+    _checked,
     _is_int,
     _node_of,
     _signature,
@@ -251,6 +252,7 @@ def order_degree(
     Every order stays removable and ends at the runner-swap image; both
     facts are checked and a failure raises LemmaViolation.
     """
+    mp = _checked(mp, charge)
     ascending = _removal_context(mp, charge, i, caps or default_caps())
     return _walk(charge, mp, ascending, -1, sigma, phi(mp, charge, i), f"stripping {mp}", {})
 
@@ -271,7 +273,8 @@ def branching_polynomial(
     scopes_condition of mp's block, for a caller that holds it already
     (every member of a block shares it).
     """
-    target = phi(mp, charge, i)  # checks i and mp's level before any i-signature is read
+    mp = _checked(mp, charge)
+    target = phi(mp, charge, i)  # checks i before any i-signature is read
     ascending = _removal_context(mp, charge, i, caps or default_caps(), condition)
     steps: dict = {}
     return LaurentPolynomial(Counter(

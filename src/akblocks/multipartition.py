@@ -126,7 +126,8 @@ def as_multipartition(components: Iterable) -> Multipartition:
     for c in comps:
         if not isinstance(c, (list, tuple)):
             raise InputError(f"a multipartition component must be a list of parts, got {c!r}")
-    return tuple(as_partition(c) for c in comps)
+    out = tuple(as_partition(c) for c in comps)
+    return comps if out == comps else out
 
 
 def multipartition_from_json(obj) -> Multipartition:
@@ -276,7 +277,7 @@ def residue_counts(mp: Multipartition, charge: Multicharge) -> tuple:
     Each row adds to a common count and marks two points of a difference
     array, and one prefix pass finishes: O(rows + e), not O(nodes).
     """
-    _check_level(mp, charge)
+    mp = _checked(mp, charge)
     e = charge.e
     diff = [0] * e
     cycles = 0
@@ -302,9 +303,21 @@ def residue_multiset(mp: Multipartition, charge: Multicharge) -> tuple:
     return tuple(chain.from_iterable(repeat(k, c) for k, c in enumerate(counts)))
 
 
-def _check_level(mp: Multipartition, charge: Multicharge) -> None:
+CACHE_SIZE = 1024  # every cache's bound: a run of distinct queries keeps a fixed footprint
+_CHECKED: dict = {}  # id -> each tuple _checked passed, held so its id is not reused
+
+
+def _checked(mp, charge: Multicharge) -> Multipartition:
+    """The one check of a multipartition at each entry taking a charge: the canonical tuple
+    ``as_multipartition`` makes, at charge's level, or InputError; a tuple passed before is not walked."""
+    if _CHECKED.get(id(mp)) is not mp:
+        mp = as_multipartition(mp)
+        if len(_CHECKED) >= CACHE_SIZE:
+            _CHECKED.clear()
+        _CHECKED[id(mp)] = mp
     if len(mp) != charge.r:
         raise InputError(f"multipartition has {len(mp)} components but charge has {charge.r}")
+    return mp
 
 
 def dominates(lam: Multipartition, mu: Multipartition) -> bool:

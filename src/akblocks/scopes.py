@@ -7,12 +7,10 @@ and preserves being Kleshchev.  ``certificate`` re-runs every one of
 those checks on a concrete block and stamps the result.
 """
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .abacus import has_forbidden_config, phi
 from .blocks import (
-    CACHE_SIZE,
     Block,
     BlockDescriptor,
     ScopesReport,
@@ -26,7 +24,7 @@ from .errors import InputError, LemmaViolation
 from .multipartition import (
     Multicharge,
     Multipartition,
-    _check_level,
+    _checked,
     _node_of,
     _signature,
     multipartition_to_json,
@@ -78,14 +76,13 @@ def _good_nodes(mp: Multipartition, charge: Multicharge):
                 break
 
 
-@lru_cache(maxsize=CACHE_SIZE)  # sweep 1,344 / 1,559: members and images recur across residues
 def is_kleshchev(mp: Multipartition, charge: Multicharge) -> bool:
     """Whether mp is reachable from the empty multipartition by good nodes.
 
     Strips one good node per step, so the work is one loop iteration per
     node and the depth stays constant however large mp is.
     """
-    _check_level(mp, charge)
+    mp = _checked(mp, charge)
     while size(mp):
         # any good node works: take the one of smallest residue, found first
         good = next(_good_nodes(mp, charge), None)

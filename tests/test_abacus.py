@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from enum import IntEnum
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import akblocks
 from akblocks import (
     AbacusDisplay,
     BetaSet,
@@ -11,17 +16,34 @@ from akblocks import (
     Multicore,
     as_partition,
     beta_set,
+    block_containing,
+    block_of,
+    blocks,
+    branching_polynomial,
+    core_block_of,
+    d_min,
+    delta_ij,
     gamma,
     gamma_diff,
     has_forbidden_config,
+    hub,
+    is_core_block,
+    is_kleshchev,
+    multipartition,
+    order_degree,
     parse_abacus,
     partition_of,
     partitions_of,
     phi,
     phi_beta_set,
     render,
+    residue_counts,
+    residue_multiset,
     s_move,
+    same_block,
+    scopes_condition,
     to_multicore,
+    weight,
 )
 from akblocks.abacus import _beta_from_beads
 
@@ -87,12 +109,32 @@ def test_section_fixture_beta_sets():
     assert tuple(disp.lowest_level(i, 3) for i in range(4)) == (0, 0, -1, -2)
 
 
-_BAD_COMPONENTS = [((1, 2),), ((-1,),)]
+# Each component row is no partition; the last row has two components
+# against a one-component charge.  ((True,),) equals and hashes as ((1,),).
+_BAD_COMPONENTS = [((1, 2),), ((-1,),), ((True,),), ((1.5,),), (("1",),)]
+_OUTSIDE = [*_BAD_COMPONENTS, ((1,), ())]
+# every entry that takes a multipartition and a charge
 _ON_MULTIPARTITIONS = {
     "phi": lambda mp, mc: phi(mp, mc, 0),
     "to_multicore": to_multicore,
     "from_multipartition": AbacusDisplay.from_multipartition,
     "has_forbidden_config": lambda mp, mc: has_forbidden_config(mp, mc, 0),
+    "residue_counts": residue_counts,
+    "residue_multiset": residue_multiset,
+    "weight": weight,
+    "hub": hub,
+    "delta_ij": lambda mp, mc: delta_ij(mp, mc, 0, 1),
+    "d_min": lambda mp, mc: d_min(mp, mc, 0),
+    "same_block_left": lambda mp, mc: same_block(mp, ((1,),), mc),
+    "same_block_right": lambda mp, mc: same_block(((1,),), mp, mc),
+    "block_of": block_of,
+    "block_containing": block_containing,
+    "core_block_of": core_block_of,
+    "is_core_block": is_core_block,
+    "scopes_condition": lambda mp, mc: scopes_condition(mp, mc, 0),
+    "is_kleshchev": is_kleshchev,
+    "branching_polynomial": lambda mp, mc: branching_polynomial(mp, mc, 0),
+    "order_degree": lambda mp, mc: order_degree(mp, mc, 0, (1,)),
 }
 
 
@@ -101,7 +143,7 @@ _ON_MULTIPARTITIONS = {
     [
         pytest.param(fn, mp, id=f"{name}{mp}")
         for name, fn in _ON_MULTIPARTITIONS.items()
-        for mp in (*_BAD_COMPONENTS, ((1,), ()))
+        for mp in _OUTSIDE
     ]
     + [
         pytest.param(lambda mp, mc: beta_set(mp[0], 0), mp, id=f"beta_set{mp}")
@@ -109,8 +151,41 @@ _ON_MULTIPARTITIONS = {
     ],
 )
 def test_outside_input_is_rejected(fn, mp):
+    # with cold caches, and again once the core-block cache holds ((1,),),
+    # which ((True,),) equals
+    mc = Multicharge(3, (0,))
+    blocks._core_block_of.cache_clear()
+    multipartition._CHECKED.clear()
     with pytest.raises(InputError):
-        fn(mp, Multicharge(3, (0,)))
+        fn(mp, mc)
+    core_block_of(((1,),), mc)
+    with pytest.raises(InputError):
+        fn(mp, mc)
+
+
+_OPTIMISED_REJECTS = """
+from akblocks import InputError, Multicharge, core_block_of, hub
+
+assert False, "this script must run under python -O"
+mc = Multicharge(3, (0,))
+core_block_of(((1,),), mc)
+for query in (hub, core_block_of):
+    for mp in ROWS:
+        try:
+            query(mp, mc)
+        except InputError:
+            print("rejected")
+"""
+
+
+def test_outside_input_is_rejected_in_optimised_mode():
+    # python -O strips assert statements: the multipartition check must raise
+    src = Path(akblocks.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = _OPTIMISED_REJECTS.replace("ROWS", repr(_OUTSIDE))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["rejected"] * (2 * len(_OUTSIDE))
 
 
 # --- displays ---------------------------------------------------------------

@@ -39,8 +39,9 @@ from akblocks import (
     weight,
     witness_offsets,
 )
-from akblocks import blocks
+from akblocks import blocks, multipartition
 from akblocks.cli import main
+from akblocks.verify import SweepGrid, run_all
 
 MC = Multicharge(4, (1, 0, 2))
 LAM = ((1, 1), (2,), (2, 1))
@@ -307,6 +308,27 @@ def test_weight_of_bad_input_is_an_input_error():
     # bad input (exit 2), not a failed law (exit 1)
     with pytest.raises(InputError, match="weakly decreasing"):
         weight(((1, 2),), Multicharge(3, (0,)))
+
+
+def test_a_list_changed_after_a_query_is_checked_again():
+    # the checked-input memo keeps only tuples the check made or passed
+    mc = Multicharge(3, (0,))
+    for mp in ([[2, 1]], ([2, 1],)):
+        assert hub(mp, mc) == hub(((2, 1),), mc)
+        mp[0][1] = 5
+        with pytest.raises(InputError, match="weakly decreasing"):
+            hub(mp, mc)
+
+
+def test_the_checked_inputs_and_the_walks_stay_bounded(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    run_all(SweepGrid(max_n=3, levels=(1, 2), es=(2, 3), branch_n=3))
+    # 2,000 distinct charges (one walk each) and fresh multipartitions
+    charges = [(e, a) for e in range(2, 66) for a in range(e)][:2000]
+    for k, (e, a) in enumerate(charges):
+        block_containing(((k % 4 + 1,),), Multicharge(e, (a,)), Caps(max_e=65))
+    assert 0 < len(multipartition._CHECKED) <= blocks.CACHE_SIZE
+    assert 0 < len(blocks._WALKS) <= blocks.CACHE_SIZE
 
 
 _OPTIMISED_CHECKS = """

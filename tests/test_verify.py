@@ -13,10 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from akblocks import branching, verify
+from akblocks import abacus, blocks, branching, multipartition, verify
 from akblocks.cli import main
 from akblocks.errors import LemmaViolation
-from akblocks.multipartition import remove_node, removable_nodes, residue, size
+from akblocks.multipartition import as_partition, remove_node, removable_nodes, residue, size
 from akblocks.verify import (
     LemmaResult,
     SweepGrid,
@@ -430,3 +430,29 @@ def test_phi_sweep_still_compares_every_image_with_its_beta_sets(monkeypatch):
     assert law.violations == tuple(f"beta image mismatch for {target} at i={i}" for _ in grid.cells())
     monkeypatch.undo()
     assert all(res.ok for res in verify.check_phi(grid))
+
+
+def test_a_small_sweep_stays_under_its_as_partition_ceiling(monkeypatch):
+    # each charged entry checks its multipartition, and the checked-input
+    # memo keeps a tuple passed on from one kernel to the next from being
+    # walked again; the rest of as_partition's calls are beta_set's
+    calls = {"checked": 0, "beta_set": 0}
+
+    def counted(name):
+        def wrapper(parts):
+            calls[name] += 1
+            return as_partition(parts)
+        return wrapper
+
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(multipartition, "as_partition", counted("checked"))
+    monkeypatch.setattr(abacus, "as_partition", counted("beta_set"))
+    for obj in vars(blocks).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    blocks._WALKS.clear()
+    multipartition._CHECKED.clear()
+    run_all(SweepGrid(max_n=4, branch_n=4))
+    # with a per-component re-check in phi and to_multicore this grid made
+    # 35,038 calls, 32,566 of them outside the multipartition check
+    assert calls["checked"] <= 26_491 and calls["beta_set"] <= 3_552, calls
