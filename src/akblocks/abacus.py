@@ -160,8 +160,7 @@ class AbacusDisplay(NamedTuple("AbacusDisplay", [("e", int), ("components", tupl
 
     @classmethod
     def from_multipartition(cls, mp: Multipartition, charge: Multicharge) -> "AbacusDisplay":
-        mp = _checked(mp, charge)
-        return cls(charge.e, tuple(beta_set(c, a) for c, a in zip(mp, charge.entries)))
+        return cls(charge.e, tuple(beta_set(c, a) for c, a in zip(_checked(mp, charge), charge.entries)))
 
     @property
     def charge(self) -> Multicharge:

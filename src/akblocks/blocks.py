@@ -60,9 +60,8 @@ __all__ = [
     "scopes_condition",
 ]
 
-# A function is cached only where a workload re-reads it, at most CACHE_SIZE entries.  Each
-# cache's comment gives its hits / misses from cache_info() after verify.run_all on the
-# default grid ("sweep") or after the README point queries on 300 seeded inputs.
+# A function is cached only where a workload re-reads it, at most CACHE_SIZE entries.  Its comment gives
+# cache_info() hits / misses after verify.run_all on the default grid ("sweep") or 300 README point queries.
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +73,7 @@ def weight(mp: Multipartition, charge: Multicharge) -> int:
 
     Computed in integer arithmetic.  The quadratic term is always even
     (the cyclic differences c_i - c_{i+1} sum to zero, and x^2 has the
-    parity of x), so the halving is exact.  mp is checked first (InputError),
-    so a negative result breaks the law and raises LemmaViolation.
+    parity of x), so the halving is exact.  Bad input is an InputError, a negative weight a LemmaViolation.
     """
     return _counts_weight(residue_counts(mp, charge), charge.kappa, mp)
 
@@ -138,10 +136,9 @@ def _hub_matrix(mp: Multipartition, charge: Multicharge) -> list:
     addable node past the run) and the bottom +1 (its removable node)
     survive.
     """
-    mp = _checked(mp, charge)
     e = charge.e
     out = []
-    for a, comp in zip(charge.entries, mp):
+    for a, comp in zip(charge.entries, _checked(mp, charge)):
         row = [0] * e
         for b, w in enumerate(comp, start=1):
             end = a + w - b
@@ -558,15 +555,14 @@ def core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
     The steps are checked on level matrices: each state the search
     reached is checked once, and its residue counts (``_level_counts``)
     give its weight and, for the core, its size.  No multicore is decoded.
-    mp is checked before the cache is read, so an input that only equals a
-    cached one (a True part for a 1) is rejected all the same.
+    mp is checked before the cache is read, so a True part is never taken for a 1.
     """
     return _core_block_of(_checked(mp, charge), charge)
 
 
 @lru_cache(maxsize=CACHE_SIZE)  # sweep 4,530 / 1,837, point queries 600 / 300
 def _core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
-    """``core_block_of`` of a hashable multipartition."""
+    """``core_block_of`` of a checked multipartition."""
     m0, hooks = to_multicore(mp, charge)
     h0 = hub(mp, charge)
     r, kappa = charge.r, charge.kappa

