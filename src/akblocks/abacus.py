@@ -118,7 +118,11 @@ class BetaSet(NamedTuple("BetaSet", [("charge", int), ("delta", frozenset)])):
 def beta_set(partition: Partition, charge: int) -> BetaSet:
     """Beta-set of a partition: {part_k + charge - k} padded by the vacuum."""
     _check_charge(charge)
-    parts = as_partition(partition)
+    return _beta_set(as_partition(partition), charge)
+
+
+def _beta_set(parts: Partition, charge: int) -> BetaSet:
+    """``beta_set`` of a partition and an integer charge the program holds already."""
     top = {w + charge - k for k, w in enumerate(parts, 1)}
     vac = set(range(charge - len(parts), charge))
     return BetaSet._trusted(charge, frozenset(top ^ vac))  # bead k moved up from charge - k: balanced
@@ -160,7 +164,7 @@ class AbacusDisplay(NamedTuple("AbacusDisplay", [("e", int), ("components", tupl
 
     @classmethod
     def from_multipartition(cls, mp: Multipartition, charge: Multicharge) -> "AbacusDisplay":
-        return cls(charge.e, tuple(beta_set(c, a) for c, a in zip(_checked(mp, charge), charge.entries)))
+        return cls(charge.e, tuple(_beta_set(c, a) for c, a in zip(_checked(mp, charge), charge.entries)))
 
     @property
     def charge(self) -> Multicharge:
@@ -259,7 +263,11 @@ def to_multicore(mp: Multipartition, charge: Multicharge):
     Level base = (a - len(parts)) // e - 1 lies in the vacuum, so each runner
     keeps c >= 1 beads from it on, which slide up to levels base..base+c-1.
     """
-    mp = _checked(mp, charge)
+    return _to_multicore(_checked(mp, charge), charge)
+
+
+def _to_multicore(mp: Multipartition, charge: Multicharge):
+    """``to_multicore`` of a checked multipartition."""
     e = charge.e
     rows = []
     hooks = 0
@@ -348,7 +356,11 @@ def phi(mp: Multipartition, charge: Multicharge, i: int) -> Multipartition:
     of runners (i-1) mod e and i.
     """
     _check_range("residue", 0, charge.e - 1, i)
-    mp = _checked(mp, charge)
+    return _phi(_checked(mp, charge), charge, i)
+
+
+def _phi(mp: Multipartition, charge: Multicharge, i: int) -> Multipartition:
+    """``phi`` of a checked multipartition at a residue i in 0..e-1."""
     rows = {}  # component -> its rows and an empty one, copied once it changes
     for j, b, sign in _signature(mp, charge, i):
         if j not in rows:

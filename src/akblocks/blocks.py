@@ -22,7 +22,7 @@ from itertools import chain, combinations, product
 from operator import sub
 from typing import NamedTuple
 
-from .abacus import Multicore, _exchange, to_multicore
+from .abacus import Multicore, _exchange, _to_multicore
 from .caps import Caps, default_caps
 from .errors import CapExceeded, InputError, LemmaViolation
 from .multipartition import (
@@ -32,6 +32,7 @@ from .multipartition import (
     _check_range,
     _checked,
     _is_int,
+    _residue_counts,
     residue_counts,
     size,
 )
@@ -75,7 +76,12 @@ def weight(mp: Multipartition, charge: Multicharge) -> int:
     (the cyclic differences c_i - c_{i+1} sum to zero, and x^2 has the
     parity of x), so the halving is exact.  Bad input is an InputError, a negative weight a LemmaViolation.
     """
-    return _counts_weight(residue_counts(mp, charge), charge.kappa, mp)
+    return _weight(_checked(mp, charge), charge)
+
+
+def _weight(mp: Multipartition, charge: Multicharge) -> int:
+    """``weight`` of a checked multipartition."""
+    return _counts_weight(_residue_counts(mp, charge), charge.kappa, mp)
 
 
 def _counts_weight(c: tuple, kappa: tuple, subject, label: str = "") -> int:
@@ -138,7 +144,7 @@ def _hub_matrix(mp: Multipartition, charge: Multicharge) -> list:
     """
     e = charge.e
     out = []
-    for a, comp in zip(charge.entries, _checked(mp, charge)):
+    for a, comp in zip(charge.entries, mp):
         row = [0] * e
         for b, w in enumerate(comp, start=1):
             end = a + w - b
@@ -153,7 +159,7 @@ def delta_ij(mp: Multipartition, charge: Multicharge, i: int, j: int) -> int:
     """Removable minus addable i-nodes of component j (1-based)."""
     _check_range("component index", 1, len(mp), j)
     _check_range("residue", 0, charge.e - 1, i)
-    return _hub_matrix(mp, charge)[j - 1][i]
+    return _hub_matrix(_checked(mp, charge), charge)[j - 1][i]
 
 
 def hub(mp: Multipartition, charge: Multicharge) -> tuple:
@@ -161,6 +167,11 @@ def hub(mp: Multipartition, charge: Multicharge) -> tuple:
 
     Entries sum to -r; together with the size it determines the block.
     """
+    return _hub(_checked(mp, charge), charge)
+
+
+def _hub(mp: Multipartition, charge: Multicharge) -> tuple:
+    """``hub`` of a checked multipartition."""
     return tuple(map(sum, zip(*_hub_matrix(mp, charge))))
 
 
@@ -217,16 +228,13 @@ class Block(NamedTuple):
 
 def block_of(mp: Multipartition, charge: Multicharge) -> BlockDescriptor:
     """Descriptor of the block containing mp."""
-    core = core_block_of(mp, charge)
-    return BlockDescriptor(
-        n=size(mp),
-        r=charge.r,
-        e=charge.e,
-        kappa=charge.kappa,
-        hub=core.core.hub,
-        weight=_start_weight(core),
-        core_weight=core.core.weight,
-    )
+    return _block_of(_checked(mp, charge), charge)
+
+
+def _block_of(mp: Multipartition, charge: Multicharge) -> BlockDescriptor:
+    """``block_of`` of a checked multipartition: its core block's descriptor, at mp's size and weight."""
+    core = _core_block_of(mp, charge)
+    return core.core._replace(n=size(mp), weight=_start_weight(core))
 
 
 def same_block(lam: Multipartition, mu: Multipartition, charge: Multicharge) -> bool:
@@ -234,7 +242,7 @@ def same_block(lam: Multipartition, mu: Multipartition, charge: Multicharge) -> 
     lam, mu = _checked(lam, charge), _checked(mu, charge)
     if size(lam) != size(mu):
         raise InputError("same_block compares multipartitions of equal size")
-    return residue_counts(lam, charge) == residue_counts(mu, charge)
+    return _residue_counts(lam, charge) == _residue_counts(mu, charge)
 
 
 # (e, a) -> the tables of the largest walk made there, which serve every
@@ -311,7 +319,7 @@ def enumerate_blocks(n: int, charge: Multicharge, caps: Caps | None = None) -> t
                     acc.extend(lists + (parts,) for lists in splits)
         sums = nxt
     return tuple(
-        Block(descriptor=block_of(members[-1], charge), charge=charge, members=members)
+        Block(descriptor=_block_of(members[-1], charge), charge=charge, members=members)
         for members in sorted(map(_members, sums.values()), key=lambda members: members[-1])
     )
 
@@ -323,11 +331,14 @@ def block_containing(mp: Multipartition, charge: Multicharge, caps: Caps | None 
     the cost follows the per-component tables, not the number of all
     multipartitions of the same size.
     """
-    caps = caps or default_caps()
-    mp = _checked(mp, charge)
+    return _block_containing(_checked(mp, charge), charge, caps or default_caps())
+
+
+def _block_containing(mp: Multipartition, charge: Multicharge, caps: Caps) -> Block:
+    """``block_containing`` of a checked multipartition."""
     caps.check(n=size(mp), r=charge.r, e=charge.e)
-    members = _members(_split(residue_counts(mp, charge), charge.e, charge.kappa))
-    return Block(descriptor=block_of(members[-1], charge), charge=charge, members=members)
+    members = _members(_split(_residue_counts(mp, charge), charge.e, charge.kappa))
+    return Block(descriptor=_block_of(members[-1], charge), charge=charge, members=members)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +388,7 @@ def is_core_block(obj, charge: Multicharge | None = None) -> bool:
         return bool(witness_offsets(obj))
     if charge is None:
         raise InputError("a multipartition needs an accompanying multicharge")
-    core, hooks = to_multicore(obj, charge)
+    core, hooks = _to_multicore(_checked(obj, charge), charge)
     return hooks == 0 and bool(witness_offsets(core))
 
 
@@ -436,7 +447,7 @@ def k_value(m: Multicore, i: int) -> int:
 def d_min(mp: Multipartition, charge: Multicharge, i: int) -> int:
     """Smallest per-component hub entry: min_j delta_i^j."""
     _check_range("residue", 0, charge.e - 1, i)
-    return min(row[i] for row in _hub_matrix(mp, charge))
+    return min(row[i] for row in _hub_matrix(_checked(mp, charge), charge))
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +574,12 @@ def core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
 @lru_cache(maxsize=CACHE_SIZE)  # sweep 4,530 / 1,837, point queries 600 / 300
 def _core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
     """``core_block_of`` of a checked multipartition."""
-    m0, hooks = to_multicore(mp, charge)
-    h0 = hub(mp, charge)
+    m0, hooks = _to_multicore(mp, charge)
+    h0 = _hub(mp, charge)
     r, kappa = charge.r, charge.kappa
     cur, counts = m0, _level_counts(m0)
     cur_w = _counts_weight(counts, kappa, cur.levels, "levels ")
-    if cur_w != weight(mp, charge) - r * hooks:
+    if cur_w != _weight(mp, charge) - r * hooks:
         raise LemmaViolation(
             "weight_core_law", f"the {hooks} rim hooks of {mp} do not carry weight {r} each"
         )
@@ -643,7 +654,12 @@ def scopes_condition(mp: Multipartition, charge: Multicharge, i: int) -> ScopesR
     Evaluated literally, including K_i < 0 (where it can fail even for the
     core block itself); holds=False is a report, not an error.
     """
-    res = core_block_of(mp, charge)
+    return _scopes_condition(_checked(mp, charge), charge, i)
+
+
+def _scopes_condition(mp: Multipartition, charge: Multicharge, i: int) -> ScopesReport:
+    """``scopes_condition`` of a checked multipartition."""
+    res = _core_block_of(mp, charge)
     w_b = _start_weight(res)
     k = k_value(res.core_multicore, i)
     return ScopesReport(

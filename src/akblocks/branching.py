@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from itertools import combinations, permutations
 
-from .abacus import phi
+from .abacus import _phi
 from .caps import Caps, default_caps
 from .errors import InputError, LemmaViolation
 from .multipartition import (
@@ -28,13 +28,12 @@ from .multipartition import (
     _check_range,
     _checked,
     _is_int,
+    _moved,
     _node_of,
+    _residue,
     _signature,
-    remove_node,
-    add_node,
-    residue,
 )
-from .blocks import scopes_condition
+from .blocks import _scopes_condition
 
 __all__ = [
     "LaurentPolynomial",
@@ -144,7 +143,7 @@ def _degree(mp: Multipartition, charge: Multicharge, nd: Node, sign: int) -> int
     sum of the i-signature of its residue.  InputError when nd is not a
     node of that kind.
     """
-    word = _signature(mp, charge, residue(nd, charge))
+    word = _signature(mp, charge, _residue(nd, charge))
     entry = (nd.comp - 1, nd.row - 1, sign)
     if entry not in word or _node_of(mp, entry) != nd:
         raise InputError(f"{nd} is not a {_KIND[sign]} node of {mp}")
@@ -161,7 +160,7 @@ def _removal_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps
     LemmaViolation, not InputError.  ``report`` is scopes_condition of
     mp's block when the caller already holds it.
     """
-    report = report or scopes_condition(mp, charge, i)
+    report = report or _scopes_condition(mp, charge, i)
     if report.delta < 0:
         raise InputError(
             f"branching needs delta_i >= 0, got delta_{i} = {report.delta}"
@@ -192,7 +191,7 @@ def _swap_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps, r
     i-nodes of mp, its runner-swap image, and the image's addable i-nodes,
     highest first.  ``report`` is as for ``_removal_context``."""
     ascending = _removal_context(mp, charge, i, caps, report)
-    image = phi(mp, charge, i)
+    image = _phi(mp, charge, i)
     return ascending, image, [_node_of(image, entry) for entry in _signature(image, charge, i) if entry[2] > 0]
 
 
@@ -225,7 +224,7 @@ def _walk(charge: Multicharge, start, nds, sign: int, sigma, end, what: str, ste
                     "branching_well_defined",
                     f"node {nd} stopped being {_KIND[sign]} while {what} in order {sigma}",
                 ) from None
-            step = (d, remove_node(cur, nd) if sign < 0 else add_node(cur, nd))
+            step = (d, _moved(cur, nd, sign))
             steps[cur, nd] = step
         total += step[0]
         cur = step[1]
@@ -254,7 +253,7 @@ def order_degree(
     """
     mp = _checked(mp, charge)
     ascending = _removal_context(mp, charge, i, caps or default_caps())
-    return _walk(charge, mp, ascending, -1, sigma, phi(mp, charge, i), f"stripping {mp}", {})
+    return _walk(charge, mp, ascending, -1, sigma, _phi(mp, charge, i), f"stripping {mp}", {})
 
 
 def branching_polynomial(
@@ -274,7 +273,8 @@ def branching_polynomial(
     (every member of a block shares it).
     """
     mp = _checked(mp, charge)
-    target = phi(mp, charge, i)  # checks i before any i-signature is read
+    _check_range("residue", 0, charge.e - 1, i)  # before any i-signature is read
+    target = _phi(mp, charge, i)
     ascending = _removal_context(mp, charge, i, caps or default_caps(), condition)
     steps: dict = {}
     return LaurentPolynomial(Counter(

@@ -111,7 +111,7 @@ def as_partition(parts: Iterable) -> Partition:
     for x in seq:
         if not (type(x) is int or _is_int(x)) or x < 0:
             raise InputError(f"partition parts must be nonnegative integers, got {x!r}")
-    if any(a < b for a, b in zip(seq, seq[1:])):
+    if list(seq) != sorted(seq, reverse=True):
         raise InputError(f"partition parts must be weakly decreasing, got {seq!r}")
     while seq and seq[-1] == 0:
         seq = seq[:-1]
@@ -220,8 +220,12 @@ def _node_of(mp: Multipartition, entry: tuple) -> Node:
     return Node(b + 1, (comp[b] if b < len(comp) else 0) + (sign > 0), j + 1)
 
 
-def _replace_component(mp: Multipartition, j: int, comp: list) -> Multipartition:
-    return mp[: j - 1] + (tuple(comp),) + mp[j:]
+def _moved(mp: Multipartition, nd: Node, sign: int) -> Multipartition:
+    """mp with its removable node nd taken away (sign -1) or its addable node nd put in (+1), unchecked."""
+    b, _, j = nd
+    comp = [*mp[j - 1], 0]
+    comp[b - 1] += sign
+    return mp[: j - 1] + (tuple(filter(None, comp)),) + mp[j:]
 
 
 def remove_node(mp: Multipartition, nd: Node) -> Multipartition:
@@ -233,14 +237,10 @@ def remove_node(mp: Multipartition, nd: Node) -> Multipartition:
     """
     _check_node(nd, len(mp))
     b, c, j = nd
-    comp = list(mp[j - 1])
+    comp = mp[j - 1]
     if not (b <= len(comp) and comp[b - 1] == c and (b == len(comp) or comp[b] < c)):
         raise InputError(f"{nd} is not a removable node of {mp}")
-    if c == 1:
-        comp.pop()  # the next row is empty, so this is the last row
-    else:
-        comp[b - 1] -= 1
-    return _replace_component(mp, j, comp)
+    return _moved(mp, nd, -1)
 
 
 def add_node(mp: Multipartition, nd: Node) -> Multipartition:
@@ -252,19 +252,21 @@ def add_node(mp: Multipartition, nd: Node) -> Multipartition:
     """
     _check_node(nd, len(mp))
     b, c, j = nd
-    comp = list(mp[j - 1])
-    if b == len(comp) + 1 and c == 1:
-        comp.append(1)
-    elif b <= len(comp) and comp[b - 1] == c - 1 and (b == 1 or comp[b - 2] > c - 1):
-        comp[b - 1] += 1
-    else:
+    comp = mp[j - 1]
+    if not (b == len(comp) + 1 and c == 1
+            or b <= len(comp) and comp[b - 1] == c - 1 and (b == 1 or comp[b - 2] > c - 1)):
         raise InputError(f"{nd} is not an addable node of {mp}")
-    return _replace_component(mp, j, comp)
+    return _moved(mp, nd, 1)
 
 
 def residue(nd: Node, charge: Multicharge) -> int:
     """Residue of a node: (a_comp + col - row) mod e."""
     _check_node(nd, charge.r)
+    return _residue(nd, charge)
+
+
+def _residue(nd: Node, charge: Multicharge) -> int:
+    """``residue`` of a node the program built itself."""
     return (charge.entries[nd.comp - 1] + nd.col - nd.row) % charge.e
 
 
@@ -277,10 +279,15 @@ def residue_counts(mp: Multipartition, charge: Multicharge) -> tuple:
     Each row adds to a common count and marks two points of a difference
     array, and one prefix pass finishes: O(rows + e), not O(nodes).
     """
+    return _residue_counts(_checked(mp, charge), charge)
+
+
+def _residue_counts(mp: Multipartition, charge: Multicharge) -> tuple:
+    """``residue_counts`` of a checked multipartition."""
     e = charge.e
     diff = [0] * e
     cycles = 0
-    for a, comp in zip(charge.entries, _checked(mp, charge)):
+    for a, comp in zip(charge.entries, mp):
         s = a + 1
         for w in comp:
             s -= 1

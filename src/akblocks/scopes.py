@@ -10,15 +10,15 @@ those checks on a concrete block and stamps the result.
 from functools import lru_cache
 from typing import NamedTuple
 
-from .abacus import has_forbidden_config, phi
+from .abacus import _phi, has_forbidden_config
 from .blocks import (
     CACHE_SIZE,
     Block,
     BlockDescriptor,
     ScopesReport,
-    block_containing,
-    scopes_condition,
-    weight,
+    _block_containing,
+    _scopes_condition,
+    _weight,
 )
 from .branching import LaurentPolynomial, branching_polynomial, degree_spectrum
 from .caps import Caps, default_caps
@@ -26,11 +26,12 @@ from .errors import InputError, LemmaViolation
 from .multipartition import (
     Multicharge,
     Multipartition,
+    _check_range,
     _checked,
+    _moved,
     _node_of,
     _signature,
     multipartition_to_json,
-    remove_node,
     size,
 )
 
@@ -44,7 +45,8 @@ __all__ = [
 
 def scopes_pairing(block: Block, i: int) -> tuple:
     """(member, image) pairs, members lex-descending."""
-    return tuple((mp, phi(mp, block.charge, i)) for mp in block.members)
+    _check_range("residue", 0, block.charge.e - 1, i)
+    return tuple((mp, _phi(mp, block.charge, i)) for mp in block.members)
 
 
 def _lex_violations(pairs) -> tuple:
@@ -95,13 +97,13 @@ def _is_kleshchev(mp: Multipartition, charge: Multicharge) -> bool:
         good = next(_good_nodes(mp, charge), None)
         if good is None:
             return False
-        mp = remove_node(mp, good)
+        mp = _moved(mp, good, -1)
     return True
 
 
 def _kleshchev_flags(pairs, charge: Multicharge) -> tuple:
     """(member, image, (member is Kleshchev, image is Kleshchev)) per pair."""
-    return tuple((src, img, (is_kleshchev(src, charge), is_kleshchev(img, charge))) for src, img in pairs)
+    return tuple((src, img, (_is_kleshchev(src, charge), _is_kleshchev(img, charge))) for src, img in pairs)
 
 
 def _kleshchev_mismatches(flagged) -> tuple:
@@ -163,7 +165,7 @@ def certificate(block: Block, i: int, caps: Caps | None = None) -> ScopesCertifi
     """
     caps = caps or default_caps()
     charge = block.charge
-    cond = scopes_condition(block.lex_least, charge, i)
+    cond = _scopes_condition(block.lex_least, charge, i)
     if cond.delta < 0:
         raise InputError(f"certificate needs delta_i >= 0, got {cond.delta}")
     if not cond.holds:
@@ -195,7 +197,7 @@ def certificate(block: Block, i: int, caps: Caps | None = None) -> ScopesCertifi
         len(set(images)) == len(images),
         "two members share a runner-swap image",
     )
-    image_block = block_containing(images[0], charge, caps)
+    image_block = _block_containing(images[0], charge, caps)
     stamp(
         "block_bijection",
         set(images) == set(image_block.members),
@@ -203,7 +205,7 @@ def certificate(block: Block, i: int, caps: Caps | None = None) -> ScopesCertifi
     )
     stamp(
         "weight_preserved",
-        all(weight(img, charge) == weight(src, charge) for src, img in pairs),
+        all(_weight(img, charge) == _weight(src, charge) for src, img in pairs),
         "the swap changed a block weight",
     )
     violations = _lex_violations(pairs)

@@ -17,35 +17,36 @@ from .abacus import (
     AbacusDisplay,
     BetaSet,
     Multicore,
+    _beta_set,
     _exchange,
+    _phi,
+    _to_multicore,
     beta_set,
     gamma_diff,
     has_forbidden_config,
     partition_of,
-    phi,
     phi_beta_set,
     s_move,
-    to_multicore,
 )
 from .blocks import (
+    _block_containing,
+    _core_block_of,
     _counts_weight,
+    _hub,
     _hub_matrix,
     _level_hub_matrix,
     _level_weight,
     _moves,
-    block_containing,
-    core_block_of,
+    _residue_counts,
+    _scopes_condition,
+    _weight,
     d_min,
     delta_ij,
     enumerate_blocks,
-    hub,
     is_core_block,
     k_value,
     base_tuples,
     level_hub,
-    residue_counts,
-    scopes_condition,
-    weight,
 )
 from .branching import (
     LaurentPolynomial,
@@ -59,6 +60,8 @@ from .caps import Caps
 from .errors import LemmaViolation
 from .multipartition import (
     Multicharge,
+    _residue,
+    add_node,
     addable_nodes,
     dominates,
     lex_cmp,
@@ -66,6 +69,7 @@ from .multipartition import (
     node_above,
     nodes,
     partitions_of,
+    remove_node,
     removable_nodes,
     residue,
     size,
@@ -230,7 +234,7 @@ class _Cell:
     @cached_property
     def multicores(self) -> tuple:
         """The multicores among the multipartitions, sorted by levels."""
-        decoded = (to_multicore(mp, self.charge) for mp in chain.from_iterable(self.multis))
+        decoded = (_to_multicore(mp, self.charge) for mp in chain.from_iterable(self.multis))
         cores = {core.levels: core for core, hooks in decoded if hooks == 0}
         return tuple(cores[k] for k in sorted(cores))
 
@@ -241,7 +245,7 @@ class _Cell:
         grid, mc = self.grid, self.charge
         more = (enumerate_blocks(n, mc, self.caps) for n in range(grid.max_n + 1, grid.branch_n + 1))
         found = (
-            (blk, i, scopes_condition(blk.lex_least, mc, i))
+            (blk, i, _scopes_condition(blk.lex_least, mc, i))
             for blist in chain(self.blocks[: grid.branch_n + 1], more) for blk in blist for i in range(mc.e)
         )
         return tuple((blk, i, rep) for blk, i, rep in found if rep.holds and rep.delta >= 0)
@@ -334,13 +338,13 @@ def check_residues(cell: _Cell, shift, hub_sum, criterion):
         hub_to_counts: dict = {}
         counts_to_hub: dict = {}
         for mp in multis:
-            c = residue_counts(mp, mc)
-            c2 = residue_counts(mp, bumped)
+            c = _residue_counts(mp, mc)
+            c2 = _residue_counts(mp, bumped)
             shift.count(
                 c2 == tuple(c[(i - 1) % e] for i in range(e)),
                 "shift law fails for {}: {} -> {}", mp, c, c2,
             )
-            h = hub(mp, mc)
+            h = _hub(mp, mc)
             total = sum(h)
             hub_sum.count(total == -mc.r, "hub of {} sums to {}", mp, total)
             hub_to_counts.setdefault(h, set()).add(c)
@@ -383,14 +387,9 @@ def check_beta(grid: SweepGrid, roundtrip, step, vacuum):
                             continue
                         moved = BetaSet(a, bs.delta ^ frozenset({b, b + 1}))
                         q, _ = partition_of(moved)
-                        grown = [
-                            nd
-                            for nd in nodes((q,))
-                            if nd not in nodes((p,))
-                        ]
+                        grown = [nd for nd in addable_nodes((p,)) if add_node((p,), nd) == (q,)]
                         step.count(
-                            sum(q) == sum(p) + 1
-                            and len(grown) == 1
+                            len(grown) == 1 and remove_node((q,), grown[0]) == (p,)
                             and residue(grown[0], mc) == (b + 1) % e,
                             "bumping bead {} of {} gave {}", b, p, q,
                         )
@@ -441,20 +440,20 @@ def check_weights(cell: _Cell, core_law, fixpoint, bridge, same_hub, classical):
     cores: dict = {}  # core levels -> (weight, fixed point?); a third of a cell's multipartitions
     for n, multis in enumerate(cell.multis):
         for mp in multis:
-            core, hooks = to_multicore(mp, mc)
+            core, hooks = _to_multicore(mp, mc)
             if core.levels not in cores:
                 core_mp = core.to_multipartition()
-                again, hooks2 = to_multicore(core_mp, mc)
+                again, hooks2 = _to_multicore(core_mp, mc)
                 disp = AbacusDisplay.from_multipartition(core_mp, mc)
-                cores[core.levels] = (weight(core_mp, mc), hooks2 == 0 and again == core and disp.is_multicore())
+                cores[core.levels] = (_weight(core_mp, mc), hooks2 == 0 and again == core and disp.is_multicore())
             wc, fixed = cores[core.levels]
-            w = weight(mp, mc)
+            w = _weight(mp, mc)
             core_law.count(
                 w == wc + r * hooks,
                 "{}: w={}, core w={}, hooks={}", mp, w, wc, hooks,
             )
             fixpoint.count(fixed, "core of {} is not a fixed point", mp)
-            h = hub(mp, mc)
+            h = _hub(mp, mc)
             if hooks == 0:
                 ok = level_hub(core) == h and all(
                     delta_ij(mp, mc, i, j)
@@ -474,7 +473,7 @@ def check_weights(cell: _Cell, core_law, fixpoint, bridge, same_hub, classical):
         for n in range(cell.grid.max_n + 1):
             for p in partitions_of(n):
                 classical.count(
-                    weight((p,), mc) == _classical_e_weight(p, e),
+                    _weight((p,), mc) == _classical_e_weight(p, e),
                     "weight of {} differs from stripping e={} rim hooks", p, e,
                 )
 
@@ -493,7 +492,7 @@ def _row_facts(e: int, row: tuple) -> tuple:
     at the row's own charge e + sum(row)."""
     one = Multicore(e, (row,))
     mp, charge = one.to_multipartition(), Multicharge(e, one.charges)
-    return residue_counts(mp, charge), hub(mp, charge)
+    return _residue_counts(mp, charge), _hub(mp, charge)
 
 
 def _decoded_hub_weight(x: Multicore, kappa: tuple, facts: dict) -> tuple:
@@ -571,7 +570,7 @@ def check_core_blocks(cell: _Cell, equivalence, chain_ok, spread, tuple_inv, k_i
         for blk in blist:
             rep = blk.lex_least
             members_cores = all(
-                to_multicore(mp, mc)[1] == 0 for mp in blk.members
+                _to_multicore(mp, mc)[1] == 0 for mp in blk.members
             )
             witness_def = is_core_block(rep, mc)
             minimal_def = not any(
@@ -584,8 +583,8 @@ def check_core_blocks(cell: _Cell, equivalence, chain_ok, spread, tuple_inv, k_i
                 "block of {}: witness={} minimal={} all-cores={}",
                 blk.lex_least, witness_def, minimal_def, members_cores,
             )
-            res = core_block_of(rep, mc)
-            weights = [weight(rep, mc)] + [st.weight_after for st in res.chain]
+            res = _core_block_of(rep, mc)
+            weights = [_weight(rep, mc)] + [st.weight_after for st in res.chain]
             chain_ok.count(
                 res.core.hub == blk.descriptor.hub
                 and res.core.weight <= blk.descriptor.weight
@@ -599,7 +598,7 @@ def check_core_blocks(cell: _Cell, equivalence, chain_ok, spread, tuple_inv, k_i
             ks = None
             tuples_seen = set()
             for mp in blk.members:
-                m = to_multicore(mp, mc)[0]
+                m = _to_multicore(mp, mc)[0]
                 for i, (lo, hi) in enumerate(_columns(_hub_matrix(mp, mc))):
                     spread.count(
                         hi - lo <= 2,
@@ -633,9 +632,9 @@ def check_d_bounds(cell: _Cell, master, drop, chain_bound, interval, plus_one):
     e, r = mc.e, mc.r
     for m in cell.multicores:
         mp = m.to_multipartition()
-        res = core_block_of(mp, mc)
+        res = _core_block_of(mp, mc)
         kv = tuple(k_value(res.core_multicore, i) for i in range(e))
-        w = weight(mp, mc)
+        w = _weight(mp, mc)
         h, rem = divmod(w - res.core.weight, r)
         if rem:
             raise LemmaViolation("core_weight_drop", f"{mp} is {w - res.core.weight} over its core")
@@ -665,7 +664,7 @@ def check_d_bounds(cell: _Cell, master, drop, chain_bound, interval, plus_one):
                     )
                 core_mp0 = res.core_multicore.to_multipartition()
                 if size(core_mp0) <= cell.grid.max_n:
-                    for mu in block_containing(core_mp0, mc, cell.caps).members:
+                    for mu in _block_containing(core_mp0, mc, cell.caps).members:
                         for i, (d_mu, _) in enumerate(_columns(_hub_matrix(mu, mc))):
                             plus_one.count(
                                 d_mu <= ds[i] + 1,
@@ -699,7 +698,7 @@ def _beta_images(mp, charge: Multicharge, i: int, images: dict) -> tuple:
     for comp, a in zip(mp, charge.entries):
         got = images.get((comp, a, i))
         if got is None:
-            got = images[comp, a, i] = partition_of(phi_beta_set(beta_set(comp, a), i, charge.e))[0]
+            got = images[comp, a, i] = partition_of(phi_beta_set(_beta_set(comp, a), i, charge.e))[0]
         out.append(got)
     return tuple(out)
 
@@ -710,11 +709,11 @@ def check_phi(cell: _Cell, involution, beta_image, size_shift):
     images: dict = {}  # lives for this cell only
     for n, multis in enumerate(cell.multis):
         for mp in multis:
-            h = hub(mp, mc)
+            h = _hub(mp, mc)
             for i in range(mc.e):
-                img = phi(mp, mc, i)
+                img = _phi(mp, mc, i)
                 involution.count(
-                    phi(img, mc, i) == mp,
+                    _phi(img, mc, i) == mp,
                     "swap at residue {} is not an involution on {}", i, mp,
                 )
                 k = size(img)
@@ -742,7 +741,7 @@ def check_branching(cell: _Cell, degree_law, well_defined, spectrum, induction_s
         expected = degree_spectrum(delta)
         for mp in blk.members:
             no_addable.count(
-                not any(residue(nd, mc) == i for nd in addable_nodes(mp)),
+                not any(_residue(nd, mc) == i for nd in addable_nodes(mp)),
                 "{} has an addable {}-node under the condition", mp, i,
             )
             no_config.count(
@@ -799,18 +798,18 @@ def check_scopes_maps(cell: _Cell, bijection, weight_pres, lex_pres, kle_pres):
     wide = cell.caps._replace(max_n=2 * grid.max_n + max(grid.levels))
     for blist in cell.blocks:
         for blk in blist:
-            weights = [weight(mp, mc) for mp in blk.members]
+            weights = [_weight(mp, mc) for mp in blk.members]
             for i in range(mc.e):
                 pairs = scopes_pairing(blk, i)
                 images = [img for _, img in pairs]
-                target = block_containing(images[0], mc, wide)
+                target = _block_containing(images[0], mc, wide)
                 bijection.count(
                     len(set(images)) == len(images)
                     and set(images) == set(target.members),
                     "pairing of block of {} at i={} is not a bijection", blk.lex_least, i,
                 )
                 weight_pres.count(
-                    all(weight(img, mc) == w for (_, img), w in zip(pairs, weights)),
+                    all(_weight(img, mc) == w for (_, img), w in zip(pairs, weights)),
                     "weight not preserved on block of {} at i={}", blk.lex_least, i,
                 )
     # checked on the pairs directly: the verify_*_preserved reports would

@@ -289,7 +289,7 @@ class _Unprintable:
 
 def test_negative_weight_message_is_formatted_only_on_failure(monkeypatch):
     assert blocks._counts_weight((1, 0), (0,), _Unprintable(), "levels ") == 0
-    monkeypatch.setattr(blocks, "residue_counts", lambda mp, charge: (5, 0))
+    monkeypatch.setattr(blocks, "_residue_counts", lambda mp, charge: (5, 0))
     with pytest.raises(LemmaViolation) as exc:
         weight(((1,),), Multicharge(2, (0,)))
     assert str(exc.value) == "weight_nonnegative: negative weight -20 for ((1,),)"
@@ -338,12 +338,12 @@ from akblocks import LemmaViolation, Multicharge, core_block_of, weight
 assert False, "this script must run under python -O"
 mc = Multicharge(2, (0,))
 anchors = []
-blocks.residue_counts = lambda mp, charge: (5, 0)
+blocks._residue_counts = lambda mp, charge: (5, 0)
 try:
     weight(((1,),), mc)
 except LemmaViolation as exc:
     anchors.append(exc.lemma)
-blocks.weight = lambda mp, charge: 0
+blocks._weight = lambda mp, charge: 0
 try:
     core_block_of(((3, 1),), mc)
 except LemmaViolation as exc:

@@ -540,7 +540,8 @@ def test_beta_route_images_match_phi_per_component():
 
 def test_reference_routes_stay_off_the_paths_they_check(monkeypatch):
     """The exchange sweep's reference reads no level kernel, and the beta-set
-    route of the swap sweep never calls phi."""
+    route of the swap sweep never calls phi, by its public name or its
+    private kernel's."""
 
     def boom(*args):
         raise AssertionError("a reference route called the code it checks")
@@ -548,7 +549,7 @@ def test_reference_routes_stay_off_the_paths_they_check(monkeypatch):
     for module, name in [
         (blocks, "level_hub"), (blocks, "_level_weight"), (blocks, "_level_counts"),
         (verify, "level_hub"), (verify, "_level_weight"),
-        (akblocks.abacus, "phi"), (verify, "phi"),
+        (akblocks.abacus, "phi"), (akblocks.abacus, "_phi"), (verify, "_phi"),
     ]:
         monkeypatch.setattr(module, name, boom)
     grid = SweepGrid(max_n=4, levels=(2, 3), es=(2, 3))

@@ -133,13 +133,13 @@ def test_certificate_computes_each_kleshchev_flag_once(monkeypatch):
     # the Kleshchev check and the certificate's pairs read the same flags,
     # so one certificate flags each member and each image exactly once
     calls = []
-    real = scopes.is_kleshchev
+    real = scopes._is_kleshchev
 
     def counted(mp, charge):
         calls.append(mp)
         return real(mp, charge)
 
-    monkeypatch.setattr(scopes, "is_kleshchev", counted)
+    monkeypatch.setattr(scopes, "_is_kleshchev", counted)
     mc = Multicharge(5, (0, -2, 1))
     blk = block_containing(((4, 3, 1), (4, 2, 2, 2), (3, 2)), mc, WIDE)
     cert = certificate(blk, 1, WIDE)

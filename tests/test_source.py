@@ -204,3 +204,47 @@ def test_every_public_name_is_used_outside_the_tests():
     unused = sorted(qualified for qualified, name in names.items() if name not in used)
     assert len(_private_functions()) > 20
     assert not unused, f"defined in the package but referenced only by tests: {unused}"
+
+
+def _calls_by_scope() -> list:
+    """(module, enclosing definitions, callee name) for every call in the package."""
+    found = []
+
+    def visit(node, scope: tuple, module: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,), module)
+                continue
+            if isinstance(child, ast.Call):
+                found.append((module, scope, _name(child.func)))
+            visit(child, scope, module)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), (), path.stem)
+    return found
+
+
+def test_only_public_entries_check_a_multipartition():
+    # the trust boundary is one layer deep: a public function or method checks
+    # the multipartition it is handed with multipartition._checked, then
+    # passes it on to private kernels.  A kernel, or a sweep on what it
+    # enumerated, never checks again, neither itself nor through a public
+    # entry that does; only the command-line handlers in cli.py, which read
+    # their input from outside, call public entries from private functions
+    calls = _calls_by_scope()
+    private = lambda scope: not scope or any(name.startswith("_") for name in scope)
+    checking = {scope[-1] for _, scope, callee in calls if callee == "_checked" and scope}
+    assert len(checking) > 15
+    inside = [".".join((module, *scope)) for module, scope, callee in calls if callee == "_checked" and private(scope)]
+    assert not inside, f"_checked called outside a public function or method: {inside}"
+    while True:  # the public names that reach _checked through public calls
+        more = {scope[-1] for _, scope, callee in calls if callee in checking and not private(scope)} - checking
+        if not more:
+            break
+        checking |= more
+    reentry = [
+        f"{'.'.join((module, *scope))} calls {callee}"
+        for module, scope, callee in calls
+        if callee in checking and private(scope) and module != "cli"
+    ]
+    assert not reentry, f"a private function calls a public entry that checks again: {reentry}"

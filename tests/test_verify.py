@@ -215,7 +215,7 @@ def test_a_failure_in_a_workers_cell_reaches_the_cli_unchanged(monkeypatch, caps
     # No exception crosses a pipe: a cell that raised sends no result, so it
     # runs again here and raises here, even one pickle cannot carry
     _cpus(monkeypatch, cpus)
-    real = verify.hub
+    real = verify._hub
 
     def planted(mp, charge):
         if charge.entries != (0,) and size(mp) == 1:
@@ -225,7 +225,7 @@ def test_a_failure_in_a_workers_cell_reaches_the_cli_unchanged(monkeypatch, caps
             raise exc
         return real(mp, charge)
 
-    monkeypatch.setattr(verify, "hub", planted)
+    monkeypatch.setattr(verify, "_hub", planted)
     code = main(["verify-all", "--max-n", "2", "--r", "1,2", "--e", "2"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (1, "", "verification failed [planted_law]: at charge (0, 0)\n")
@@ -251,14 +251,14 @@ def test_a_worker_killed_mid_sweep_changes_no_result_and_is_reaped(monkeypatch):
     _cpus(monkeypatch, 1)
     alone = run_all(grid)
     _cpus(monkeypatch, 2)
-    parent, real = os.getpid(), verify.hub
+    parent, real = os.getpid(), verify._hub
 
     def planted(mp, charge):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return real(mp, charge)
 
-    monkeypatch.setattr(verify, "hub", planted)
+    monkeypatch.setattr(verify, "_hub", planted)
     here = _blocks_listed_here(monkeypatch)
     assert run_all(grid) == alone
     assert here == set(grid.cells())
@@ -311,7 +311,7 @@ from akblocks import verify
 from akblocks.verify import SweepGrid, format_results, run_all
 
 os.sched_getaffinity = lambda pid: {0, 1}
-parent, real = os.getpid(), verify.phi
+parent, real = os.getpid(), verify._phi
 
 
 def planted(*args):
@@ -320,7 +320,7 @@ def planted(*args):
     return real(*args)
 
 
-verify.phi = planted
+verify._phi = planted
 print(format_results(run_all(SweepGrid(max_n=3, levels=(1, 2), es=(2, 3), branch_n=3))), end="")
 """
 
@@ -420,9 +420,9 @@ def test_phi_sweep_still_compares_every_image_with_its_beta_sets(monkeypatch):
     # runner-swap image at one (multipartition, residue) must still fail
     grid = SweepGrid(max_n=3, levels=(2,), es=(3,))
     target, i = ((2,), (1,)), 1
-    real = verify.phi
+    real = verify._phi
     monkeypatch.setattr(
-        verify, "phi",
+        verify, "_phi",
         lambda mp, charge, k: real(mp, charge, (k + 1) % charge.e if (mp, k) == (target, i) else k),
     )
     results = {res.lemma: res for res in verify.check_phi(grid)}
@@ -433,9 +433,10 @@ def test_phi_sweep_still_compares_every_image_with_its_beta_sets(monkeypatch):
 
 
 def test_a_small_sweep_stays_under_its_as_partition_ceiling(monkeypatch):
-    # each charged entry checks its multipartition, and the checked-input
-    # memo keeps a tuple passed on from one kernel to the next from being
-    # walked again; the rest of as_partition's calls are beta_set's
+    # the sweeps call private kernels on the multipartitions they built, so
+    # only the public entries a law is about (delta_ij, d_min, is_core_block,
+    # has_forbidden_config, AbacusDisplay.from_multipartition, is_kleshchev)
+    # check theirs; the rest of as_partition's calls are check_beta's beta_set
     calls = {"checked": 0, "beta_set": 0}
 
     def counted(name):
@@ -453,6 +454,4 @@ def test_a_small_sweep_stays_under_its_as_partition_ceiling(monkeypatch):
     blocks._WALKS.clear()
     multipartition._CHECKED.clear()
     run_all(SweepGrid(max_n=4, branch_n=4))
-    # with a per-component re-check in phi and to_multicore this grid made
-    # 35,038 calls, 32,566 of them outside the multipartition check
-    assert calls["checked"] <= 26_491 and calls["beta_set"] <= 3_552, calls
+    assert calls["checked"] <= 2_422 and calls["beta_set"] <= 872, calls
