@@ -31,8 +31,8 @@ from .multipartition import (
     Multipartition,
     _check_range,
     _checked,
+    _counts,
     _is_int,
-    _residue_counts,
     residue_counts,
     size,
 )
@@ -81,7 +81,7 @@ def weight(mp: Multipartition, charge: Multicharge) -> int:
 
 def _weight(mp: Multipartition, charge: Multicharge) -> int:
     """``weight`` of a checked multipartition."""
-    return _counts_weight(_residue_counts(mp, charge), charge.kappa, mp)
+    return _counts_weight(_counts(mp, charge), charge.kappa, mp)
 
 
 def _counts_weight(c: tuple, kappa: tuple, subject, label: str = "") -> int:
@@ -171,8 +171,16 @@ def hub(mp: Multipartition, charge: Multicharge) -> tuple:
 
 
 def _hub(mp: Multipartition, charge: Multicharge) -> tuple:
-    """``hub`` of a checked multipartition."""
-    return tuple(map(sum, zip(*_hub_matrix(mp, charge))))
+    """``hub`` of a checked multipartition, read off its residue counts c in
+    O(e): delta_i = 2c_i - c_{i-1} - c_{i+1} - #{j : kappa_j = i}, minus the
+    pairing of the coroot h_i with Lambda - sum_k c_k alpha_k.  The column
+    sums of ``_hub_matrix`` are its independent route."""
+    c = _counts(mp, charge)
+    e = charge.e
+    out = [2 * x - c[i - 1] - c[(i + 1) % e] for i, x in enumerate(c)]
+    for a in charge.entries:
+        out[a % e] -= 1
+    return tuple(out)
 
 
 def level_hub(m: Multicore) -> tuple:
@@ -242,7 +250,7 @@ def same_block(lam: Multipartition, mu: Multipartition, charge: Multicharge) -> 
     lam, mu = _checked(lam, charge), _checked(mu, charge)
     if size(lam) != size(mu):
         raise InputError("same_block compares multipartitions of equal size")
-    return _residue_counts(lam, charge) == _residue_counts(mu, charge)
+    return _counts(lam, charge) == _counts(mu, charge)
 
 
 # (e, a) -> the tables of the largest walk made there, which serve every
@@ -337,7 +345,7 @@ def block_containing(mp: Multipartition, charge: Multicharge, caps: Caps | None 
 def _block_containing(mp: Multipartition, charge: Multicharge, caps: Caps) -> Block:
     """``block_containing`` of a checked multipartition."""
     caps.check(n=size(mp), r=charge.r, e=charge.e)
-    members = _members(_split(_residue_counts(mp, charge), charge.e, charge.kappa))
+    members = _members(_split(_counts(mp, charge), charge.e, charge.kappa))
     return Block(descriptor=_block_of(members[-1], charge), charge=charge, members=members)
 
 

@@ -279,7 +279,7 @@ def residue_counts(mp: Multipartition, charge: Multicharge) -> tuple:
     Each row adds to a common count and marks two points of a difference
     array, and one prefix pass finishes: O(rows + e), not O(nodes).
     """
-    return _residue_counts(_checked(mp, charge), charge)
+    return _counts(_checked(mp, charge), charge)
 
 
 def _residue_counts(mp: Multipartition, charge: Multicharge) -> tuple:
@@ -310,19 +310,37 @@ def residue_multiset(mp: Multipartition, charge: Multicharge) -> tuple:
 
 
 CACHE_SIZE = 1024  # every cache's bound: a run of distinct queries keeps a fixed footprint
-_CHECKED: dict = {}  # id -> each tuple _checked passed, not walked again; held so its id is not reused
+# id -> (each tuple _checked passed, not walked again, {charge: its residue counts});
+# held so its id is not reused: an id found here is its tuple's, and the counts go with it
+_CHECKED: dict = {}
 
 
 def _checked(mp, charge: Multicharge) -> Multipartition:
     """The canonical tuple ``as_multipartition`` makes of mp, at charge's level, or InputError."""
-    if _CHECKED.get(id(mp)) is not mp:
+    if id(mp) not in _CHECKED:
         mp = as_multipartition(mp)
         if len(_CHECKED) >= CACHE_SIZE:
             _CHECKED.clear()
-        _CHECKED[id(mp)] = mp
+        _CHECKED[id(mp)] = (mp, {})
     if len(mp) != charge.r:
         raise InputError(f"multipartition has {len(mp)} components but charge has {charge.r}")
     return mp
+
+
+def _counts(mp: Multipartition, charge: Multicharge) -> tuple:
+    """``_residue_counts`` of a checked multipartition, kept in its ``_CHECKED``
+    entry (at most CACHE_SIZE charges) when it has one, so the point
+    queries on one tuple walk its rows once."""
+    held = _CHECKED.get(id(mp))
+    if held is None:
+        return _residue_counts(mp, charge)
+    kept = held[1]
+    got = kept.get(charge)
+    if got is None:
+        if len(kept) >= CACHE_SIZE:
+            kept.clear()
+        got = kept[charge] = _residue_counts(mp, charge)
+    return got
 
 
 def dominates(lam: Multipartition, mu: Multipartition) -> bool:

@@ -37,11 +37,9 @@ from .blocks import (
     _level_hub_matrix,
     _level_weight,
     _moves,
-    _residue_counts,
     _scopes_condition,
     _weight,
     d_min,
-    delta_ij,
     enumerate_blocks,
     is_core_block,
     k_value,
@@ -61,6 +59,7 @@ from .errors import LemmaViolation
 from .multipartition import (
     Multicharge,
     _residue,
+    _residue_counts,
     add_node,
     addable_nodes,
     dominates,
@@ -344,9 +343,9 @@ def check_residues(cell: _Cell, shift, hub_sum, criterion):
                 c2 == tuple(c[(i - 1) % e] for i in range(e)),
                 "shift law fails for {}: {} -> {}", mp, c, c2,
             )
-            h = _hub(mp, mc)
+            h = tuple(map(sum, zip(*_hub_matrix(mp, mc))))  # the row hub
             total = sum(h)
-            hub_sum.count(total == -mc.r, "hub of {} sums to {}", mp, total)
+            hub_sum.count(total == -mc.r and _hub(mp, mc) == h, "hub of {} sums to {}", mp, total)
             hub_to_counts.setdefault(h, set()).add(c)
             counts_to_hub.setdefault(c, set()).add(h)
         for h, cs in hub_to_counts.items():
@@ -455,12 +454,9 @@ def check_weights(cell: _Cell, core_law, fixpoint, bridge, same_hub, classical):
             fixpoint.count(fixed, "core of {} is not a fixed point", mp)
             h = _hub(mp, mc)
             if hooks == 0:
-                ok = level_hub(core) == h and all(
-                    delta_ij(mp, mc, i, j)
-                    == core.levels[j - 1][i] - core.levels[j - 1][i - 1] - (1 if i == 0 else 0)
-                    for j in range(1, r + 1)
-                    for i in range(e)
-                )
+                ok = level_hub(core) == h and _hub_matrix(mp, mc) == [
+                    [row[i] - row[i - 1] - (1 if i == 0 else 0) for i in range(e)] for row in core.levels
+                ]
                 bridge.count(ok, "level/hub bridge fails for multicore {}", mp)
             hub_index.setdefault(h, set()).add((n, w))
     for h, pairs in hub_index.items():
@@ -489,10 +485,10 @@ def _columns(matrix) -> list:
 
 def _row_facts(e: int, row: tuple) -> tuple:
     """Residue counts and hub of the partition one level row decodes to,
-    at the row's own charge e + sum(row)."""
+    at the row's own charge e + sum(row); the hub is read by rows."""
     one = Multicore(e, (row,))
     mp, charge = one.to_multipartition(), Multicharge(e, one.charges)
-    return _residue_counts(mp, charge), _hub(mp, charge)
+    return _residue_counts(mp, charge), tuple(_hub_matrix(mp, charge)[0])
 
 
 def _decoded_hub_weight(x: Multicore, kappa: tuple, facts: dict) -> tuple:

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,7 @@ from akblocks import (
     remove_node,
     residue,
     residue_counts,
+    residue_multiset,
     same_block,
     scopes_condition,
     to_multicore,
@@ -289,7 +291,9 @@ class _Unprintable:
 
 def test_negative_weight_message_is_formatted_only_on_failure(monkeypatch):
     assert blocks._counts_weight((1, 0), (0,), _Unprintable(), "levels ") == 0
-    monkeypatch.setattr(blocks, "_residue_counts", lambda mp, charge: (5, 0))
+    # the planted counts are kept with the checked tuple: keep them out of the shared memo
+    monkeypatch.setattr(multipartition, "_CHECKED", {})
+    monkeypatch.setattr(multipartition, "_residue_counts", lambda mp, charge: (5, 0))
     with pytest.raises(LemmaViolation) as exc:
         weight(((1,),), Multicharge(2, (0,)))
     assert str(exc.value) == "weight_nonnegative: negative weight -20 for ((1,),)"
@@ -331,14 +335,87 @@ def test_the_checked_inputs_and_the_walks_stay_bounded(monkeypatch):
     assert 0 < len(blocks._WALKS) <= blocks.CACHE_SIZE
 
 
+
+def _counted_residue_counts(monkeypatch) -> list:
+    """The charges of every residue-count pass from now on."""
+    calls, real = [], multipartition._residue_counts
+
+    def counted(mp, charge):
+        calls.append(charge)
+        return real(mp, charge)
+
+    monkeypatch.setattr(multipartition, "_residue_counts", counted)
+    return calls
+
+
+def _from_scratch(mp, mc: Multicharge) -> tuple:
+    """Weight and hub of mp with no memo: one residue pass and the hub matrix's rows."""
+    c = multipartition._residue_counts(mp, mc)
+    return blocks._counts_weight(c, mc.kappa, mp), tuple(map(sum, zip(*blocks._hub_matrix(mp, mc))))
+
+
+def test_point_queries_on_one_held_tuple_make_one_residue_pass(monkeypatch):
+    blocks._core_block_of.cache_clear()
+    mp, mc = tuple(map(tuple, [[7, 5, 5, 2], [3, 3], [4, 1]])), Multicharge(4, (0, -3, 5))
+    mc2 = Multicharge(3, (1, 7, -4))
+    want, want2 = _from_scratch(mp, mc), _from_scratch(mp, mc2)
+    assert want != want2
+    calls = _counted_residue_counts(monkeypatch)
+    residue_multiset(mp, mc)
+    assert (weight(mp, mc), hub(mp, mc)) == want
+    k_value(core_block_of(mp, mc).core_multicore, 1)
+    scopes_condition(mp, mc, 1)
+    assert calls == [mc]
+    # a second charge gets its own counts, and the first keeps its
+    assert (weight(mp, mc2), hub(mp, mc2)) == want2
+    assert (weight(mp, mc), hub(mp, mc)) == want
+    assert calls == [mc, mc2]
+    assert set(multipartition._CHECKED[id(mp)][1]) == {mc, mc2}
+
+
+def test_the_checked_input_memo_keeps_no_list(monkeypatch):
+    monkeypatch.setattr(multipartition, "_CHECKED", {})
+    mc = Multicharge(3, (0, 1))
+    want = (weight(((2, 1), (1,)), mc), hub(((2, 1), (1,)), mc))
+    for mp in ([[2, 1], [1]], ([2, 1], [1]), [(2, 1), (1,)]):
+        assert (weight(mp, mc), hub(mp, mc), residue_counts(mp, mc)) == (*want, (1, 2, 1))
+    for held, kept in multipartition._CHECKED.values():
+        assert type(held) is tuple and all(type(part) is tuple for part in held)
+        assert all(type(c) is tuple for c in kept.values())
+
+
+def test_kept_counts_never_reach_a_tuple_that_reuses_an_id(monkeypatch):
+    # each clear drops the held tuples, and later tuples are built where
+    # they lived: no kept counts may carry over
+    monkeypatch.setattr(multipartition, "_CHECKED", {})
+    rng = random.Random(3003)
+    recent, seen, reused, clears, held = [], set(), 0, 0, 0
+    for k in range(5_000):
+        r = rng.randint(1, 3)
+        mp = tuple(
+            tuple(sorted((rng.randint(1, 9) for _ in range(rng.randint(0, 4))), reverse=True)) for _ in range(r)
+        )
+        mc = Multicharge(rng.choice((2, 3)), (0, 4, -1)[:r])  # few charges, so a reused id meets its old one
+        reused += id(mp) in seen
+        seen.add(id(mp))
+        recent = [*recent[-2:], (mp, mc, _from_scratch(mp, mc))]
+        first, second = (weight, hub) if k % 2 else (hub, weight)
+        for (old, old_mc, (w, h)), query in ((recent[-1], first), (recent[0], second), (recent[-1], second)):
+            assert query(old, old_mc) == (w if query is weight else h), (k, old, old_mc)
+        clears += len(multipartition._CHECKED) < held
+        held = len(multipartition._CHECKED)
+    assert clears >= 2 and reused > 0, (clears, reused)
+
+
 _OPTIMISED_CHECKS = """
 import akblocks.blocks as blocks
+import akblocks.multipartition as multipartition
 from akblocks import LemmaViolation, Multicharge, core_block_of, weight
 
 assert False, "this script must run under python -O"
 mc = Multicharge(2, (0,))
 anchors = []
-blocks._residue_counts = lambda mp, charge: (5, 0)
+multipartition._residue_counts = lambda mp, charge: (5, 0)
 try:
     weight(((1,),), mc)
 except LemmaViolation as exc:

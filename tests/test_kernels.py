@@ -146,6 +146,36 @@ def test_kernels_match_node_walks_on_large_random_inputs():
         _assert_kernels_match(mp, mc)
 
 
+def _column_sums(matrix) -> tuple:
+    return tuple(map(sum, zip(*matrix)))
+
+
+def test_hub_read_off_the_counts_matches_node_walks_exhaustively():
+    """The hub read off the residue counts (2c_i - c_{i-1} - c_{i+1} minus
+    the charges at i) against the removable and addable node lists, for
+    every multipartition with n <= 7 at e = 2..6, with charges below 0 and
+    at or past e."""
+    for r in (1, 2, 3):
+        multis = [mp for n in range(8) for mp in multipartitions_of(n, r)]
+        for e in range(2, 7):
+            for charge in [(-e - 1, e, 2 * e + 1)[:r], (3 * e - 1, -2, -2 * e)[:r], (e, e, -e)[:r]]:
+                mc = Multicharge(e, charge)
+                for mp in multis:
+                    assert blocks._hub(mp, mc) == _column_sums(_node_hub_matrix(mp, mc)), (mp, mc)
+
+
+def test_hub_read_off_the_counts_matches_the_row_route_on_large_inputs():
+    """The same read-off against the row-wise hub matrix on 2,000 seeded
+    multipartitions of 100 to 10^4 nodes."""
+    rng = random.Random(3001)
+    for _ in range(2_000):
+        r, n = rng.randint(1, 3), rng.randint(100, 10_000)
+        cuts = sorted(rng.randint(0, n) for _ in range(r - 1))
+        mp = tuple(_random_partition(rng, b - a) for a, b in zip([0, *cuts], [*cuts, n]))
+        mc = Multicharge(rng.randint(2, 7), tuple(rng.randint(-20, 20) for _ in range(r)))
+        assert blocks._hub(mp, mc) == _column_sums(_hub_matrix(mp, mc)), (mp, mc)
+
+
 def _wraps(mp, mc: Multicharge) -> bool:
     """Whether some row's leftover residues run from its start up past
     e - 1 and back to 0: row b of width w (charge a) starts at residue
@@ -539,16 +569,16 @@ def test_beta_route_images_match_phi_per_component():
 
 
 def test_reference_routes_stay_off_the_paths_they_check(monkeypatch):
-    """The exchange sweep's reference reads no level kernel, and the beta-set
-    route of the swap sweep never calls phi, by its public name or its
-    private kernel's."""
+    """The exchange sweep's reference reads no level kernel and not the hub
+    read off the residue counts, and the beta-set route of the swap sweep
+    never calls phi, by its public name or its private kernel's."""
 
     def boom(*args):
         raise AssertionError("a reference route called the code it checks")
 
     for module, name in [
         (blocks, "level_hub"), (blocks, "_level_weight"), (blocks, "_level_counts"),
-        (verify, "level_hub"), (verify, "_level_weight"),
+        (verify, "level_hub"), (verify, "_level_weight"), (blocks, "_hub"), (verify, "_hub"),
         (akblocks.abacus, "phi"), (akblocks.abacus, "_phi"), (verify, "_phi"),
     ]:
         monkeypatch.setattr(module, name, boom)

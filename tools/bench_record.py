@@ -1,6 +1,6 @@
 """Record an A/B benchmark of two commits into a BENCH_<label>.json file.
 
-    python3 tools/bench_record.py --parent REV --change REV --label L --workdir DIR
+    python3 tools/bench_record.py --parent REV --change REV --label L --workdir DIR [--claim W/M]
 
 Run it from the root of the repository.  Each revision is exported with
 ``git archive`` into its own directory under ``--workdir``, and
@@ -34,6 +34,13 @@ with the ``import_ms`` processes.  Each end-to-end metric lists every
 pair's change/parent ratio raw and calibrated: a time divided by the
 pair's ratio of loop times (change/parent), a rate multiplied by it.
 Memory is not calibrated.
+
+``--claim WORKLOAD/METRIC`` (an end-to-end metric of BENCHMARK.json) adds a
+``claim`` block: the pairs the change won, the median change relative to
+the parent's, the parent's interquartile range, and ``met`` by the rule a
+claimed gain must clear.  The change must win at least nine tenths of the
+pairs, ties counting for neither, and its median must be better than the
+parent's by more than the parent's interquartile range.
 """
 
 import argparse
@@ -233,14 +240,37 @@ def summarise(runs: dict, metrics: list) -> dict:
     return out
 
 
+def claim(summary: dict, workload: str, metric: str) -> dict:
+    """The ``claim`` block of one metric's summary (see the module docstring)."""
+    s = summary[metric]
+    parent, change = s["parent"]["median"], s["change"]["median"]
+    gain = parent - change if s["better"] == "lower" else change - parent
+    return {
+        "workload": workload,
+        "metric": metric,
+        "better": s["better"],
+        "change_won_pairs": s["change_won_pairs"],
+        "pairs": s["pairs"],
+        "parent_median": parent,
+        "change_median": change,
+        "median_change": (change - parent) / parent,
+        "parent_iqr": s["parent"]["iqr"],
+        "met": 10 * s["change_won_pairs"] >= 9 * s["pairs"] and gain > s["parent"]["iqr"],
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--label", required=True)
     parser.add_argument("--workdir", type=Path, required=True, help="empty directory for the two exports")
+    parser.add_argument("--claim", metavar="WORKLOAD/METRIC", help="the claimed gain to test, e.g. invariants/op_p50_ms")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    claimed, _, metric = (args.claim or "").partition("/")
+    if args.claim and (claimed not in SEEDS or metric not in {m["name"] for m in spec["end_to_end"]}):
+        parser.error(f"--claim {args.claim}: not a workload/end-to-end metric of BENCHMARK.json")
     dirs = {"parent": args.workdir / "parent", "change": args.workdir / "change"}
     commits = {side: export(getattr(args, side), path) for side, path in dirs.items()}
     record = {
@@ -292,6 +322,9 @@ def main(argv=None) -> int:
     )
     for key in ("readme_certify", "import_ms"):
         print(key, {side: (v["min"], v["median"]) for side, v in record[key].items()}, flush=True)
+    if args.claim:
+        record["claim"] = claim(record["workloads"][claimed]["summary"], claimed, metric)
+        print("claim", record["claim"], flush=True)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path}")
