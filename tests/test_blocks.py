@@ -335,7 +335,6 @@ def test_the_checked_inputs_and_the_walks_stay_bounded(monkeypatch):
     assert 0 < len(blocks._WALKS) <= blocks.CACHE_SIZE
 
 
-
 def _counted_residue_counts(monkeypatch) -> list:
     """The charges of every residue-count pass from now on."""
     calls, real = [], multipartition._residue_counts
@@ -366,7 +365,7 @@ def test_point_queries_on_one_held_tuple_make_one_residue_pass(monkeypatch):
     k_value(core_block_of(mp, mc).core_multicore, 1)
     scopes_condition(mp, mc, 1)
     assert calls == [mc]
-    # a second charge gets its own counts, and the first keeps its
+    # a second charge gets its own counts, and the first keeps its own
     assert (weight(mp, mc2), hub(mp, mc2)) == want2
     assert (weight(mp, mc), hub(mp, mc)) == want
     assert calls == [mc, mc2]
