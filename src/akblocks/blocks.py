@@ -86,10 +86,16 @@ def _weight(mp: Multipartition, charge: Multicharge) -> int:
 
 def _counts_weight(c: tuple, kappa: tuple, subject, label: str = "") -> int:
     """The weight of residue counts c at charge residues kappa (see ``weight``);
-    a negative one raises, naming ``label`` + ``subject`` only then."""
-    e = len(c)
-    lin = sum(c[k] for k in kappa)
-    quad = sum((c[i] - c[(i + 1) % e]) ** 2 for i in range(e))
+    a negative one raises, naming ``label`` + ``subject`` only then.  The
+    cyclic differences are taken as c[i - 1] - c[i], which squares the same."""
+    lin = 0
+    for k in kappa:
+        lin += c[k]
+    quad = 0
+    prev = c[-1]
+    for x in c:
+        quad += (prev - x) * (prev - x)
+        prev = x
     w = (2 * lin - quad) // 2
     if w < 0:
         raise LemmaViolation("weight_nonnegative", f"negative weight {w} for {label}{subject}")
@@ -108,20 +114,19 @@ def _level_counts(m: Multicore) -> tuple:
     fixes c_0.
     """
     e = m.e
-    total = [0] * e
+    dropped = [0] * e  # per runner, the drops summed over the rows
+    c0 = 0  # the rows' c_0 summed
     for row in m.levels:
         a = e + sum(row)
-        n = drop = 0
-        drops = []
+        n = drop = drops = 0
         for i, l in enumerate(row):
             v = (a - 1 - i) // e
             n += e * (l * (l + 1) - v * (v + 1)) // 2 + i * (l - v)
-            drops.append(drop)
+            dropped[i] += drop
+            drops += drop
             drop += l - v
-        c0 = (n + sum(drops)) // e
-        for i in range(e):
-            total[i] += c0 - drops[i]
-    return tuple(total)
+        c0 += (n + drops) // e
+    return tuple([c0 - d for d in dropped])
 
 
 def _level_weight(m: Multicore, kappa: tuple) -> int:
@@ -187,10 +192,12 @@ def level_hub(m: Multicore) -> tuple:
     """Hub of a multicore read off its level matrix.
 
     Per component, delta_i = l_i - l_{i-1} for i != 0 and
-    delta_0 = l_0 - l_{e-1} - 1.  This bridge is specific to multicores;
-    it fails for general multipartitions.
+    delta_0 = l_0 - l_{e-1} - 1; summed over components, that is
+    s_i - s_{i-1} - r[i = 0] for the column sums s.  This bridge is
+    specific to multicores; it fails for general multipartitions.
     """
-    return tuple(map(sum, zip(*_level_hub_matrix(m))))
+    s = tuple(map(sum, zip(*m.levels)))  # the column sums of the level matrix
+    return (s[0] - s[-1] - m.r, *map(sub, s[1:], s))
 
 
 def _level_hub_matrix(m: Multicore) -> list:
@@ -253,18 +260,34 @@ def same_block(lam: Multipartition, mu: Multipartition, charge: Multicharge) -> 
     return _counts(lam, charge) == _counts(mu, charge)
 
 
-# (e, a) -> the tables of the largest walk made there, which serve every
-# smaller top: 5,332 lookups make 92 walks in the sweep, 6 make 3 in certify
+# (e, a) -> the tables of the largest walk (a = 0) or rotation of one (a != 0) made there, which
+# serve every smaller top: 5,332 lookups make 36 walks and 17 rotations in the sweep, 6 make 1 and 2 in certify
 _WALKS: dict = {}
 
 
 def _component_tables(top: int, e: int, a: int) -> tuple:
     """Per size s up to at least top, the partitions of s keyed by residue
     counts at charge residue a (an entry of ``Multicharge.kappa``), each
-    list lex-descending: one depth-first walk appends rows widest first,
-    row b growing by one node of residue a - b + w at a time."""
+    list lex-descending.  Only residue 0 is walked (``_walk``): a node's
+    residue is a + col - row, so the key at a is the key at 0 rotated by a,
+    c^a[x] = c^0[x - a], and the rotated tables share the partition lists."""
     if len(_WALKS.get((e, a), ())) > top:
         return _WALKS[e, a]
+    if a:
+        walked = _component_tables(top, e, 0)
+        tables = tuple([{key[-a:] + key[:-a]: ps for key, ps in table.items()} for table in walked])
+    else:
+        tables = _walk(top, e, 0)
+    if len(_WALKS) >= CACHE_SIZE:
+        _WALKS.clear()
+    _WALKS[e, a] = tables
+    return tables
+
+
+def _walk(top: int, e: int, a: int) -> tuple:
+    """The tables of ``_component_tables`` from scratch: one depth-first walk
+    appends rows widest first, row b growing by one node of residue
+    a - b + w at a time."""
     tables = [{} for _ in range(top + 1)]
     stack = [((), (0,) * e, 0)]
     while stack:
@@ -275,10 +298,7 @@ def _component_tables(top: int, e: int, a: int) -> tuple:
         for w in range(1, min(parts[-1] if parts else top, top - s) + 1):  # the widest pops first
             row[(a - b + w) % e] += 1
             stack.append((parts + (w,), tuple(row), s + w))
-    if len(_WALKS) >= CACHE_SIZE:
-        _WALKS.clear()
-    _WALKS[e, a] = tuple({key: tuple(ps) for key, ps in table.items()} for table in tables)
-    return _WALKS[e, a]
+    return tuple([{key: tuple(ps) for key, ps in table.items()} for table in tables])
 
 
 def _split(target: tuple, e: int, kappa: tuple) -> list:
@@ -360,28 +380,41 @@ def witness_offsets(m: Multicore) -> tuple:
 
     Nonempty exactly when m belongs to a core block.  Each component's
     offset is confined to a window of at most three integers, so the
-    search is exact and cheap.
+    search is exact and cheap.  Each candidate is checked one runner at a
+    time, up to the first runner whose adjusted levels spread over 1.
     """
     lv = m.levels
     e, r = m.e, m.r
     if r == 1:
         return ((0,),)
+    top = lv[0]
     windows = []
     for j in range(1, r):
-        d = [lv[0][i] - lv[j][i] for i in range(e)]
-        lo, hi = max(d) - 1, min(d) + 1
-        if lo > hi:
+        row = lv[j]
+        most = least = top[0] - row[0]  # of the level differences d_i = l_{1,i} - l_{j,i}
+        for i in range(1, e):
+            d = top[i] - row[i]
+            if d > most:
+                most = d
+            elif d < least:
+                least = d
+        if most - least > 2:
             return ()
-        windows.append(range(lo, hi + 1))
+        windows.append(range(most - 1, least + 2))
     out = []
     for tail in product(*windows):
         t = (0,) + tail
-        if all(
-            abs(lv[j][i] + t[j] - lv[k][i] - t[k]) <= 1
-            for j in range(r)
-            for k in range(j + 1, r)
-            for i in range(e)
-        ):
+        for i in range(e):  # runner i's adjusted levels may spread over at most 1
+            low = high = top[i]
+            for j in range(1, r):
+                x = lv[j][i] + t[j]
+                if x < low:
+                    low = x
+                elif x > high:
+                    high = x
+            if high - low > 1:
+                break
+        else:
             out.append(t)
     return tuple(out)
 
@@ -445,11 +478,22 @@ def k_value(m: Multicore, i: int) -> int:
     ws = witness_offsets(m)
     if not ws:
         raise InputError("K is only defined on core blocks")
-    lv, prev, comps = m.levels, (i - 1) % m.e, range(m.r)
-    return max(
-        min(lv[j][i] + t[j] for j in comps) - max(lv[j][prev] + t[j] for j in comps) - (1 if i == 0 else 0)
-        for t in ws
-    )
+    lv = m.levels
+    top, rows = lv[0], range(1, m.r)
+    best = None
+    for t in ws:  # t_1 = 0, so the first component's levels start the running min and max
+        low, high = top[i], top[i - 1]
+        for j in rows:
+            row, tj = lv[j], t[j]
+            x = row[i] + tj
+            if x < low:
+                low = x
+            x = row[i - 1] + tj
+            if x > high:
+                high = x
+        if best is None or low - high > best:
+            best = low - high
+    return best - 1 if i == 0 else best
 
 
 def d_min(mp: Multipartition, charge: Multicharge, i: int) -> int:
@@ -670,10 +714,5 @@ def _scopes_condition(mp: Multipartition, charge: Multicharge, i: int) -> Scopes
     res = _core_block_of(mp, charge)
     w_b = _start_weight(res)
     k = k_value(res.core_multicore, i)
-    return ScopesReport(
-        holds=w_b <= res.core.weight + k * charge.r,
-        w_b=w_b,
-        w_c=res.core.weight,
-        k=k,
-        delta=res.core.hub[i],
-    )
+    w_c = res.core.weight
+    return ScopesReport(w_b <= w_c + k * charge.r, w_b, w_c, k, res.core.hub[i])

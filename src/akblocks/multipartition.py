@@ -70,7 +70,8 @@ class Multicharge(NamedTuple("Multicharge", [("e", int), ("entries", tuple)])):
     @property
     def kappa(self) -> tuple:
         """Charges reduced mod e -- the only data residues see."""
-        return tuple(a % self.e for a in self.entries)
+        e = self.e
+        return tuple([a % e for a in self.entries])
 
     def to_json(self) -> dict:
         return {"e": self.e, "charge": list(self.entries)}
@@ -313,14 +314,17 @@ CACHE_SIZE = 1024  # every cache's bound: a run of distinct queries keeps a fixe
 # id -> (each tuple _checked passed, not walked again, {charge: its residue counts});
 # held so its id is not reused: an id found here is its tuple's, and the counts go with it
 _CHECKED: dict = {}
+_KEPT = 0  # residue counts kept over all of _CHECKED, at most CACHE_SIZE
 
 
 def _checked(mp, charge: Multicharge) -> Multipartition:
     """The canonical tuple ``as_multipartition`` makes of mp, at charge's level, or InputError."""
+    global _KEPT
     if id(mp) not in _CHECKED:
         mp = as_multipartition(mp)
         if len(_CHECKED) >= CACHE_SIZE:
             _CHECKED.clear()
+            _KEPT = 0
         _CHECKED[id(mp)] = (mp, {})
     if len(mp) != charge.r:
         raise InputError(f"multipartition has {len(mp)} components but charge has {charge.r}")
@@ -329,17 +333,22 @@ def _checked(mp, charge: Multicharge) -> Multipartition:
 
 def _counts(mp: Multipartition, charge: Multicharge) -> tuple:
     """``_residue_counts`` of a checked multipartition, kept in its ``_CHECKED``
-    entry (at most CACHE_SIZE charges) when it has one, so the point
-    queries on one tuple walk its rows once."""
+    entry when it has one, so the point queries on one tuple walk its rows
+    once.  When the memo keeps CACHE_SIZE counts in all, every entry drops
+    its counts."""
+    global _KEPT
     held = _CHECKED.get(id(mp))
     if held is None:
         return _residue_counts(mp, charge)
     kept = held[1]
     got = kept.get(charge)
     if got is None:
-        if len(kept) >= CACHE_SIZE:
-            kept.clear()
+        if _KEPT >= CACHE_SIZE:
+            for _, counts in _CHECKED.values():
+                counts.clear()
+            _KEPT = 0
         got = kept[charge] = _residue_counts(mp, charge)
+        _KEPT += 1
     return got
 
 

@@ -345,7 +345,11 @@ def check_residues(cell: _Cell, shift, hub_sum, criterion):
             )
             h = tuple(map(sum, zip(*_hub_matrix(mp, mc))))  # the row hub
             total = sum(h)
-            hub_sum.count(total == -mc.r and _hub(mp, mc) == h, "hub of {} sums to {}", mp, total)
+            read = _hub(mp, mc)
+            hub_sum.count(
+                total == -mc.r and read == h,
+                "hub of {}: {} read off its counts, {} off its rows, which sum to {}", mp, read, h, total,
+            )
             hub_to_counts.setdefault(h, set()).add(c)
             counts_to_hub.setdefault(c, set()).add(h)
         for h, cs in hub_to_counts.items():

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -404,6 +405,46 @@ def test_kept_counts_never_reach_a_tuple_that_reuses_an_id(monkeypatch):
         clears += len(multipartition._CHECKED) < held
         held = len(multipartition._CHECKED)
     assert clears >= 2 and reused > 0, (clears, reused)
+
+
+def _kept_total() -> int:
+    return sum(len(kept) for _, kept in multipartition._CHECKED.values())
+
+
+# the traced bytes a stream of distinct tuples at distinct charges may add (README, next to CACHE_SIZE)
+CHECKED_BUDGET_MB = 2
+
+
+def test_a_hostile_stream_keeps_the_checked_memo_bounded(monkeypatch):
+    """1,024 tuples queried at 1,024 charges each: every query keeps new
+    counts, and the memo never holds more than CACHE_SIZE tuples or
+    CACHE_SIZE counts in all.  The same kind of stream at 64 charges per
+    tuple, under tracemalloc, ends in the same full memo and stays under
+    CHECKED_BUDGET_MB; tracing the full stream costs about 20 s."""
+    monkeypatch.setattr(multipartition, "_CHECKED", {})
+    monkeypatch.setattr(multipartition, "_KEPT", 0)
+    charges = [Multicharge(e, (a,)) for e in range(2, 47) for a in range(e)][:1024]
+    shapes = [p for n in range(1, 20) for p in akblocks.partitions_of(n)][:1024]
+    assert len(charges) == len(shapes) == 1024
+    for p in shapes:
+        mp = (p,)
+        for mc in charges:
+            residue_counts(mp, mc)
+        assert len(multipartition._CHECKED) <= blocks.CACHE_SIZE and _kept_total() <= blocks.CACHE_SIZE
+    assert _kept_total() == multipartition._KEPT > 0
+    monkeypatch.setattr(multipartition, "_CHECKED", {})
+    monkeypatch.setattr(multipartition, "_KEPT", 0)
+    tracemalloc.start()
+    try:
+        for p in shapes:
+            mp = (p,)
+            for mc in charges[:64]:
+                residue_counts(mp, mc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(multipartition._CHECKED) == blocks.CACHE_SIZE and _kept_total() == blocks.CACHE_SIZE
+    assert peak < CHECKED_BUDGET_MB * 2**20, peak
 
 
 _OPTIMISED_CHECKS = """

@@ -7,18 +7,24 @@ data off the rows.  The beta-number codec (``phi``, ``to_multicore``,
 (``beta_set``, ``phi_beta_set``, ``partition_of``, ``AbacusDisplay``), the
 weight, and rim-hook stripping straight off the diagram.  Block
 enumeration, a join of per-component residue tables, is checked against
-grouping every multipartition of n by residue counts, and the tables,
-one walk per charge residue, against tabling ``partitions_of`` by
-``residue_counts``.  The level-matrix reads of a multicore (residue
+grouping every multipartition of n by residue counts, and the tables
+(one walk at charge residue 0, rotated for the others) against tabling
+``partitions_of`` by ``residue_counts`` and against a walk at each
+residue.  The level-matrix reads of a multicore (residue
 counts, weight, per-component hub) are checked against its decoded
 multipartition.  The one-residue signature is checked against the row
 ends, and good nodes against cancelling node lists one pair at a time.
 ``render`` is checked against drawing every cell of the window by bead
 membership, ``BetaSet.min_gap`` and ``max_bead`` against a scan, and the
 pruned exchange enumeration against the definition of gamma difference.
+The core-block kernels (``witness_offsets``, ``k_value``, and the weight
+of residue counts) are checked against their definitions written with
+generators: all-pairs level spreads, the literal max of min - max over
+the witnesses, and the weight formula.
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -28,6 +34,7 @@ from akblocks import (
     BetaSet,
     Caps,
     InputError,
+    LemmaViolation,
     Multicharge,
     Multicore,
     beta_set,
@@ -38,6 +45,7 @@ from akblocks import (
     delta_ij,
     enumerate_blocks,
     hub,
+    k_value,
     multipartitions_of,
     partition_of,
     partitions_of,
@@ -568,10 +576,98 @@ def test_beta_route_images_match_phi_per_component():
                     assert _beta_images(mp, mc, i, images) == phi(mp, mc, i), (mp, i)
 
 
+def _reference_witnesses(m: Multicore) -> tuple:
+    """Every offset vector t with t_1 = 0 under which every runner's levels
+    differ pairwise by at most 1, from the definition: t_j lies within 1 of
+    l_{1,0} - l_{j,0} (the pair 1, j on runner 0), and each such t is
+    tested on every pair and runner; in lex order."""
+    lv = m.levels
+    spans = [range(lv[0][0] - row[0] - 1, lv[0][0] - row[0] + 2) for row in lv[1:]]
+    return tuple(
+        t
+        for t in ((0, *tail) for tail in product(*spans))
+        if all(
+            abs(lv[j][i] + t[j] - lv[k][i] - t[k]) <= 1
+            for j in range(m.r) for k in range(j + 1, m.r) for i in range(m.e)
+        )
+    )
+
+
+def _reference_k(m: Multicore, i: int, witnesses: tuple) -> int:
+    """K_i literally: the max over the witnesses of min_j l'_{j,i} - max_j l'_{j,i-1} - [i = 0]."""
+    lv, prev = m.levels, (i - 1) % m.e
+    return max(
+        min(lv[j][i] + t[j] for j in range(m.r)) - max(lv[j][prev] + t[j] for j in range(m.r)) - (i == 0)
+        for t in witnesses
+    )
+
+
+def _reference_weight(c: tuple, kappa: tuple) -> int:
+    """The weight formula with generators: sum_j c_{kappa_j} - (1/2) sum_i (c_i - c_{i+1})^2."""
+    e = len(c)
+    return (2 * sum(c[k] for k in kappa) - sum((c[i] - c[(i + 1) % e]) ** 2 for i in range(e))) // 2
+
+
+def _assert_core_kernels_match(m: Multicore) -> bool:
+    """witness_offsets (uncached) and k_value at every residue against the
+    references; whether m lies in a core block."""
+    witnesses = _reference_witnesses(m)
+    assert blocks.witness_offsets.__wrapped__(m) == witnesses, m
+    for i in range(m.e):
+        if witnesses:
+            assert k_value(m, i) == _reference_k(m, i, witnesses), (m, i)
+        else:
+            with pytest.raises(InputError, match="K is only defined on core blocks"):
+                k_value(m, i)
+    return bool(witnesses)
+
+
+def _assert_weight_matches(counts: tuple, kappa: tuple, m: Multicore) -> bool:
+    """_counts_weight against the reference, a negative weight by its
+    LemmaViolation text; whether the weight is negative."""
+    w = _reference_weight(counts, kappa)
+    if w < 0:
+        with pytest.raises(LemmaViolation) as exc:
+            blocks._counts_weight(counts, kappa, m.levels, "levels ")
+        assert str(exc.value) == f"weight_nonnegative: negative weight {w} for levels {m.levels}"
+    else:
+        assert blocks._counts_weight(counts, kappa, m.levels, "levels ") == w, (counts, kappa)
+    return w < 0
+
+
+def test_core_block_kernels_match_their_definitions_on_the_grid():
+    """Every multicore of the default grid, the weight at its own residue counts."""
+    pairs = cores = 0
+    for cell in verify._cells(DEFAULT_GRID):
+        for m in cell.multicores:
+            core = _assert_core_kernels_match(m)
+            assert not _assert_weight_matches(_level_counts(m), cell.charge.kappa, m)
+            cores += core
+            pairs += core * m.e
+    assert pairs == 2465, pairs
+
+
+def test_core_block_kernels_match_their_definitions_on_seeded_levels():
+    """20,000 seeded level matrices (e 2..6, r 1..4, levels -3..3); the
+    weight at each one's own residue counts and at drawn counts, which are
+    often no multipartition's."""
+    rng = random.Random(3101)
+    cores = negative = 0
+    for _ in range(20_000):
+        e, r = rng.randint(2, 6), rng.randint(1, 4)
+        m = Multicore(e, [[rng.randint(-3, 3) for _ in range(e)] for _ in range(r)])
+        kappa = tuple(a % e for a in m.charges)
+        cores += _assert_core_kernels_match(m)
+        assert not _assert_weight_matches(_level_counts(m), kappa, m)
+        negative += _assert_weight_matches(tuple(rng.randint(0, 6) for _ in range(e)), kappa, m)
+    assert cores > 2000 and negative > 2000, (cores, negative)
+
+
 def test_reference_routes_stay_off_the_paths_they_check(monkeypatch):
     """The exchange sweep's reference reads no level kernel and not the hub
-    read off the residue counts, and the beta-set route of the swap sweep
-    never calls phi, by its public name or its private kernel's."""
+    read off the residue counts, the beta-set route of the swap sweep
+    never calls phi, by its public name or its private kernel's, and the
+    witness, K and weight references call none of the kernels they check."""
 
     def boom(*args):
         raise AssertionError("a reference route called the code it checks")
@@ -586,6 +682,13 @@ def test_reference_routes_stay_off_the_paths_they_check(monkeypatch):
     assert all(res.ok and res.instances for res in verify.check_smoves(grid))
     mc = Multicharge(3, (0, 1))
     assert _beta_images(((2, 1), (1,)), mc, 1, {}) == ((1, 1, 1), ())
+    # nor do the references of the core-block kernels call those kernels
+    m = Multicore(3, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    want = (blocks.witness_offsets(m), k_value(m, 0), blocks._counts_weight((1, 2, 1), (0, 1), m))
+    for name in ("witness_offsets", "k_value", "_counts_weight"):
+        monkeypatch.setattr(blocks, name, boom)
+    witnesses = _reference_witnesses(m)
+    assert (witnesses, _reference_k(m, 0, witnesses), _reference_weight((1, 2, 1), (0, 1))) == want
 
 
 def _reference_good_nodes(mp, mc: Multicharge) -> tuple:
@@ -636,3 +739,19 @@ def test_residue_tables_match_tabling_every_partition():
                 assert list(table.items()) == [(key, tuple(ps)) for key, ps in want.items()]
             # the largest walk made at (e, a) serves every smaller top
             assert blocks._component_tables(5, e, a) is tables
+
+
+def test_rotated_residue_tables_equal_a_fresh_walk():
+    """Only charge residue 0 is walked; the table at residue a is its
+    rotation, which equals a walk made at a, keys and lists in order, for
+    e = 2..6 and top 12, and shares the walk's partition lists."""
+    for e in range(2, 7):
+        blocks._WALKS.clear()
+        walked = blocks._component_tables(12, e, 0)
+        for a in range(e):
+            rotated = blocks._component_tables(12, e, a)
+            fresh = blocks._walk(12, e, a)
+            assert [list(table.items()) for table in rotated] == [list(table.items()) for table in fresh], (e, a)
+            for table, base in zip(rotated, walked):
+                assert [id(ps) for ps in table.values()] == [id(ps) for ps in base.values()]
+        assert set(blocks._WALKS) == {(e, a) for a in range(e)}

@@ -121,7 +121,7 @@ def _every_instance_failing(monkeypatch) -> str:
     return format_results(run_all(SweepGrid(max_n=2, levels=(1, 2, 3), es=(2, 3), branch_n=3)))
 
 
-FORCED_SHA256 = "693ad45575a721de1135d17438082fe140df3f64c4d7cf79cdff27cc67e2abd0"
+FORCED_SHA256 = "96091390fb05519361f71883ba7817cecb2aa50002665f5b654e3f363ff75055"
 
 
 def test_every_lemma_meets_its_instances_in_the_pinned_order(monkeypatch):
@@ -131,6 +131,15 @@ def test_every_lemma_meets_its_instances_in_the_pinned_order(monkeypatch):
     text = _every_instance_failing(monkeypatch)
     assert len(text.splitlines()) == 9842
     assert hashlib.sha256(text.encode()).hexdigest() == FORCED_SHA256
+
+
+def test_a_hub_disagreement_names_both_hubs(monkeypatch):
+    # a read-off hub planted to reverse its entries still sums to -r: the
+    # kept text must give both hubs, not only the sum
+    real = verify._hub
+    monkeypatch.setattr(verify, "_hub", lambda mp, mc: real(mp, mc)[::-1])
+    _, hub_sum, _ = verify.check_residues(SweepGrid(max_n=2, levels=(1,), es=(2,)))
+    assert hub_sum.violations[0] == "hub of ((),): (0, -1) read off its counts, (-1, 0) off its rows, which sum to -1"
 
 
 # the grid of the golden case ``verify-all --max-n 3 --r 1,2 --e 2,3``: six cells

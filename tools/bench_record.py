@@ -71,7 +71,7 @@ CALIBRATION_LOOP = 2_000_000
 TRACED_KERNELS = ("blocks.hub_s", "blocks.weight_s", "abacus.phi_s")
 TRACED_QUERIES = (
     "abacus.render_s", "blocks.core_block_of_s", "abacus.to_multicore_s",
-    *TRACED_KERNELS, "multipartition.residue_multiset_s",
+    *TRACED_KERNELS, "multipartition.residue_multiset_s", "blocks.k_value_s", "blocks.scopes_condition_s",
 )
 
 
