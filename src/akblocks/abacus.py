@@ -123,9 +123,9 @@ def beta_set(partition: Partition, charge: int) -> BetaSet:
 
 def _beta_set(parts: Partition, charge: int) -> BetaSet:
     """``beta_set`` of a partition and an integer charge the program holds already."""
-    top = {w + charge - k for k, w in enumerate(parts, 1)}
-    vac = set(range(charge - len(parts), charge))
-    return BetaSet._trusted(charge, frozenset(top ^ vac))  # bead k moved up from charge - k: balanced
+    # bead k moved up from charge - k: the beads above the vacuum's top balance the gaps left in it
+    top = frozenset([w + charge - k for k, w in enumerate(parts, 1)])
+    return BetaSet._trusted(charge, top.symmetric_difference(range(charge - len(parts), charge)))
 
 
 def _decode(betas: list, charge: int) -> Partition:
@@ -164,7 +164,9 @@ class AbacusDisplay(NamedTuple("AbacusDisplay", [("e", int), ("components", tupl
 
     @classmethod
     def from_multipartition(cls, mp: Multipartition, charge: Multicharge) -> "AbacusDisplay":
-        return cls(charge.e, tuple(_beta_set(c, a) for c, a in zip(_checked(mp, charge), charge.entries)))
+        """The display of a multipartition at its multicharge; the beta-sets are built here, so not checked again."""
+        comps = tuple([_beta_set(c, a) for c, a in zip(_checked(mp, charge), charge.entries)])
+        return tuple.__new__(cls, (charge.e, comps))
 
     @property
     def charge(self) -> Multicharge:
@@ -272,13 +274,18 @@ def _to_multicore(mp: Multipartition, charge: Multicharge):
     rows = []
     hooks = 0
     for parts, a in zip(mp, charge.entries):
-        base = (a - len(parts)) // e - 1
+        t = a - len(parts)
+        base = t // e - 1
         counts = [0] * e
-        for p in [*range(base * e, a - len(parts)), *[w + a - k for k, w in enumerate(parts, 1)]]:
-            level, i = divmod(p, e)
-            counts[i] += 1
-            hooks += level
-        hooks -= sum(c * base + c * (c - 1) // 2 for c in counts)
+        for p in range(base * e, t):  # the vacuum's beads from level base on
+            counts[p % e] += 1
+            hooks += p // e
+        for w in parts:  # row k's bead w + a - k, with a stepped down once per row
+            a -= 1
+            p = a + w
+            counts[p % e] += 1
+            hooks += p // e
+        hooks -= sum([c * base + c * (c - 1) // 2 for c in counts])
         rows.append(tuple([base + c - 1 for c in counts]))
     core = Multicore._trusted(e, tuple(rows))
     if core.charges != charge.entries:
@@ -400,12 +407,13 @@ def render(display: AbacusDisplay, window: tuple | None = None) -> str:
     included.  A window that hides an irregular row is an error, so the
     drawing always determines the display, and so is one reaching past the
     default by more than _WINDOW_SLACK levels.  Each component's window is
-    filled once, and each of its runner columns is copied into the output
-    with one strided slice, so per level only the label is formatted.
+    filled once, each of its runner columns is copied into the output with
+    one strided slice, and the labels are formatted by one ``%`` on the
+    repeated format, so no Python work is done per level.
     """
     e = display.e
-    lo0 = min(bs.min_gap() // e for bs in display.components) - 1
-    hi0 = max(bs.max_bead() // e for bs in display.components) + 1
+    lo0 = min([bs.min_gap() for bs in display.components]) // e - 1
+    hi0 = max([bs.max_bead() for bs in display.components]) // e + 1
     if window is None:
         lo, hi = lo0, hi0
     else:
@@ -428,17 +436,17 @@ def render(display: AbacusDisplay, window: tuple | None = None) -> str:
     n, stride = hi + 1 - lo, width + display.r * (e + 2) + 1
     out = bytearray(b" " * (n * stride))
     out[stride - 1 :: stride] = b"\n" * n
-    labels = "".join(map(("%" + str(width) + "d").__mod__, range(lo, hi + 1))).encode()
+    labels = (b"%%%dd" % width * n) % tuple(range(lo, hi + 1))
     for c in range(width):
         out[c::stride] = labels[c::width]
     base, span, off = lo * e, n * e, width + 2
     for bs in display.components:
-        # the vacuum's beads below the charge, then each perturbation flipped
+        # the vacuum's beads below the charge, then each perturbation flipped: it lies in the
+        # window, since its gaps are no lower than min_gap and its beads no higher than max_bead
         filled = min(max(bs.charge - base, 0), span)
         row = bytearray(b"o" * filled + b"." * (span - filled))
         for p in bs.delta:
-            if base <= p < base + span:
-                row[p - base] ^= _FLIP
+            row[p - base] ^= _FLIP
         for c in range(e):
             out[off + c :: stride] = row[c::e]
         off += e + 2

@@ -81,16 +81,18 @@ def weight(mp: Multipartition, charge: Multicharge) -> int:
 
 def _weight(mp: Multipartition, charge: Multicharge) -> int:
     """``weight`` of a checked multipartition."""
-    return _counts_weight(_counts(mp, charge), charge.kappa, mp)
+    return _counts_weight(_counts(mp, charge), charge.entries, mp)
 
 
-def _counts_weight(c: tuple, kappa: tuple, subject, label: str = "") -> int:
-    """The weight of residue counts c at charge residues kappa (see ``weight``);
-    a negative one raises, naming ``label`` + ``subject`` only then.  The
-    cyclic differences are taken as c[i - 1] - c[i], which squares the same."""
+def _counts_weight(c: tuple, charges: tuple, subject, label: str = "") -> int:
+    """The weight of residue counts c at these charges, reduced here mod
+    e = len(c) (see ``weight``); a negative one raises, naming ``label`` +
+    ``subject`` only then.  The cyclic differences are taken as
+    c[i - 1] - c[i], which squares the same."""
+    e = len(c)
     lin = 0
-    for k in kappa:
-        lin += c[k]
+    for a in charges:
+        lin += c[a % e]
     quad = 0
     prev = c[-1]
     for x in c:
@@ -111,28 +113,34 @@ def _level_counts(m: Multicore) -> tuple:
     more than the vacuum; moving a bead from runner i-1 to i adds an
     i-node, so N_i = c_i - c_{i+1}.  The beta-numbers sum to the size more
     than the vacuum's.  With c_i = c_0 - (N_0 + ... + N_{i-1}) the size
-    fixes c_0.
+    fixes c_0.  v_i is (a - 1) // e up to runner (a - 1) mod e and one less
+    after it, so it is stepped down once, not divided out per runner.
     """
     e = m.e
     dropped = [0] * e  # per runner, the drops summed over the rows
     c0 = 0  # the rows' c_0 summed
     for row in m.levels:
         a = e + sum(row)
+        v = (a - 1) // e
+        cut = (a - 1) % e + 1  # the runner where v steps down
         n = drop = drops = 0
         for i, l in enumerate(row):
-            v = (a - 1 - i) // e
-            n += e * (l * (l + 1) - v * (v + 1)) // 2 + i * (l - v)
+            if i == cut:
+                v -= 1
+            d = l - v  # N_i
+            n += e * (d * (l + v + 1) // 2) + i * d  # l(l + 1) - v(v + 1) = d(l + v + 1), always even
             dropped[i] += drop
             drops += drop
-            drop += l - v
+            drop += d
         c0 += (n + drops) // e
     return tuple([c0 - d for d in dropped])
 
 
-def _level_weight(m: Multicore, kappa: tuple) -> int:
+def _level_weight(m: Multicore, charges: tuple) -> int:
     """``weight`` of a multicore's multipartition, from ``_level_counts``;
-    kappa is its charges mod e, which no exchange changes."""
-    return _counts_weight(_level_counts(m), kappa, m.levels, "levels ")
+    charges are its charges, or any congruent to them mod e, which no
+    exchange changes."""
+    return _counts_weight(_level_counts(m), charges, m.levels, "levels ")
 
 
 def _hub_matrix(mp: Multipartition, charge: Multicharge) -> list:
@@ -552,6 +560,28 @@ def _moves(m: Multicore, minimum: int | None = None):
                     yield (i, l, j + 1, k + 1), g[i] - g[l]
 
 
+def _greedy_move(m: Multicore):
+    """The first exchange of ``_moves(m, 3)``, as (i, l, j, k), or None,
+    found with plain loops: the first pair j < k whose level differences g
+    span 3 or more, the first runner i with g_i >= min(g) + 3, and the
+    first runner l with g_l <= g_i - 3."""
+    lv = m.levels
+    r = len(lv)
+    for j in range(r):
+        top = lv[j]
+        for k in range(j + 1, r):
+            g = [x - y for x, y in zip(top, lv[k])]
+            low = min(g)
+            if max(g) - low < 3:
+                continue
+            for i, x in enumerate(g):
+                if x - low >= 3:
+                    for l, y in enumerate(g):
+                        if x - y >= 3:
+                            return i, l, j + 1, k + 1
+    return None
+
+
 # Most states the breadth-first phase of _core_search may visit; past it
 # the search raises CapExceeded rather than running on.  The largest search
 # seen visits 21 states: 10 over every multipartition with n <= 8 on the
@@ -573,7 +603,7 @@ def _core_search(m: Multicore) -> tuple:
     moves = []
     cur = m
     while True:
-        mv = next((mv for mv, _ in _moves(cur, 3)), None)
+        mv = _greedy_move(cur)
         if mv is None:
             break
         cur = _exchange(cur, *mv)
@@ -628,9 +658,9 @@ def _core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
     """``core_block_of`` of a checked multipartition."""
     m0, hooks = _to_multicore(mp, charge)
     h0 = _hub(mp, charge)
-    r, kappa = charge.r, charge.kappa
+    r, charges = charge.r, charge.entries
     cur, counts = m0, _level_counts(m0)
-    cur_w = _counts_weight(counts, kappa, cur.levels, "levels ")
+    cur_w = _counts_weight(counts, charges, cur.levels, "levels ")
     if cur_w != _weight(mp, charge) - r * hooks:
         raise LemmaViolation(
             "weight_core_law", f"the {hooks} rim hooks of {mp} do not carry weight {r} each"
@@ -641,34 +671,19 @@ def _core_block_of(mp: Multipartition, charge: Multicharge) -> CoreBlockResult:
         lj, lk = cur.levels[j - 1], cur.levels[k - 1]
         g = lj[i] - lk[i] - (lj[l] - lk[l])  # gamma(i;j,k) - gamma(l;j,k)
         counts = _level_counts(nxt)
-        nxt_w = _counts_weight(counts, kappa, nxt.levels, "levels ")
+        nxt_w = _counts_weight(counts, charges, nxt.levels, "levels ")
         if level_hub(nxt) != h0:
             raise LemmaViolation("hub_invariance", f"exchange {mv} changed the hub of levels {cur.levels}")
         if nxt_w != cur_w - r * (g - 2):
             raise LemmaViolation("weight_move_formula", f"exchange {mv} (gamma {g}) on levels {cur.levels}")
-        chain.append(
-            SMoveStep(
-                i=i, l=l, j=j, k=k,
-                gamma_difference=g, weight_before=cur_w, weight_after=nxt_w,
-            )
-        )
+        chain.append(SMoveStep(i, l, j, k, g, cur_w, nxt_w))
         cur, cur_w = nxt, nxt_w
     if not witness_offsets(cur):
         raise LemmaViolation(
             "core_block_reachability", f"the exchange chain from {mp} ends outside a core block"
         )
-    descriptor = BlockDescriptor(
-        n=sum(counts),
-        r=r,
-        e=charge.e,
-        kappa=kappa,
-        hub=h0,
-        weight=cur_w,
-        core_weight=cur_w,
-    )
-    return CoreBlockResult(
-        core=descriptor, chain=tuple(chain), core_multicore=cur, hooks_removed=hooks
-    )
+    descriptor = BlockDescriptor(sum(counts), r, charge.e, charge.kappa, h0, cur_w, cur_w)
+    return CoreBlockResult(descriptor, tuple(chain), cur, hooks)
 
 
 def _start_weight(res: CoreBlockResult) -> int:

@@ -1,7 +1,11 @@
-"""The claim rule of ``tools/bench_record.py``, on made-up runs."""
+"""The claim rule, the per-query latencies and the traced layers of
+``tools/bench_record.py``, on made-up runs."""
 
+import ast
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 SPEC = importlib.util.spec_from_file_location(
     "bench_record", Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
@@ -30,3 +34,36 @@ def test_a_claim_needs_nine_pairs_in_ten_and_a_gap_past_the_parents_iqr():
     higher = _claim(parent, [v + 2.5 for v in parent], "ops_per_s")
     assert higher["met"] and higher["better"] == "higher"
     assert not _claim(parent, [v + 2.5 for v in parent])["met"]  # a slower op is no gain
+
+
+def _worker_queries() -> tuple:
+    """The names in akbench/worker.py's query_table, in order, read off its source."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "akbench" / "worker.py").read_text())
+    table = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "query_table")
+    returned = next(node for node in ast.walk(table) if isinstance(node, ast.Return)).value
+    return tuple(entry.elts[0].value for entry in returned.elts)
+
+
+def test_query_latencies_read_each_query_in_the_workers_order():
+    assert bench_record.QUERIES == _worker_queries()
+    q = len(bench_record.QUERIES)
+    latencies = [1000 * (k + 1) * (x + 1) for x in range(3) for k in range(q)]  # 3 inputs
+    got = bench_record.query_latencies(latencies)
+    assert list(got) == list(bench_record.QUERIES)
+    for k, name in enumerate(bench_record.QUERIES):
+        assert got[name] == {"mean_us": 2.0 * (k + 1), "median_us": 2.0 * (k + 1), "count": 3}
+    with pytest.raises(SystemExit):
+        bench_record.query_latencies(latencies[:-1])
+
+
+def test_only_layers_the_tracer_sees_are_recorded():
+    """The traced invariants layers are the point queries the worker calls
+    by their public names; the traced sweep keeps the sweeps alone, not
+    the kernels the sweeps reach through private names."""
+    assert {name.split(".")[1].removesuffix("_s") for name in bench_record.TRACED_QUERIES} == set(
+        bench_record.QUERIES
+    )
+    assert "abacus.to_multicore_s" not in bench_record.TRACED_QUERIES
+    for name in ("blocks.hub_s", "blocks.weight_s", "abacus.phi_s"):
+        assert not bench_record.sweep_layer(name)
+    assert bench_record.sweep_layer("verify.check_phi_s")

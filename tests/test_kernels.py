@@ -15,8 +15,12 @@ counts, weight, per-component hub) are checked against its decoded
 multipartition.  The one-residue signature is checked against the row
 ends, and good nodes against cancelling node lists one pair at a time.
 ``render`` is checked against drawing every cell of the window by bead
-membership, ``BetaSet.min_gap`` and ``max_bead`` against a scan, and the
-pruned exchange enumeration against the definition of gamma difference.
+membership, ``_beta_set`` (which that drawing and the codec route read)
+against the literal bead set, ``BetaSet.min_gap`` and ``max_bead``
+against a scan, the pruned exchange enumeration and the greedy phase's
+move against the definition of gamma difference, and the level-matrix
+residue counts against the decoded counts on every state of seeded
+core-block chains.
 The core-block kernels (``witness_offsets``, ``k_value``, and the weight
 of residue counts) are checked against their definitions written with
 generators: all-pairs level spreads, the literal max of min - max over
@@ -59,7 +63,7 @@ from akblocks import (
 )
 from akblocks import blocks, multipartition
 from akblocks.abacus import _WINDOW_SLACK, _exchange
-from akblocks.blocks import _hub_matrix, _level_counts, _level_hub_matrix, _level_weight, _moves
+from akblocks.blocks import _greedy_move, _hub_matrix, _level_counts, _level_hub_matrix, _level_weight, _moves
 from akblocks.multipartition import _node_of, _row_ends, _signature, addable_nodes, nodes, removable_nodes, residue
 from akblocks.scopes import _good_nodes
 from akblocks import verify
@@ -355,6 +359,47 @@ def test_codec_matches_beta_set_route_on_large_random_inputs():
         _assert_codec_matches(mp, mc)
 
 
+def _assert_beta_set_is_the_bead_set(parts: tuple, a: int, e: int, lo: int, hi: int) -> None:
+    """_beta_set of parts at charge a against the literal bead set
+    {parts_k + a - k} and every p < a - len(parts), on every position of
+    levels lo..hi; its perturbation lies inside those levels."""
+    beads = {w + a - k for k, w in enumerate(parts, 1)}
+    bs = akblocks.abacus._beta_set(parts, a)
+    cells = range(lo * e, hi * e + e)
+    assert [p in bs for p in cells] == [p in beads or p < a - len(parts) for p in cells], (parts, a)
+    assert not bs.delta or cells[0] <= min(bs.delta) and max(bs.delta) in cells, (parts, a)
+
+
+def test_beta_set_is_the_literal_bead_set():
+    """On the default window of render: on the seeded displays, and on every
+    partition with n <= 6 at charges -9..4 and e = 2..5."""
+    for mp, mc in _seeded_displays(1101):
+        lo, hi = _default_window(mp, mc)
+        for parts, a in zip(mp, mc.entries):
+            _assert_beta_set_is_the_bead_set(parts, a, mc.e, lo, hi)
+    small = [p for n in range(7) for p in partitions_of(n)]
+    for e in range(2, 6):
+        for a in range(-9, 5):
+            for parts in small:
+                _assert_beta_set_is_the_bead_set(parts, a, e, *_default_window((parts,), Multicharge(e, (a,))))
+
+
+def test_level_counts_match_the_decoded_counts_on_every_chain_state():
+    """On each seeded input's multicore and every state of its core_block_of
+    chain, replayed one exchange at a time, down to the core multicore."""
+    states = 0
+    for mp, mc in _random_inputs(2302):
+        res = core_block_of(mp, mc)
+        cur = to_multicore(mp, mc)[0]
+        for step in (None, *res.chain):
+            if step is not None:
+                cur = _exchange(cur, step.i, step.l, step.j, step.k)
+            assert _level_counts(cur) == residue_counts(cur.to_multipartition(), mc), (mp, mc, step)
+            states += 1
+        assert cur == res.core_multicore
+    assert states == 140, states  # 40 multicores and 100 exchanges
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_block_join_matches_grouping_exhaustively(r):
     caps = Caps(max_n=7, max_r=3, max_e=5, max_delta=6)
@@ -525,7 +570,8 @@ def _reference_moves(m: Multicore, minimum: int) -> list:
 
 def test_pruned_moves_match_the_definition():
     """_moves skips a component pair whose level differences span less than
-    the minimum; the moves left, and their order, are those of the definition."""
+    the minimum; the moves left, and their order, are those of the
+    definition, and the greedy phase's move is the first of them at 3."""
     rng = random.Random(2001)
     grid = [m for cell in verify._cells(DEFAULT_GRID) for m in cell.multicores]
     drawn = []
@@ -535,6 +581,8 @@ def test_pruned_moves_match_the_definition():
     for m in grid + drawn:
         for minimum in (2, 3):
             assert list(_moves(m, minimum)) == _reference_moves(m, minimum), (m, minimum)
+        first = _reference_moves(m, 3)[:1]
+        assert _greedy_move(m) == (first[0][0] if first else None), m
     assert len(grid) > 1000
 
 
@@ -602,10 +650,10 @@ def _reference_k(m: Multicore, i: int, witnesses: tuple) -> int:
     )
 
 
-def _reference_weight(c: tuple, kappa: tuple) -> int:
-    """The weight formula with generators: sum_j c_{kappa_j} - (1/2) sum_i (c_i - c_{i+1})^2."""
+def _reference_weight(c: tuple, charges: tuple) -> int:
+    """The weight formula with generators: sum_j c_{a_j mod e} - (1/2) sum_i (c_i - c_{i+1})^2."""
     e = len(c)
-    return (2 * sum(c[k] for k in kappa) - sum((c[i] - c[(i + 1) % e]) ** 2 for i in range(e))) // 2
+    return (2 * sum(c[a % e] for a in charges) - sum((c[i] - c[(i + 1) % e]) ** 2 for i in range(e))) // 2
 
 
 def _assert_core_kernels_match(m: Multicore) -> bool:
@@ -622,16 +670,16 @@ def _assert_core_kernels_match(m: Multicore) -> bool:
     return bool(witnesses)
 
 
-def _assert_weight_matches(counts: tuple, kappa: tuple, m: Multicore) -> bool:
+def _assert_weight_matches(counts: tuple, charges: tuple, m: Multicore) -> bool:
     """_counts_weight against the reference, a negative weight by its
     LemmaViolation text; whether the weight is negative."""
-    w = _reference_weight(counts, kappa)
+    w = _reference_weight(counts, charges)
     if w < 0:
         with pytest.raises(LemmaViolation) as exc:
-            blocks._counts_weight(counts, kappa, m.levels, "levels ")
+            blocks._counts_weight(counts, charges, m.levels, "levels ")
         assert str(exc.value) == f"weight_nonnegative: negative weight {w} for levels {m.levels}"
     else:
-        assert blocks._counts_weight(counts, kappa, m.levels, "levels ") == w, (counts, kappa)
+        assert blocks._counts_weight(counts, charges, m.levels, "levels ") == w, (counts, charges)
     return w < 0
 
 
@@ -641,7 +689,7 @@ def test_core_block_kernels_match_their_definitions_on_the_grid():
     for cell in verify._cells(DEFAULT_GRID):
         for m in cell.multicores:
             core = _assert_core_kernels_match(m)
-            assert not _assert_weight_matches(_level_counts(m), cell.charge.kappa, m)
+            assert not _assert_weight_matches(_level_counts(m), cell.charge.entries, m)
             cores += core
             pairs += core * m.e
     assert pairs == 2465, pairs
@@ -649,18 +697,21 @@ def test_core_block_kernels_match_their_definitions_on_the_grid():
 
 def test_core_block_kernels_match_their_definitions_on_seeded_levels():
     """20,000 seeded level matrices (e 2..6, r 1..4, levels -3..3); the
-    weight at each one's own residue counts and at drawn counts, which are
-    often no multipartition's."""
+    weight at each one's own residue counts, at its charges reduced mod e,
+    as they are, and shifted by drawn multiples of e (so often negative),
+    and at drawn counts, which are often no multipartition's."""
     rng = random.Random(3101)
-    cores = negative = 0
+    cores = negative = unreduced = 0
     for _ in range(20_000):
         e, r = rng.randint(2, 6), rng.randint(1, 4)
         m = Multicore(e, [[rng.randint(-3, 3) for _ in range(e)] for _ in range(r)])
-        kappa = tuple(a % e for a in m.charges)
+        shifted = tuple(a + e * rng.randint(-5, 5) for a in m.charges)
         cores += _assert_core_kernels_match(m)
-        assert not _assert_weight_matches(_level_counts(m), kappa, m)
-        negative += _assert_weight_matches(tuple(rng.randint(0, 6) for _ in range(e)), kappa, m)
-    assert cores > 2000 and negative > 2000, (cores, negative)
+        for charges in (tuple(a % e for a in m.charges), m.charges, shifted):
+            assert not _assert_weight_matches(_level_counts(m), charges, m)
+        negative += _assert_weight_matches(tuple(rng.randint(0, 6) for _ in range(e)), shifted, m)
+        unreduced += min(shifted) < 0 and max(shifted) >= e
+    assert cores > 2000 and negative > 2000 and unreduced > 2000, (cores, negative, unreduced)
 
 
 def test_reference_routes_stay_off_the_paths_they_check(monkeypatch):

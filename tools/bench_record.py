@@ -18,9 +18,17 @@ fresh processes, the two sides alternating; each records the minimum,
 median and raw walls in ms, the peak RSS and the stdout digest.
 TRACED_RUNS ``--trace 1`` sweep runs per side, alternating, add
 ``traced_sweep``: the median and raw self times of each ``verify.check_*``
-sweep and of the kernels in TRACED_KERNELS, so the record shows which
-layer a sweep saving comes from.  As many invariants runs add
-``traced_invariants``, the same for the point queries in TRACED_QUERIES.
+sweep, so the record shows which layer a sweep saving comes from.  As
+many invariants runs add ``traced_invariants``, the same for the point
+queries in TRACED_QUERIES.  Only layers akbench's tracer sees are
+recorded: it wraps the public functions, so a kernel that a workload
+reaches only through a private name (the sweeps call ``_hub``,
+``_weight`` and ``_phi``; the point queries reach ``to_multicore`` only
+inside ``core_block_of``) would read 0.0 in every run.  Such kernels wait
+until the tracer spans private kernels too.  One untraced
+``akbench/worker.py invariants`` run per side adds ``invariants_queries``:
+the mean and median latency of each point query, read from the run's
+``latencies_ns`` in the worker's ``query_table`` order (QUERIES).
 The header records the bytecode setting, which moves a fresh-process op
 by about a fifth: records made with different settings are not
 comparable.  It also records the CPUs this process may use, which
@@ -68,10 +76,11 @@ TIER1_RUNS = 3
 CERTIFY_RUNS = 9
 TRACED_RUNS = 3
 CALIBRATION_LOOP = 2_000_000
-TRACED_KERNELS = ("blocks.hub_s", "blocks.weight_s", "abacus.phi_s")
+# akbench/worker.py's query_table, in order: each input's latencies_ns entries are these queries
+QUERIES = ("residue_multiset", "weight", "hub", "render", "core_block_of", "k_value", "scopes_condition", "phi")
 TRACED_QUERIES = (
-    "abacus.render_s", "blocks.core_block_of_s", "abacus.to_multicore_s",
-    *TRACED_KERNELS, "multipartition.residue_multiset_s", "blocks.k_value_s", "blocks.scopes_condition_s",
+    "multipartition.residue_multiset_s", "blocks.weight_s", "blocks.hub_s", "abacus.render_s",
+    "blocks.core_block_of_s", "blocks.k_value_s", "blocks.scopes_condition_s", "abacus.phi_s",
 )
 
 
@@ -158,6 +167,38 @@ def traced(dirs: dict, workload: str, seed: int, seconds: float, keep) -> dict:
         side: {name: {"median": statistics.median(r[name] for r in rs), "runs": [r[name] for r in rs]} for name in rs[0]}
         for side, rs in runs.items()
     }
+
+
+def sweep_layer(name: str) -> bool:
+    """Whether ``traced_sweep`` keeps a per-layer metric: one sweep's self time."""
+    return name.startswith("verify.check_")
+
+
+def query_latencies(latencies_ns: list) -> dict:
+    """Per query of QUERIES, the mean and median of its latencies in microseconds and
+    how many there are; entry k of latencies_ns is query k mod len(QUERIES)."""
+    if len(latencies_ns) % len(QUERIES):
+        raise SystemExit(f"{len(latencies_ns)} latencies are not whole inputs of {len(QUERIES)} queries")
+    out = {}
+    for k, name in enumerate(QUERIES):
+        mine = latencies_ns[k :: len(QUERIES)]
+        out[name] = {"mean_us": statistics.mean(mine) / 1000, "median_us": statistics.median(mine) / 1000,
+                     "count": len(mine)}
+    return out
+
+
+def invariants_queries(dirs: dict, seed: int, seconds: float) -> dict:
+    """One untraced ``akbench/worker.py invariants`` run per side, parent
+    first: its inputs, failed checks and ``query_latencies``."""
+    out = {}
+    for side in sides(0):
+        text, _, _ = child(["akbench/worker.py", "invariants", str(seed), str(seconds)], dirs[side])
+        result = json.loads(text.strip().splitlines()[-1])
+        out[side] = {"seed": seed, "seconds": seconds, "inputs": result["inputs"], "failed": result["failed"],
+                     "queries": query_latencies(result["latencies_ns"])}
+        print(side, "queries", {name: round(q["mean_us"], 1) for name, q in out[side]["queries"].items()},
+              flush=True)
+    return out
 
 
 def walls_ms(walls: list) -> dict:
@@ -309,13 +350,11 @@ def main(argv=None) -> int:
             print(side, "tier-1", wall, record["tier1"][side]["summaries"][-1], flush=True)
     for side in record["tier1"].values():
         side["median_s"] = statistics.median(side["runs_s"])
-    record["traced_sweep"] = traced(
-        dirs, "sweep", SEEDS["sweep"], spec["run_seconds"],
-        lambda name: name.startswith("verify.check_") or name in TRACED_KERNELS,
-    )
+    record["traced_sweep"] = traced(dirs, "sweep", SEEDS["sweep"], spec["run_seconds"], sweep_layer)
     record["traced_invariants"] = traced(
         dirs, "invariants", SEEDS["invariants"], spec["run_seconds"], TRACED_QUERIES.__contains__
     )
+    record["invariants_queries"] = invariants_queries(dirs, SEEDS["invariants"], spec["run_seconds"])
     record["readme_certify"], _ = alternating(dirs, README_CERTIFY, CERTIFY_RUNS)
     record["import_ms"], record["calibration"]["python_pass_ms"] = alternating(
         dirs, ["-c", "import akblocks.cli"], IMPORT_RUNS, bare=True
