@@ -164,7 +164,7 @@ class AbacusDisplay(NamedTuple("AbacusDisplay", [("e", int), ("components", tupl
 
     @classmethod
     def from_multipartition(cls, mp: Multipartition, charge: Multicharge) -> "AbacusDisplay":
-        """The display of a multipartition at its multicharge; the beta-sets are built here, so not checked again."""
+        """The display of mp at its multicharge, from beta-sets built here, so not checked again."""
         comps = tuple([_beta_set(c, a) for c, a in zip(_checked(mp, charge), charge.entries)])
         return tuple.__new__(cls, (charge.e, comps))
 
