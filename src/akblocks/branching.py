@@ -19,7 +19,7 @@ from collections import Counter
 from itertools import combinations, permutations
 
 from .abacus import _phi
-from .caps import Caps, default_caps
+from .caps import Caps
 from .errors import InputError, LemmaViolation
 from .multipartition import (
     Multicharge,
@@ -252,7 +252,7 @@ def order_degree(
     facts are checked and a failure raises LemmaViolation.
     """
     mp = _checked(mp, charge)
-    ascending = _removal_context(mp, charge, i, caps or default_caps())
+    ascending = _removal_context(mp, charge, i, caps or Caps())
     return _walk(charge, mp, ascending, -1, sigma, _phi(mp, charge, i), f"stripping {mp}", {})
 
 
@@ -275,7 +275,7 @@ def branching_polynomial(
     mp = _checked(mp, charge)
     _check_range("residue", 0, charge.e - 1, i)  # before any i-signature is read
     target = _phi(mp, charge, i)
-    ascending = _removal_context(mp, charge, i, caps or default_caps(), condition)
+    ascending = _removal_context(mp, charge, i, caps or Caps(), condition)
     steps: dict = {}
     return LaurentPolynomial(Counter(
         _walk(charge, mp, ascending, -1, sigma, target, f"stripping {mp}", steps)

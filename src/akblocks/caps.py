@@ -2,24 +2,19 @@
 
 Everything in this package is exact and enumerative, so runtimes blow up
 factorially past small parameters.  The caps below keep the CLI and the
-verification sweeps inside interactive budgets.  Each can be overridden
-through an environment variable:
+verification sweeps inside interactive budgets: n <= 8, r <= 3, e <= 5
+and at most 6 strippable nodes per factorial order enumeration.
 
-    AKBLOCKS_MAX_N       largest multipartition size (default 8)
-    AKBLOCKS_MAX_R       largest number of components (default 3)
-    AKBLOCKS_MAX_E       largest quantum characteristic (default 5)
-    AKBLOCKS_MAX_DELTA   largest factorial order enumeration (default 6)
-
-Library callers can also pass an explicit ``Caps`` instance to the few
-entry points that enumerate (block listings, verification sweeps).
+The CLI sets them with ``--caps max_n=24,max_delta=7``; library callers
+pass an explicit ``Caps`` instance to the few entry points that enumerate
+(block listings, verification sweeps), and ``Caps()`` is the default.
 """
 
-import os
 from typing import NamedTuple
 
 from .errors import CapExceeded
 
-__all__ = ["Caps", "default_caps"]
+__all__ = ["Caps"]
 
 
 # how the message for each capped value names it
@@ -39,20 +34,5 @@ class Caps(NamedTuple):
             cap = getattr(self, f"max_{key}")
             if value > cap:
                 raise CapExceeded(
-                    f"{_CAPPED[key]} {key}={value} exceeds cap {cap} (set AKBLOCKS_MAX_{key.upper()} to raise)"
+                    f"{_CAPPED[key]} {key}={value} exceeds cap {cap} (pass --caps max_{key}={value} to raise)"
                 )
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise CapExceeded(f"{name} must be an integer, got {raw!r}") from exc
-
-
-def default_caps() -> Caps:
-    """Caps from the environment, falling back to the desk-scale defaults."""
-    return Caps(**{name: _env_int(f"AKBLOCKS_{name.upper()}", value) for name, value in Caps._field_defaults.items()})

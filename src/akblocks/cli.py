@@ -27,7 +27,7 @@ from .blocks import (
     weight,
 )
 from .branching import branching_polynomial
-from .caps import Caps, default_caps
+from .caps import Caps
 from .errors import InputError, LemmaViolation
 from .multipartition import (
     Multicharge,
@@ -101,7 +101,7 @@ def _caps(spec) -> Caps:
             updates[key] = int(value)
         except ValueError:
             raise InputError(f"cap {key} needs an integer, got {value!r}")
-    return default_caps()._replace(**updates)
+    return Caps(**updates)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ class CapExceeded(InputError):
     """A desk-scale resource cap would be exceeded.
 
     Caps exist so that exhaustive enumerations stay tractable; they can be
-    raised via environment variables (see akblocks.caps).
+    raised with ``--caps`` or an explicit ``Caps`` (see akblocks.caps).
     """
 
 

@@ -311,21 +311,18 @@ def residue_multiset(mp: Multipartition, charge: Multicharge) -> tuple:
 
 
 CACHE_SIZE = 1024  # every cache's bound: a run of distinct queries keeps a fixed footprint
-# id -> (each tuple _checked passed, not walked again, {charge: its residue counts});
+# id -> (each tuple _checked passed, not walked again, (charge, its residue counts) or None);
 # held so its id is not reused: an id found here is its tuple's, and the counts go with it
 _CHECKED: dict = {}
-_KEPT = 0  # residue counts kept over all of _CHECKED, at most CACHE_SIZE
 
 
 def _checked(mp, charge: Multicharge) -> Multipartition:
     """The canonical tuple ``as_multipartition`` makes of mp, at charge's level, or InputError."""
-    global _KEPT
     if id(mp) not in _CHECKED:
         mp = as_multipartition(mp)
         if len(_CHECKED) >= CACHE_SIZE:
             _CHECKED.clear()
-            _KEPT = 0
-        _CHECKED[id(mp)] = (mp, {})
+        _CHECKED[id(mp)] = (mp, None)
     if len(mp) != charge.r:
         raise InputError(f"multipartition has {len(mp)} components but charge has {charge.r}")
     return mp
@@ -334,21 +331,15 @@ def _checked(mp, charge: Multicharge) -> Multipartition:
 def _counts(mp: Multipartition, charge: Multicharge) -> tuple:
     """``_residue_counts`` of a checked multipartition, kept in its ``_CHECKED``
     entry when it has one, so the point queries on one tuple walk its rows
-    once.  When the memo keeps CACHE_SIZE counts in all, every entry drops
-    its counts."""
-    global _KEPT
+    once.  An entry keeps the counts of the charge it was last read at."""
     held = _CHECKED.get(id(mp))
     if held is None:
         return _residue_counts(mp, charge)
     kept = held[1]
-    got = kept.get(charge)
-    if got is None:
-        if _KEPT >= CACHE_SIZE:
-            for _, counts in _CHECKED.values():
-                counts.clear()
-            _KEPT = 0
-        got = kept[charge] = _residue_counts(mp, charge)
-        _KEPT += 1
+    if kept is not None and kept[0] == charge:
+        return kept[1]
+    got = _residue_counts(mp, charge)
+    _CHECKED[id(mp)] = (mp, (charge, got))
     return got
 
 

@@ -7,12 +7,10 @@ and preserves being Kleshchev.  ``certificate`` re-runs every one of
 those checks on a concrete block and stamps the result.
 """
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .abacus import _phi, has_forbidden_config
 from .blocks import (
-    CACHE_SIZE,
     Block,
     BlockDescriptor,
     ScopesReport,
@@ -21,7 +19,7 @@ from .blocks import (
     _weight,
 )
 from .branching import LaurentPolynomial, branching_polynomial, degree_spectrum
-from .caps import Caps, default_caps
+from .caps import Caps
 from .errors import InputError, LemmaViolation
 from .multipartition import (
     Multicharge,
@@ -89,7 +87,6 @@ def is_kleshchev(mp: Multipartition, charge: Multicharge) -> bool:
     return _is_kleshchev(_checked(mp, charge), charge)
 
 
-@lru_cache(maxsize=CACHE_SIZE)  # sweep 1,344 / 1,559: members and images recur across residues
 def _is_kleshchev(mp: Multipartition, charge: Multicharge) -> bool:
     """``is_kleshchev`` of a checked multipartition."""
     while size(mp):
@@ -163,7 +160,7 @@ def certificate(block: Block, i: int, caps: Caps | None = None) -> ScopesCertifi
     delta_i >= 0 (anything else is an InputError).  Any law failing on the
     concrete instance raises LemmaViolation naming the anchor.
     """
-    caps = caps or default_caps()
+    caps = caps or Caps()
     charge = block.charge
     cond = _scopes_condition(block.lex_least, charge, i)
     if cond.delta < 0:

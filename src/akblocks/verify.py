@@ -458,9 +458,7 @@ def check_weights(cell: _Cell, core_law, fixpoint, bridge, same_hub, classical):
             fixpoint.count(fixed, "core of {} is not a fixed point", mp)
             h = _hub(mp, mc)
             if hooks == 0:
-                ok = level_hub(core) == h and _hub_matrix(mp, mc) == [
-                    [row[i] - row[i - 1] - (1 if i == 0 else 0) for i in range(e)] for row in core.levels
-                ]
+                ok = level_hub(core) == h and _hub_matrix(mp, mc) == _level_hub_matrix(core)
                 bridge.count(ok, "level/hub bridge fails for multicore {}", mp)
             hub_index.setdefault(h, set()).add((n, w))
     for h, pairs in hub_index.items():

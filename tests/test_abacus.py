@@ -41,7 +41,6 @@ from akblocks import (
     residue_multiset,
     s_move,
     same_block,
-    scopes,
     scopes_condition,
     to_multicore,
     weight,
@@ -156,7 +155,6 @@ def test_outside_input_is_rejected(fn, mp):
     # hold ((1,),), which ((True,),) equals
     mc = Multicharge(3, (0,))
     blocks._core_block_of.cache_clear()
-    scopes._is_kleshchev.cache_clear()
     multipartition._CHECKED.clear()
     with pytest.raises(InputError):
         fn(mp, mc)

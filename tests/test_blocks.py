@@ -121,7 +121,7 @@ def test_enumerate_blocks_respects_caps():
 
 
 def test_caps_check_names_the_first_value_past_its_cap():
-    with pytest.raises(CapExceeded, match=r"^level r=2 exceeds cap 1 \(set AKBLOCKS_MAX_R to raise\)$"):
+    with pytest.raises(CapExceeded, match=r"^level r=2 exceeds cap 1 \(pass --caps max_r=2 to raise\)$"):
         Caps(max_r=1, max_e=2).check(r=2, e=3)
 
 
@@ -366,11 +366,12 @@ def test_point_queries_on_one_held_tuple_make_one_residue_pass(monkeypatch):
     k_value(core_block_of(mp, mc).core_multicore, 1)
     scopes_condition(mp, mc, 1)
     assert calls == [mc]
-    # a second charge gets its own counts, and the first keeps its own
+    # a second charge replaces the first's counts, and going back costs one pass
     assert (weight(mp, mc2), hub(mp, mc2)) == want2
+    assert calls == [mc, mc2] and multipartition._CHECKED[id(mp)][1][0] == mc2
     assert (weight(mp, mc), hub(mp, mc)) == want
-    assert calls == [mc, mc2]
-    assert set(multipartition._CHECKED[id(mp)][1]) == {mc, mc2}
+    assert calls == [mc, mc2, mc]
+    assert multipartition._CHECKED[id(mp)][1] == (mc, multipartition._residue_counts(mp, mc))
 
 
 def test_the_checked_input_memo_keeps_no_list(monkeypatch):
@@ -381,7 +382,7 @@ def test_the_checked_input_memo_keeps_no_list(monkeypatch):
         assert (weight(mp, mc), hub(mp, mc), residue_counts(mp, mc)) == (*want, (1, 2, 1))
     for held, kept in multipartition._CHECKED.values():
         assert type(held) is tuple and all(type(part) is tuple for part in held)
-        assert all(type(c) is tuple for c in kept.values())
+        assert kept == (mc, (1, 2, 1)) and type(kept[1]) is tuple
 
 
 def test_kept_counts_never_reach_a_tuple_that_reuses_an_id(monkeypatch):
@@ -408,7 +409,7 @@ def test_kept_counts_never_reach_a_tuple_that_reuses_an_id(monkeypatch):
 
 
 def _kept_total() -> int:
-    return sum(len(kept) for _, kept in multipartition._CHECKED.values())
+    return sum(kept is not None for _, kept in multipartition._CHECKED.values())
 
 
 # the traced bytes a stream of distinct tuples at distinct charges may add (README, next to CACHE_SIZE)
@@ -416,14 +417,13 @@ CHECKED_BUDGET_MB = 2
 
 
 def test_a_hostile_stream_keeps_the_checked_memo_bounded(monkeypatch):
-    """1,024 tuples queried at 1,024 charges each: every query keeps new
-    counts, and the memo never holds more than CACHE_SIZE tuples or
-    CACHE_SIZE counts in all.  The same kind of stream at 64 charges per
-    tuple, under tracemalloc, ends in the same full memo and stays under
-    CHECKED_BUDGET_MB; tracing the full stream takes about 20 s (2 vCPUs,
-    Python 3.11)."""
+    """1,024 tuples queried at 1,024 charges each: every query makes new
+    counts, and the memo never holds more than CACHE_SIZE tuples, each
+    with the counts of the last charge it was read at.  The same kind of
+    stream at 64 charges per tuple, under tracemalloc, ends in the same
+    full memo and stays under CHECKED_BUDGET_MB; tracing the full stream
+    takes about 20 s (2 vCPUs, Python 3.11)."""
     monkeypatch.setattr(multipartition, "_CHECKED", {})
-    monkeypatch.setattr(multipartition, "_KEPT", 0)
     charges = [Multicharge(e, (a,)) for e in range(2, 47) for a in range(e)][:1024]
     shapes = [p for n in range(1, 20) for p in akblocks.partitions_of(n)][:1024]
     assert len(charges) == len(shapes) == 1024
@@ -431,10 +431,10 @@ def test_a_hostile_stream_keeps_the_checked_memo_bounded(monkeypatch):
         mp = (p,)
         for mc in charges:
             residue_counts(mp, mc)
-        assert len(multipartition._CHECKED) <= blocks.CACHE_SIZE and _kept_total() <= blocks.CACHE_SIZE
-    assert _kept_total() == multipartition._KEPT > 0
+        assert len(multipartition._CHECKED) <= blocks.CACHE_SIZE
+        assert multipartition._CHECKED[id(mp)][1][0] == charges[-1]
+    assert _kept_total() == len(multipartition._CHECKED) > 0
     monkeypatch.setattr(multipartition, "_CHECKED", {})
-    monkeypatch.setattr(multipartition, "_KEPT", 0)
     tracemalloc.start()
     try:
         for p in shapes:

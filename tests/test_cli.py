@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -136,25 +137,19 @@ def test_verify_all_small_grid(capsys):
     assert "0 failed" in out
 
 
-def test_env_caps_are_honoured(capsys, monkeypatch):
-    monkeypatch.setenv("AKBLOCKS_MAX_N", "3")
-    code, _, err = run(capsys, "blocks", "--e", "2", "--charge", "0", "--n", "4")
-    assert code == 2 and "AKBLOCKS_MAX_N" in err
-    monkeypatch.setenv("AKBLOCKS_MAX_N", "10")
-    code, out, _ = run(capsys, "blocks", "--e", "2", "--charge", "0", "--n", "9")
-    assert code == 0
-    # each further variable: one below what the command needs fails, the
-    # value it needs passes
-    for variable, needed, argv in (
-        ("AKBLOCKS_MAX_R", 4, ["weight", "--e", "2", "--charge", "0,0,0,0", "--lambda", "[[],[],[],[]]"]),
-        ("AKBLOCKS_MAX_E", 9, ["weight", "--e", "9", "--charge", "0", "--lambda", "[[1]]"]),
-        ("AKBLOCKS_MAX_DELTA", 3, ["branch", "--e", "3", "--charge", "0,0,0", "--lambda", "[[1],[1],[1]]", "--i", "0"]),
+def test_a_cap_hint_names_the_caps_flag_that_lifts_it(capsys):
+    # each cap one below what the command needs fails with a hint, and the
+    # --caps value the hint names passes
+    for cap, argv in (
+        ("max_n=3", ["blocks", "--e", "2", "--charge", "0", "--n", "4"]),
+        ("max_r=3", ["weight", "--e", "2", "--charge", "0,0,0,0", "--lambda", "[[],[],[],[]]"]),
+        ("max_e=8", ["weight", "--e", "9", "--charge", "0", "--lambda", "[[1]]"]),
+        ("max_delta=2", ["branch", "--e", "3", "--charge", "0,0,0", "--lambda", "[[1],[1],[1]]", "--i", "0"]),
     ):
-        monkeypatch.setenv(variable, str(needed - 1))
-        code, _, err = run(capsys, *argv)
-        assert code == 2 and variable in err
-        monkeypatch.setenv(variable, str(needed))
-        assert run(capsys, *argv)[0] == 0
+        code, _, err = run(capsys, *argv, "--caps", cap)
+        hint = re.search(r"\(pass --caps (\S+) to raise\)$", err.strip())
+        assert code == 2 and hint, err
+        assert run(capsys, *argv, "--caps", hint.group(1))[0] == 0
 
 
 def test_verify_all_json_format(capsys):

@@ -119,9 +119,6 @@ CASES = [
     ["verify-all", "--max-n", "1", "--r", "0"],
 ]
 
-_CAP_VARIABLES = ("AKBLOCKS_MAX_N", "AKBLOCKS_MAX_R", "AKBLOCKS_MAX_E", "AKBLOCKS_MAX_DELTA")
-
-
 def replay(argv) -> dict:
     """Run main in-process and record what it printed and returned."""
     out, err = io.StringIO(), io.StringIO()
@@ -137,8 +134,6 @@ def _load() -> list:
 @pytest.fixture
 def fixed_terminal(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    for name in _CAP_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
 
 
 def test_fixture_covers_exactly_the_cases():
@@ -153,8 +148,6 @@ def test_cli_output_matches_golden(fixed_terminal, index):
 
 def _regenerate() -> None:
     os.environ["COLUMNS"] = "80"
-    for name in _CAP_VARIABLES:
-        os.environ.pop(name, None)
     records = [replay(argv) for argv in CASES]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(records, indent=1, ensure_ascii=False) + "\n")

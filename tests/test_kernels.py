@@ -28,6 +28,7 @@ the witnesses, and the weight formula.
 """
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -435,6 +436,33 @@ def test_block_containing_never_lists_all_multipartitions(monkeypatch):
     image = phi(lam, mc, 1)
     target = block_containing(image, mc, caps)
     assert set(target.members) == {phi(mp, mc, 1) for mp in blk.members}
+
+
+# the traced bytes the two lru_caches may hold on invariants-scale inputs (README, next to CACHE_SIZE)
+CACHES_BUDGET_MB = 4
+
+
+def test_the_caches_hold_a_bounded_footprint_on_large_inputs(monkeypatch):
+    """1,080 distinct seeded inputs of up to 10^4 nodes through core_block_of,
+    under tracemalloc: both caches fill, evict, and end at CACHE_SIZE
+    entries, and the traced peak (the inputs included, since the caches
+    keep them) stays under CACHES_BUDGET_MB.  About 3 s on 2 vCPUs (Python 3.11)."""
+    caches = (blocks._core_block_of, blocks.witness_offsets)
+    for cached in caches:
+        cached.cache_clear()
+    monkeypatch.setattr(multipartition, "_CHECKED", {})
+    tracemalloc.start()
+    try:
+        for seed in range(27):
+            for mp, mc in _random_inputs(4100 + seed):
+                core_block_of(mp, mc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for cached in caches:
+        info = cached.cache_info()
+        assert info.misses > info.currsize == blocks.CACHE_SIZE, (cached, info)
+    assert peak < CACHES_BUDGET_MB * 2**20, peak
 
 
 def test_core_block_of_checks_each_exchange_state_once(monkeypatch):

@@ -54,16 +54,20 @@ def test_no_unbounded_cache_in_the_package():
 README = PACKAGE.parents[1] / "README.md"
 
 
+def _functions():
+    """(file name, source lines, function node, its cache decorator or None) of every package function."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                cache = [dec for dec in node.decorator_list if _name(getattr(dec, "func", dec)) in ("lru_cache", "cache")]
+                yield path.name, text.splitlines(), node, (cache or [None])[0]
+
+
 def _cached_and_defined() -> tuple:
     """Names of the package's cached functions, and of all its functions."""
-    cached, defined = set(), set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.add(node.name)
-                if any(_name(getattr(dec, "func", dec)) in ("lru_cache", "cache") for dec in node.decorator_list):
-                    cached.add(node.name)
-    return cached, defined
+    functions = list(_functions())
+    return {node.name for *_, node, cache in functions if cache}, {node.name for *_, node, _ in functions}
 
 
 def test_readme_cache_paragraph_names_exactly_the_cached_functions():
@@ -79,6 +83,16 @@ def test_readme_cache_paragraph_names_exactly_the_cached_functions():
     assert cached
     assert cached <= named, f"cached but not named: {sorted(cached - named)}"
     assert not (named & defined) - cached, f"named but not cached: {sorted((named & defined) - cached)}"
+
+
+def test_every_cache_states_its_evidence():
+    # blocks.py prescribes it: a cache's decorator line gives cache_info()
+    # hits / misses on the workload that re-reads it ("sweep" or "point queries")
+    evidence = re.compile(r"#.*\b(sweep|point queries) \d[\d,]* / \d[\d,]*")
+    caches = [(name, lines[cache.lineno - 1], cache.lineno) for name, lines, _, cache in _functions() if cache]
+    assert caches
+    found = [f"{name}:{lineno}" for name, line, lineno in caches if not evidence.search(line)]
+    assert not found, f"a cache with no hits / misses comment at {found}"
 
 
 def test_every_all_entry_is_defined():

@@ -106,8 +106,7 @@ def export(rev: str, dest: Path) -> str:
 
 def child(argv: list, cwd: Path) -> tuple:
     """Run python with argv in cwd with src/ on the path; (stdout, wall s, peak RSS MB)."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("AKBLOCKS_")}
-    env["PYTHONPATH"] = str(cwd / "src")
+    env = dict(os.environ, PYTHONPATH=str(cwd / "src"))
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, *argv], cwd=cwd, env=env, stdout=subprocess.PIPE, text=True)
     out = proc.stdout.read()
