@@ -89,25 +89,16 @@ class BetaSet(NamedTuple("BetaSet", [("charge", int), ("delta", frozenset)])):
         # a bead test, not tuple membership of the two fields
         return (p < self.charge) != (p in self.delta)
 
+    # A balanced nonempty perturbation holds a gap below the charge and a
+    # bead at or above it, so its least entry is the least gap and its
+    # greatest the greatest bead.
     def min_gap(self) -> int:
         """Smallest position that is NOT a bead."""
-        low = min(self.delta, default=self.charge)
-        if low < self.charge:
-            return low
-        p = self.charge
-        while p in self.delta:
-            p += 1
-        return p
+        return min(self.delta, default=self.charge)
 
     def max_bead(self) -> int:
         """Largest position that IS a bead."""
-        high = max(self.delta, default=self.charge - 1)
-        if high >= self.charge:
-            return high
-        p = self.charge - 1
-        while p in self.delta:
-            p -= 1
-        return p
+        return max(self.delta, default=self.charge - 1)
 
     def beads_down_to(self, cutoff: int):
         """All beads >= cutoff, descending."""
@@ -196,7 +187,7 @@ class AbacusDisplay(NamedTuple("AbacusDisplay", [("e", int), ("components", tupl
     def to_json(self) -> dict:
         comps = []
         for bs in self.components:
-            cutoff = min(bs.min_gap(), bs.charge, *(bs.delta or {bs.charge}))
+            cutoff = bs.min_gap()
             comps.append(
                 {
                     "charge": bs.charge,

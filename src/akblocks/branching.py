@@ -151,8 +151,10 @@ def _degree(mp: Multipartition, charge: Multicharge, nd: Node, sign: int) -> int
     return sum(s for _, _, s in (word[k + 1 :] if sign < 0 else word[:k]))
 
 
-def _removal_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps, report=None):
-    """Validate the branching hypotheses and return the ascending i-node list.
+def _swap_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps, report=None):
+    """The one gate of the runner-swap hypotheses, and what every order of
+    one (mp, i) walks: the ascending removable i-nodes of mp, its runner-swap
+    image, and the image's addable i-nodes, highest first.
 
     Input conditions: the block condition holds at residue i and
     delta_i >= 0.  Having no addable i-node then follows from the theory;
@@ -183,16 +185,8 @@ def _removal_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps
         detail = f"{mp} has {len(rems)} removable {i}-nodes and no addable one"
         raise LemmaViolation("delta_counts_removable", f"{detail}, but delta_{i} = {report.delta}")
     caps.check(delta=len(rems))
-    return rems
-
-
-def _swap_context(mp: Multipartition, charge: Multicharge, i: int, caps: Caps, report=None):
-    """What every order of one (mp, i) walks: the ascending removable
-    i-nodes of mp, its runner-swap image, and the image's addable i-nodes,
-    highest first.  ``report`` is as for ``_removal_context``."""
-    ascending = _removal_context(mp, charge, i, caps, report)
     image = _phi(mp, charge, i)
-    return ascending, image, [_node_of(image, entry) for entry in _signature(image, charge, i) if entry[2] > 0]
+    return rems, image, [_node_of(image, entry) for entry in _signature(image, charge, i) if entry[2] > 0]
 
 
 def _walk(charge: Multicharge, start, nds, sign: int, sigma, end, what: str, steps: dict) -> int:
@@ -252,8 +246,8 @@ def order_degree(
     facts are checked and a failure raises LemmaViolation.
     """
     mp = _checked(mp, charge)
-    ascending = _removal_context(mp, charge, i, caps or Caps())
-    return _walk(charge, mp, ascending, -1, sigma, _phi(mp, charge, i), f"stripping {mp}", {})
+    ascending, image, _ = _swap_context(mp, charge, i, caps or Caps())
+    return _walk(charge, mp, ascending, -1, sigma, image, f"stripping {mp}", {})
 
 
 def branching_polynomial(
@@ -261,23 +255,28 @@ def branching_polynomial(
     charge: Multicharge,
     i: int,
     caps: Caps | None = None,
-    condition=None,
 ) -> LaurentPolynomial:
     """Sum of v^degree over all removal orders of the i-nodes of mp.
 
     Under the branching hypotheses this equals the Mahonian spectrum
     sum_k mahonian(delta)[k] v^(ell-2k); the equality is what the
     verification sweeps certify, so this function computes the sum by
-    direct enumeration and never takes the shortcut.  ``condition`` is
-    scopes_condition of mp's block, for a caller that holds it already
-    (every member of a block shares it).
+    direct enumeration and never takes the shortcut.  The hypotheses, the
+    removable i-nodes and the image every order must reach come from one
+    ``_swap_context``; ``certificate`` reads one such context per member
+    and walks it with ``_polynomial``, so it checks no member again.
     """
     mp = _checked(mp, charge)
     _check_range("residue", 0, charge.e - 1, i)  # before any i-signature is read
-    target = _phi(mp, charge, i)
-    ascending = _removal_context(mp, charge, i, caps or Caps(), condition)
+    return _polynomial(charge, mp, _swap_context(mp, charge, i, caps or Caps()))
+
+
+def _polynomial(charge: Multicharge, mp: Multipartition, context) -> LaurentPolynomial:
+    """``branching_polynomial`` of a checked mp from its ``_swap_context``:
+    every order walked, the orders sharing their steps."""
+    ascending, image, _ = context
     steps: dict = {}
     return LaurentPolynomial(Counter(
-        _walk(charge, mp, ascending, -1, sigma, target, f"stripping {mp}", steps)
+        _walk(charge, mp, ascending, -1, sigma, image, f"stripping {mp}", steps)
         for sigma in permutations(range(1, len(ascending) + 1))
     ))

@@ -18,9 +18,9 @@ from .blocks import (
     _scopes_condition,
     _weight,
 )
-from .branching import LaurentPolynomial, branching_polynomial, degree_spectrum
+from .branching import LaurentPolynomial, _polynomial, _swap_context, degree_spectrum
 from .caps import Caps
-from .errors import InputError, LemmaViolation
+from .errors import LemmaViolation
 from .multipartition import (
     Multicharge,
     Multipartition,
@@ -148,7 +148,8 @@ class ScopesCertificate(NamedTuple):
         }
 
 
-# the anchors certificate stamps, sorted; one that fails raises, so a certificate carries all
+# the anchors certificate checks, sorted (no_addable_under_condition in each member's
+# _swap_context, the rest as stamps); one that fails raises, so a certificate carries all
 _CHECKS = ("block_bijection", "branching_spectrum", "kleshchev_preserved", "lex_order_preserved",
            "no_addable_under_condition", "no_forbidden_config", "weight_preserved")
 
@@ -158,18 +159,16 @@ def certificate(block: Block, i: int, caps: Caps | None = None) -> ScopesCertifi
 
     Input: a block satisfying the weight condition at residue i with
     delta_i >= 0 (anything else is an InputError).  Any law failing on the
-    concrete instance raises LemmaViolation naming the anchor.
+    concrete instance raises LemmaViolation naming the anchor.  Each
+    member's ``_swap_context`` is read once, before any stamp: it states
+    the hypotheses, raises ``no_addable_under_condition`` and the
+    max_delta cap, and holds the image that the pairs and the member's
+    branching polynomial read.
     """
     caps = caps or Caps()
     charge = block.charge
     cond = _scopes_condition(block.lex_least, charge, i)
-    if cond.delta < 0:
-        raise InputError(f"certificate needs delta_i >= 0, got {cond.delta}")
-    if not cond.holds:
-        raise InputError(
-            f"certificate needs the weight condition; w(B)={cond.w_b} exceeds "
-            f"w(C)+K*r={cond.w_c}+{cond.k}*{charge.r}"
-        )
+    contexts = [_swap_context(mp, charge, i, caps, cond) for mp in block.members]
 
     def stamp(anchor: str, ok: bool, detail: str):
         if not ok:
@@ -181,13 +180,8 @@ def certificate(block: Block, i: int, caps: Caps | None = None) -> ScopesCertifi
             not has_forbidden_config(mp, charge, i),
             f"{mp} carries the forbidden runner configuration at residue {i}",
         )
-        stamp(
-            "no_addable_under_condition",
-            all(sign < 0 for _, _, sign in _signature(mp, charge, i)),
-            f"{mp} has an addable {i}-node despite the weight condition",
-        )
 
-    pairs = scopes_pairing(block, i)
+    pairs = tuple((mp, image) for mp, (_, image, _) in zip(block.members, contexts))
     images = [img for _, img in pairs]
     stamp(
         "block_bijection",
@@ -212,8 +206,8 @@ def certificate(block: Block, i: int, caps: Caps | None = None) -> ScopesCertifi
     stamp("kleshchev_preserved", not mismatches, "; ".join(mismatches))
 
     expected = degree_spectrum(cond.delta)
-    for mp in block.members:
-        got = branching_polynomial(mp, charge, i, caps, cond)
+    for mp, context in zip(block.members, contexts):
+        got = _polynomial(charge, mp, context)
         stamp(
             "branching_spectrum",
             got == expected,

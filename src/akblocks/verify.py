@@ -748,7 +748,7 @@ def check_branching(cell: _Cell, degree_law, well_defined, spectrum, induction_s
             )
             degrees, idegrees = Counter(), Counter()
             orders = list(permutations(range(1, delta + 1)))
-            down, up = {}, {}  # steps shared by the orders of (mp, i), as in branching_polynomial
+            down, up = {}, {}  # steps shared by the orders of (mp, i), as in branching._polynomial
             try:
                 ascending, image, adds = _swap_context(mp, mc, i, cell.caps, report)
             except LemmaViolation as exc:  # fails every order: count each one

@@ -117,6 +117,10 @@ CASES = [
     # exit 2: an empty or non-positive level list names its flag
     ["verify-all", "--max-n", "1", "--r", ""],
     ["verify-all", "--max-n", "1", "--r", "0"],
+    # exit 2: certify states the runner-swap hypotheses in branch's words (delta_i < 0, then
+    # the weight condition failing with delta_i >= 0)
+    ["certify", "--e", "2", "--charge", "0", "--lambda", "[[1,1,1,1]]", "--i", "0"],
+    ["certify", "--e", "2", "--charge", "0", "--lambda", "[[1,1,1,1]]", "--i", "1"],
 ]
 
 def replay(argv) -> dict:

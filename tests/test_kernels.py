@@ -465,6 +465,29 @@ def test_the_caches_hold_a_bounded_footprint_on_large_inputs(monkeypatch):
     assert peak < CACHES_BUDGET_MB * 2**20, peak
 
 
+# the traced bytes the residue-table walks in blocks._WALKS may hold at akbench's max_n (README, next to CACHE_SIZE)
+WALKS_BUDGET_MB = 4
+
+
+def test_the_residue_table_walks_hold_a_bounded_footprint(monkeypatch):
+    """Every table a block listing can ask for at top 24 (akbench's max_n):
+    one walk per e = 2..5 and a rotation of it per other charge residue,
+    14 entries in all.  Under tracemalloc the traced peak stays under
+    WALKS_BUDGET_MB.  About 0.5 s on 2 vCPUs (Python 3.11)."""
+    monkeypatch.setattr(blocks, "_WALKS", {})
+    tracemalloc.start()
+    try:
+        for e in range(2, 6):
+            for a in range(e):
+                blocks._component_tables(24, e, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(blocks._WALKS) == [(e, a) for e in range(2, 6) for a in range(e)]
+    assert all(len(tables) == 25 for tables in blocks._WALKS.values())
+    assert peak < WALKS_BUDGET_MB * 2**20, peak
+
+
 def test_core_block_of_checks_each_exchange_state_once(monkeypatch):
     """The exchange search hands core_block_of the states it reached: on an
     all-greedy chain of 8 steps it makes one exchange per step, and reads

@@ -150,6 +150,38 @@ def test_certificate_computes_each_kleshchev_flag_once(monkeypatch):
     ]
 
 
+def test_certificate_reads_one_swap_context_per_member(monkeypatch):
+    # the runner-swap hypotheses are stated once per member: one certificate
+    # builds one _swap_context and one image per member, and its pairs and
+    # branching spectra read them, never re-checking a member through the
+    # public branching_polynomial
+    from akblocks import branching
+
+    mc = Multicharge(5, (0, -2, 1))
+    blk = block_containing(((4, 3, 1), (4, 2, 2, 2), (3, 2)), mc, WIDE)
+    calls = {"_swap_context": 0, "_phi": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(scopes, "_swap_context", counted("_swap_context", branching._swap_context))
+    for module in (branching, scopes):
+        monkeypatch.setattr(module, "_phi", counted("_phi", module._phi))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("certificate re-checked a member through branching_polynomial")
+
+    monkeypatch.setattr(branching, "branching_polynomial", forbidden)
+    cert = certificate(blk, 1, WIDE)
+    assert "branching_polynomial" not in vars(scopes)
+    assert len(blk.members) == 4 and cert.condition.delta == 4
+    assert calls == {"_swap_context": 4, "_phi": 4}
+    assert [img for _, img, _ in cert.pairs] == [phi(mp, mc, 1) for mp in blk.members]
+
+
 def test_certificate_json_roundtrip():
     mc = Multicharge(2, (0,))
     blk = block_containing(((),), mc, WIDE)

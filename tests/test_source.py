@@ -142,6 +142,30 @@ def test_the_e_rule_and_the_charge_rule_are_each_written_once():
         assert text.count(message) == 1, message
 
 
+def _raised_messages():
+    """(module.function, string parts of the message) of every InputError a package function raises."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+                if isinstance(exc, ast.Call) and _name(exc.func) == "InputError":
+                    parts = [c.value for c in ast.walk(exc) if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+                    yield f"{path.stem}.{fn.name}", "".join(parts)
+
+
+def test_the_runner_swap_hypotheses_are_raised_in_one_function():
+    # branching._swap_context is the one gate of the runner swap: branch,
+    # certify and the branching sweep read it, so the delta_i >= 0 and the
+    # weight-condition InputErrors are each raised there and nowhere else
+    raisers = {
+        rule: [where for where, text in _raised_messages() if rule in text]
+        for rule in ("delta_i >= 0", "weight condition")
+    }
+    assert raisers == {rule: ["branching._swap_context"] for rule in raisers}, raisers
+
+
 def test_starting_the_cli_does_not_import_dataclasses():
     # every process pays for what ``import akblocks.cli`` loads, and building
     # dataclasses (plus the inspect/ast/dis chain behind the module) costs
